@@ -74,7 +74,8 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Reachability: any same-package function referenced from a hot
 	// function's body is hot (covers calls and method values handed to
-	// timers/callbacks alike).
+	// timers/callbacks alike). A method of an instantiated generic type
+	// resolves to its generic declaration.
 	hot := map[*types.Func]bool{}
 	work := append([]*types.Func(nil), roots...)
 	for _, fn := range roots {
@@ -89,7 +90,10 @@ func run(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			callee, ok := info.Uses[id].(*types.Func)
-			if !ok || hot[callee] {
+			if !ok {
+				return true
+			}
+			if callee = callee.Origin(); hot[callee] {
 				return true
 			}
 			if _, local := decls[callee]; local {

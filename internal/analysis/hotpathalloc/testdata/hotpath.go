@@ -18,6 +18,17 @@ type engine struct {
 	pool   []*event
 	events ring
 	sink   interface{}
+	fifo   queue[*event]
+}
+
+// queue is generic: calls through its instantiation reach the generic
+// declaration's body.
+type queue[T any] struct {
+	buf []T
+}
+
+func (q *queue[T]) push(v T) {
+	q.buf = append(q.buf, v) // want `append may grow its backing array`
 }
 
 // step advances the event loop by one event.
@@ -27,6 +38,7 @@ func (e *engine) step(now int64) {
 	ev := e.alloc()
 	ev.at = now
 	e.dispatch(ev)
+	e.fifo.push(ev)
 }
 
 // alloc is reachable from step, so it is checked too.

@@ -99,7 +99,11 @@ type Client struct {
 	// transfer completes first (and cleared on Reset, so a pooled client
 	// never inherits a stale stop).
 	stopEv *sim.Event
-	onDone []func()
+	// startFn, stopFn and tickFn are the start, Duration-stop and interval
+	// callbacks, bound once at construction so a pooled client's Start does
+	// not re-create the method values.
+	startFn, stopFn, tickFn func()
+	onDone                  []func()
 	// OnComplete fires when the transfer finishes.
 	OnComplete func(Report)
 }
@@ -140,6 +144,7 @@ func NewClientOn(srcEngine, dstEngine *sim.Engine, spec Spec, srcHost, dstHost *
 	spec.Config = cfg
 
 	c := &Client{spec: spec, engine: srcEngine, split: srcEngine != dstEngine}
+	c.startFn, c.stopFn, c.tickFn = c.startNow, c.stop, c.tick
 	c.receiver = tcp.NewReceiver(dstEngine, dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), dstAccount)
 	c.sender = tcp.NewSender(srcEngine, srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, srcAccount)
 	c.sender.OnComplete = c.finish
@@ -272,23 +277,20 @@ func (c *Client) Start() {
 		relay := c.startRelay
 		c.after.onDone = append(c.after.onDone, func() {
 			if relay != nil {
-				relay(func() { c.engine.After(c.spec.StartAt, c.startNow) })
+				relay(func() { c.engine.After(c.spec.StartAt, c.startFn) })
 			} else {
-				c.engine.After(c.spec.StartAt, c.startNow)
+				c.engine.After(c.spec.StartAt, c.startFn)
 			}
 		})
 		return
 	}
-	c.engine.After(c.spec.StartAt, c.startNow)
+	c.engine.After(c.spec.StartAt, c.startFn)
 }
 
 func (c *Client) startNow() {
 	c.sender.Start()
 	if c.spec.Duration > 0 {
-		c.stopEv = c.engine.After(c.spec.Duration, func() {
-			c.stopEv = nil
-			c.sender.Finish()
-		})
+		c.stopEv = c.engine.After(c.spec.Duration, c.stopFn)
 	}
 	if c.split || c.spec.NoIntervals {
 		// Interval stats sample the receiver; with the receiver on another
@@ -297,7 +299,13 @@ func (c *Client) startNow() {
 		return
 	}
 	c.intervalOpen = IntervalStat{Start: c.engine.Now()}
-	c.engine.After(c.spec.Interval, c.tick)
+	c.engine.After(c.spec.Interval, c.tickFn)
+}
+
+// stop ends the transfer at its Duration limit.
+func (c *Client) stop() {
+	c.stopEv = nil
+	c.sender.Finish()
 }
 
 func (c *Client) tick() {
@@ -305,7 +313,7 @@ func (c *Client) tick() {
 		return
 	}
 	c.closeInterval()
-	c.engine.After(c.spec.Interval, c.tick)
+	c.engine.After(c.spec.Interval, c.tickFn)
 }
 
 func (c *Client) closeInterval() {

@@ -39,6 +39,34 @@ func TestClientResetNoAllocs(t *testing.T) {
 	}
 }
 
+// TestPooledFlowLifecycleNoAllocs extends the pin from Reset to a pooled
+// client's whole flow: Reset, Start (with a Duration stop armed) and the
+// transfer itself. Once the engine's event pool, the dumbbell's packet pool
+// and the scoreboard arrays are warm, a flow allocates nothing.
+func TestPooledFlowLifecycleNoAllocs(t *testing.T) {
+	c, d := newResetFixture(t)
+	eng := d.Engine
+	flow := netsim.FlowID(2)
+	cycle := func() {
+		if err := c.Reset(Spec{Flow: flow, Bytes: 10_000, CCA: "cubic", NoIntervals: true, Duration: sim.Second},
+			d.Senders[0], d.Receiver, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		flow++
+		c.Start()
+		eng.Run()
+		if !c.Done() {
+			t.Fatal("pooled flow did not complete")
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a pooled flow's Reset+Start+transfer allocates %.1f times, want 0", n)
+	}
+}
+
 // TestClientResetRejections covers the pooled-reset refusal cases.
 func TestClientResetRejections(t *testing.T) {
 	c, d := newResetFixture(t)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 
 	"greenenvy/internal/sim"
@@ -105,5 +106,43 @@ func TestDRRSteadyStateAllocFree(t *testing.T) {
 		q.Dequeue()
 	}); got != 0 {
 		t.Fatalf("DRR steady state allocates %.1f objects/op, want 0", got)
+	}
+}
+
+// TestDRRRotationAllocFree pins the round-robin ring under rotation: 64
+// backlogged flows whose quantum is below one packet, so nearly every
+// Dequeue rotates several flows to the tail, and flows drain and re-enter
+// the ring as their backlog moves. A slice ring popped with [1:] and
+// refilled with append slides off its backing array and reallocates about
+// once per lap — too rarely for AllocsPerRun's per-op average to see — so
+// this pin counts every allocation over a long run.
+func TestDRRRotationAllocFree(t *testing.T) {
+	const flows = 64
+	q := NewDRR(1<<30, 0)
+	pkts := make([]*Packet, flows)
+	for f := range pkts {
+		pkts[f] = &Packet{Flow: FlowID(f), WireSize: 1500}
+		q.SetWeight(FlowID(f), 0.0005) // quantum ≈ 524 B: three visits per packet
+		for i := 0; i < 2; i++ {
+			q.Enqueue(pkts[f])
+		}
+	}
+	rng := sim.NewRNG(1)
+	step := func() {
+		q.Enqueue(pkts[rng.Intn(flows)])
+		q.Dequeue()
+	}
+	for i := 0; i < 100*flows; i++ {
+		step() // size every per-flow packet ring
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for i := 0; i < 10_000; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&ms)
+	if got := ms.Mallocs - before; got != 0 {
+		t.Fatalf("DRR rotation allocated %d objects over 10000 packets, want 0", got)
 	}
 }

@@ -28,48 +28,6 @@ type qEntry struct {
 	at sim.Time
 }
 
-// entryRing is pktRing for timestamped entries: one power-of-two backing
-// array reused for the life of the queue, allocation-free in steady state.
-type entryRing struct {
-	buf  []qEntry
-	head int
-	n    int
-}
-
-func (r *entryRing) Len() int { return r.n }
-
-func (r *entryRing) Push(p *Packet, at sim.Time) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = qEntry{p: p, at: at}
-	r.n++
-}
-
-func (r *entryRing) Pop() (*Packet, sim.Time) {
-	if r.n == 0 {
-		return nil, 0
-	}
-	e := r.buf[r.head]
-	r.buf[r.head] = qEntry{} // drop the reference for the GC
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return e.p, e.at
-}
-
-func (r *entryRing) grow() {
-	newCap := 2 * len(r.buf)
-	if newCap == 0 {
-		newCap = 16
-	}
-	next := make([]qEntry, newCap) //greenvet:allow hotpathalloc ring doubling is amortized to the peak queue depth
-	for i := 0; i < r.n; i++ {
-		next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = next
-	r.head = 0
-}
-
 // codelCtl is the RFC 8289 control law, shared by CoDel (one instance per
 // queue) and FQ-CoDel (one instance per flow queue). ECN-capable packets are
 // marked CE and delivered where the law would drop, as in the Linux
@@ -97,8 +55,9 @@ func (c *codelCtl) controlLaw(t sim.Time) sim.Time {
 // (FQ-CoDel). The sojourn test is suppressed while the total backlog is at
 // most one max-size packet: a line that can't hold two packets isn't
 // standing-queue congestion.
-func (c *codelCtl) doDequeue(now sim.Time, ring *entryRing, qbytes, fbytes *int, minBytes int) (*Packet, bool) {
-	p, at := ring.Pop()
+func (c *codelCtl) doDequeue(now sim.Time, fifo *ring[qEntry], qbytes, fbytes *int, minBytes int) (*Packet, bool) {
+	e := fifo.Pop()
+	p, at := e.p, e.at
 	if p == nil {
 		c.firstAbove = 0
 		return nil, false
@@ -123,8 +82,8 @@ func (c *codelCtl) doDequeue(now sim.Time, ring *entryRing, qbytes, fbytes *int,
 // backlogged packet was dropped by the law).
 //
 //greenvet:hotpath
-func (c *codelCtl) dequeue(now sim.Time, ring *entryRing, qbytes, fbytes *int, minBytes int, stats *QueueStats) *Packet {
-	p, okToDrop := c.doDequeue(now, ring, qbytes, fbytes, minBytes)
+func (c *codelCtl) dequeue(now sim.Time, fifo *ring[qEntry], qbytes, fbytes *int, minBytes int, stats *QueueStats) *Packet {
+	p, okToDrop := c.doDequeue(now, fifo, qbytes, fbytes, minBytes)
 	if p == nil {
 		c.dropping = false
 		return nil
@@ -145,7 +104,7 @@ func (c *codelCtl) dequeue(now sim.Time, ring *entryRing, qbytes, fbytes *int, m
 			stats.DroppedPackets++
 			stats.DroppedBytes += uint64(p.WireSize)
 			c.dropNext = c.controlLaw(c.dropNext)
-			p, okToDrop = c.doDequeue(now, ring, qbytes, fbytes, minBytes)
+			p, okToDrop = c.doDequeue(now, fifo, qbytes, fbytes, minBytes)
 			if p == nil {
 				c.dropping = false
 				return nil
@@ -179,7 +138,7 @@ func (c *codelCtl) dequeue(now sim.Time, ring *entryRing, qbytes, fbytes *int, m
 		c.dropNext = c.controlLaw(now)
 		// The replacement packet goes out regardless; the control law
 		// schedules the next drop at dropNext.
-		p, _ = c.doDequeue(now, ring, qbytes, fbytes, minBytes)
+		p, _ = c.doDequeue(now, fifo, qbytes, fbytes, minBytes)
 		return p
 	}
 	return p
@@ -214,7 +173,7 @@ type CoDel struct {
 	Interval sim.Duration
 
 	engine  *sim.Engine
-	ring    entryRing
+	ring    ring[qEntry]
 	bytes   int
 	maxWire int // largest packet seen; the "one MTU" floor for the law
 	ctl     codelCtl
@@ -255,7 +214,7 @@ func (q *CoDel) Enqueue(p *Packet) bool {
 	if p.WireSize > q.maxWire {
 		q.maxWire = p.WireSize
 	}
-	q.ring.Push(p, q.engine.Now())
+	q.ring.Push(qEntry{p: p, at: q.engine.Now()})
 	q.bytes += p.WireSize
 	q.stats.EnqueuedPackets++
 	if q.bytes > q.stats.MaxBytes {

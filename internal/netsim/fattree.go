@@ -222,13 +222,21 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 		ft.Cores[c] = newSwitch(lay.core(c), fmt.Sprintf("core-%d", c))
 	}
 
-	// Hosts and the host↔edge tier (always pod-internal).
+	// Hosts and the host↔edge tier (always pod-internal). All hosts on one
+	// engine share a packet pool: one for a monolithic tree, one per shard
+	// for a sharded one.
+	pools := make(map[*sim.Engine]*packetPool)
 	for h := 0; h < numHosts; h++ {
 		p := h / hostsPerPod
 		e := (h % hostsPerPod) / half
 		eng := lay.pod(p)
 		edge := ft.Edges[p*half+e]
-		host := NewHost(NodeID(h), fmt.Sprintf("h%d", h))
+		pool := pools[eng]
+		if pool == nil {
+			pool = new(packetPool)
+			pools[eng] = pool
+		}
+		host := newHost(NodeID(h), fmt.Sprintf("h%d", h), pool)
 		ft.Hosts[h] = host
 
 		up := FatTreePort{Tier: TierHostUp, Pod: p, Switch: e, Host: NodeID(h), Port: h % half}

@@ -34,8 +34,8 @@ type FQCoDel struct {
 
 	engine   *sim.Engine
 	flows    map[FlowID]*fqFlow
-	newFlows []*fqFlow
-	oldFlows []*fqFlow
+	newFlows ring[*fqFlow]
+	oldFlows ring[*fqFlow]
 	bytes    int
 	npkts    int
 	maxWire  int
@@ -45,7 +45,7 @@ type FQCoDel struct {
 // fqFlow is one flow's queue: its FIFO, DRR deficit, and CoDel state.
 type fqFlow struct {
 	id      FlowID
-	ring    entryRing
+	ring    ring[qEntry]
 	bytes   int
 	deficit int
 	ctl     codelCtl
@@ -95,7 +95,7 @@ func (q *FQCoDel) Enqueue(p *Packet) bool {
 		f = &fqFlow{id: p.Flow, ctl: codelCtl{target: q.Target, interval: q.Interval}} //greenvet:allow hotpathalloc one allocation per new flow, not per packet
 		q.flows[p.Flow] = f
 	}
-	f.ring.Push(p, q.engine.Now())
+	f.ring.Push(qEntry{p: p, at: q.engine.Now()})
 	f.bytes += p.WireSize
 	q.bytes += p.WireSize
 	q.npkts++
@@ -108,7 +108,7 @@ func (q *FQCoDel) Enqueue(p *Packet) bool {
 		// quantum: the sparse-flow priority boost.
 		f.queued = true
 		f.deficit = q.Quantum
-		q.newFlows = append(q.newFlows, f) //greenvet:allow hotpathalloc list grows to the concurrent-flow count, then growth stops
+		q.newFlows.Push(f)
 	}
 	return true
 }
@@ -129,22 +129,22 @@ func (q *FQCoDel) Dequeue() *Packet {
 		var f *fqFlow
 		fromNew := false
 		switch {
-		case len(q.newFlows) > 0:
-			f = q.newFlows[0]
+		case q.newFlows.Len() > 0:
+			f = q.newFlows.Peek()
 			fromNew = true
-		case len(q.oldFlows) > 0:
-			f = q.oldFlows[0]
+		case q.oldFlows.Len() > 0:
+			f = q.oldFlows.Peek()
 		default:
 			return nil
 		}
 		if f.deficit <= 0 {
 			f.deficit += q.Quantum
 			if fromNew {
-				q.newFlows = q.newFlows[1:]
+				q.newFlows.Pop()
+				q.oldFlows.Push(f)
 			} else {
-				q.oldFlows = q.oldFlows[1:]
+				q.oldFlows.Rotate()
 			}
-			q.oldFlows = append(q.oldFlows, f) //greenvet:allow hotpathalloc rotation: the list just shed a head, so capacity suffices in steady state
 			continue
 		}
 		before := f.ring.Len()
@@ -156,10 +156,10 @@ func (q *FQCoDel) Dequeue() *Packet {
 			// follow-up packet does not re-earn the sparse boost
 			// (RFC 8290 §5.4.4); an empty old flow retires entirely.
 			if fromNew {
-				q.newFlows = q.newFlows[1:]
-				q.oldFlows = append(q.oldFlows, f) //greenvet:allow hotpathalloc rotation: the list just shed a head, so capacity suffices in steady state
+				q.newFlows.Pop()
+				q.oldFlows.Push(f)
 			} else {
-				q.oldFlows = q.oldFlows[1:]
+				q.oldFlows.Pop()
 				f.queued = false
 				delete(q.flows, f.id)
 			}

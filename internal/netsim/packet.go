@@ -108,6 +108,9 @@ type Packet struct {
 
 	// hops counts forwarding steps as a routing-loop guard.
 	hops int
+	// pooled marks a packet issued by Host.NewPacket: only those are ever
+	// recycled. free marks one sitting in a pool's free list.
+	pooled, free bool
 }
 
 // SACKBlock is a half-open byte range [Start, End) acknowledged out of

@@ -47,7 +47,7 @@ type PIE struct {
 
 	engine     *sim.Engine
 	rng        *sim.RNG
-	pkts       pktRing
+	pkts       ring[*Packet]
 	bytes      int
 	maxWire    int
 	dropProb   float64

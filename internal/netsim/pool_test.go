@@ -1,0 +1,132 @@
+package netsim
+
+import (
+	"reflect"
+	"testing"
+
+	"greenenvy/internal/sim"
+)
+
+// TestNewPacketRecycleRoundTrip checks the pool contract: a recycled packet
+// comes back zeroed, keeps its SACK array for the next ACK, and drops its
+// INT slice, which others may still alias.
+func TestNewPacketRecycleRoundTrip(t *testing.T) {
+	h := NewHost(0, "h")
+	p := h.NewPacket()
+	if !p.pooled || p.free {
+		t.Fatalf("fresh packet state pooled=%v free=%v", p.pooled, p.free)
+	}
+	p.Flow, p.Seq, p.WireSize, p.Flags, p.hops = 7, 1000, 1500, FlagACK|FlagECE, 3
+	p.SACK = append(p.SACK, SACKBlock{1, 2}, SACKBlock{3, 4})
+	ints := append(p.INT, INTHop{QueueBytes: 9})
+	p.INT = ints
+	h.Recycle(p)
+
+	q := h.NewPacket()
+	if q != p {
+		t.Fatal("the pool did not hand the recycled packet back")
+	}
+	if cap(q.SACK) < 2 || len(q.SACK) != 0 {
+		t.Fatalf("SACK after recycle: len %d cap %d, want empty with the array kept", len(q.SACK), cap(q.SACK))
+	}
+	if q.INT != nil {
+		t.Fatal("INT survived recycling")
+	}
+	if ints[0].QueueBytes != 9 {
+		t.Fatal("recycling mutated an aliased INT slice")
+	}
+	want := Packet{SACK: q.SACK, pooled: true}
+	if !reflect.DeepEqual(*q, want) {
+		t.Fatalf("reissued packet not zeroed: %+v", *q)
+	}
+}
+
+func TestRecycleTwicePanics(t *testing.T) {
+	h := NewHost(0, "h")
+	p := h.NewPacket()
+	h.Recycle(p)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Recycle of one packet did not panic")
+		}
+	}()
+	h.Recycle(p)
+}
+
+// TestRecycleIgnoresHandBuiltPackets: a &Packet{} literal never enters a
+// pool and is left exactly as it was.
+func TestRecycleIgnoresHandBuiltPackets(t *testing.T) {
+	h := NewHost(0, "h")
+	p := &Packet{Flow: 3, Seq: 100, DataLen: 1440, WireSize: 1500, SACK: []SACKBlock{{5, 6}}}
+	before := *p
+	h.Recycle(p)
+	h.Recycle(p) // not pooled, so not a double recycle either
+	if !reflect.DeepEqual(*p, before) {
+		t.Fatalf("hand-built packet mutated: %+v", *p)
+	}
+	if h.NewPacket() == p {
+		t.Fatal("hand-built packet entered the pool")
+	}
+}
+
+func TestPacketPoolCap(t *testing.T) {
+	h := NewHost(0, "h")
+	fresh := make([]*Packet, maxFreePackets+10)
+	for i := range fresh {
+		fresh[i] = &Packet{pooled: true}
+	}
+	for _, p := range fresh {
+		h.Recycle(p)
+	}
+	if n := len(h.pool.free); n != maxFreePackets {
+		t.Fatalf("free list holds %d packets, cap is %d", n, maxFreePackets)
+	}
+}
+
+// TestHostDeliveryRecyclesUnclaimedPackets: a packet for a flow with no
+// handler ends at the host and returns to its pool.
+func TestHostDeliveryRecyclesUnclaimedPackets(t *testing.T) {
+	h := NewHost(0, "h")
+	p := h.NewPacket()
+	p.Flow = 8
+	h.HandlePacket(p)
+	if len(h.pool.free) != 1 || h.pool.free[0] != p {
+		t.Fatal("packet for an unknown flow was not recycled")
+	}
+}
+
+// TestTopologiesShareOnePoolPerEngine: every host a builder places on one
+// engine draws from the same pool; bare hosts own theirs.
+func TestTopologiesShareOnePoolPerEngine(t *testing.T) {
+	d := NewDumbbell(sim.NewEngine(), DefaultDumbbell(3))
+	for _, h := range d.AllHosts() {
+		if h.pool != d.Receiver.pool {
+			t.Fatalf("dumbbell host %s has its own pool", h.Name)
+		}
+	}
+	mono := NewFatTree(sim.NewEngine(), DefaultFatTree(4))
+	for _, h := range mono.Hosts {
+		if h.pool != mono.Hosts[0].pool {
+			t.Fatalf("monolithic fat-tree host %s has its own pool", h.Name)
+		}
+	}
+	ft := NewFatTreeSharded(sim.NewShardGroup(4), DefaultFatTree(4))
+	byShard := map[int]*packetPool{}
+	for i, h := range ft.Hosts {
+		s := ft.ShardOfHost(NodeID(i))
+		if pool, ok := byShard[s]; ok && pool != h.pool {
+			t.Fatalf("sharded host %s does not share its shard's pool", h.Name)
+		}
+		byShard[s] = h.pool
+	}
+	for s, pool := range byShard {
+		for s2, pool2 := range byShard {
+			if s != s2 && pool == pool2 {
+				t.Fatalf("shards %d and %d share a pool", s, s2)
+			}
+		}
+	}
+	if NewHost(0, "a").pool == NewHost(1, "b").pool {
+		t.Fatal("bare hosts share a pool")
+	}
+}

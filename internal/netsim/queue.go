@@ -4,6 +4,10 @@ package netsim
 // transmitter calls Enqueue when a packet arrives for the port and Dequeue
 // when the line becomes free; the queue decides admission (drop policy),
 // marking (ECN), and service order (FIFO / weighted fair / priority).
+//
+// A queue holds a packet only between Enqueue and Dequeue and never
+// recycles one: a packet it drops simply falls to the GC, since only the
+// endpoint where a packet ends returns it to its host's pool.
 type Queue interface {
 	// Enqueue offers a packet. It returns false if the packet was
 	// dropped; the caller must not retain dropped packets.
@@ -41,7 +45,7 @@ type DropTail struct {
 	// threshold (the DCTCP "K" parameter, in bytes).
 	MarkBytes int
 
-	pkts  pktRing
+	pkts  ring[*Packet]
 	bytes int
 	stats QueueStats
 }

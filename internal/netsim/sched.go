@@ -23,8 +23,8 @@ type DRR struct {
 
 	flows map[FlowID]*drrFlow
 	// active and background are round-robin rings of backlogged flows.
-	active     []*drrFlow
-	background []*drrFlow
+	active     ring[*drrFlow]
+	background ring[*drrFlow]
 	bytes      int
 	stats      QueueStats
 }
@@ -34,7 +34,7 @@ type drrFlow struct {
 	weight    float64
 	quantum   int
 	deficit   int
-	pkts      pktRing
+	pkts      ring[*Packet]
 	bytes     int
 	inRing    bool
 	isServing bool // currently at the head of the ring mid-quantum
@@ -117,23 +117,15 @@ func (q *DRR) insert(f *drrFlow) {
 	f.isServing = false
 	f.deficit = 0
 	if f.weight == 0 {
-		q.background = append(q.background, f) //greenvet:allow hotpathalloc ring grows to the flow count, then growth stops
+		q.background.Push(f)
 	} else {
-		q.active = append(q.active, f) //greenvet:allow hotpathalloc ring grows to the flow count, then growth stops
+		q.active.Push(f)
 	}
 }
 
 func (q *DRR) removeFromRings(f *drrFlow) {
-	rm := func(ring []*drrFlow) []*drrFlow {
-		for i, g := range ring {
-			if g == f {
-				return append(ring[:i], ring[i+1:]...)
-			}
-		}
-		return ring
-	}
-	q.active = rm(q.active)
-	q.background = rm(q.background)
+	q.active.Remove(f)
+	q.background.Remove(f)
 	f.inRing = false
 	f.isServing = false
 }
@@ -177,17 +169,17 @@ func (q *DRR) Dequeue() *Packet {
 	return q.dequeueRing(&q.background, false)
 }
 
-func (q *DRR) dequeueRing(ring *[]*drrFlow, useDeficit bool) *Packet {
+func (q *DRR) dequeueRing(flows *ring[*drrFlow], useDeficit bool) *Packet {
 	// Each backlogged flow receives at most one quantum refresh per pass,
 	// so the loop is bounded: with B backlogged flows, at most B visits
 	// occur before some deficit reaches the head packet size, because
 	// quantums are positive. A generous iteration cap guards against
 	// bugs rather than expected behaviour.
-	for guard := 0; len(*ring) > 0; guard++ {
+	for guard := 0; flows.Len() > 0; guard++ {
 		if guard > 1<<22 {
 			panic("netsim: DRR failed to schedule a packet (internal bug)")
 		}
-		f := (*ring)[0]
+		f := flows.Peek()
 		head := f.pkts.Peek()
 		if useDeficit {
 			if !f.isServing {
@@ -197,7 +189,7 @@ func (q *DRR) dequeueRing(ring *[]*drrFlow, useDeficit bool) *Packet {
 			if f.deficit < head.WireSize {
 				// Rotate: this flow waits for its next visit.
 				f.isServing = false
-				*ring = append((*ring)[1:], f) //greenvet:allow hotpathalloc rotation: the slice just shed its head, so capacity suffices and this never grows
+				flows.Rotate()
 				continue
 			}
 			f.deficit -= head.WireSize
@@ -206,7 +198,7 @@ func (q *DRR) dequeueRing(ring *[]*drrFlow, useDeficit bool) *Packet {
 		f.bytes -= head.WireSize
 		q.bytes -= head.WireSize
 		if f.pkts.Len() == 0 {
-			*ring = (*ring)[1:]
+			flows.Pop()
 			f.inRing = false
 			f.isServing = false
 			f.deficit = 0

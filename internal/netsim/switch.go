@@ -197,13 +197,18 @@ func (s *Switch) HandlePacket(p *Packet) {
 // Host is an end system: it owns an egress path toward the network and
 // demultiplexes arriving packets to per-flow handlers (the transport
 // endpoints). Energy accounting hooks observe every packet that enters or
-// leaves the host.
+// leaves the host. Transports take their packets from the host's pool with
+// NewPacket and give them back with Recycle where they end; a packet that
+// arrives for a flow with no handler ends here and is recycled.
 type Host struct {
 	Name string
 	ID   NodeID
 
 	egress Handler
 	flows  map[FlowID]Handler
+	// pool is the packet free list of the host's engine, shared with every
+	// other host the topology builder placed on that engine.
+	pool *packetPool
 
 	// OnSend and OnReceive, when non-nil, observe every packet leaving or
 	// entering the host. The energy model attaches here.
@@ -217,9 +222,15 @@ type Host struct {
 	TxBytes   uint64
 }
 
-// NewHost creates a host. Attach its egress with SetEgress before sending.
+// NewHost creates a host with a packet pool of its own. Attach its egress
+// with SetEgress before sending. The topology builders instead share one
+// pool among all hosts on an engine.
 func NewHost(id NodeID, name string) *Host {
-	return &Host{Name: name, ID: id, flows: make(map[FlowID]Handler)}
+	return newHost(id, name, new(packetPool))
+}
+
+func newHost(id NodeID, name string, pool *packetPool) *Host {
+	return &Host{Name: name, ID: id, flows: make(map[FlowID]Handler), pool: pool}
 }
 
 // SetEgress installs the first-hop handler (a Link or Bond).
@@ -249,7 +260,7 @@ func (h *Host) Send(p *Packet) {
 }
 
 // HandlePacket implements Handler: deliver to the flow's transport handler.
-// Packets for unknown flows are counted and dropped (the flow may already
+// Packets for unknown flows are counted and recycled (the flow may already
 // have closed).
 //
 //greenvet:hotpath
@@ -261,5 +272,7 @@ func (h *Host) HandlePacket(p *Packet) {
 	}
 	if fh, ok := h.flows[p.Flow]; ok {
 		fh.HandlePacket(p)
+		return
 	}
+	h.Recycle(p)
 }

@@ -98,8 +98,12 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	}
 
 	d := &Dumbbell{Engine: engine}
+	// Senders allocate the data packets the receiver frees, and the
+	// receiver allocates the ACKs the senders free, so every host shares
+	// one pool.
+	pool := new(packetPool)
 	recvID := NodeID(cfg.Senders)
-	d.Receiver = NewHost(recvID, "receiver")
+	d.Receiver = newHost(recvID, "receiver", pool)
 	d.Switch = NewSwitch(engine, "tofino", cfg.SwitchDelay)
 	// Every path crosses the single switch exactly once; TTL 2 (diameter
 	// plus one hop of margin) catches a reflected packet immediately.
@@ -118,7 +122,7 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	d.Receiver.SetEgress(revAccess)
 
 	for i := 0; i < cfg.Senders; i++ {
-		h := NewHost(NodeID(i), fmt.Sprintf("sender%d", i))
+		h := newHost(NodeID(i), fmt.Sprintf("sender%d", i), pool)
 		delay := cfg.accessDelay(i)
 		// Uplink(s): host -> switch, optionally bonded.
 		if cfg.BondedSenderLinks > 1 {

@@ -111,7 +111,7 @@ func (d *DelayLine[T]) grow() {
 	if newCap == 0 {
 		newCap = 16
 	}
-	next := make([]delayItem[T], newCap)
+	next := make([]delayItem[T], newCap) //greenvet:allow hotpathalloc ring doubling is amortized to the peak in-flight count
 	for i := 0; i < d.n; i++ {
 		next[i] = d.ring[(d.head+i)&(len(d.ring)-1)]
 	}

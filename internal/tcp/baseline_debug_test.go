@@ -26,7 +26,7 @@ func TestDebugBaseline(t *testing.T) {
 	for i := 1; i <= 40; i++ {
 		e.At(sim.Time(i)*100*sim.Millisecond, func() {
 			t.Logf("t=%v una=%dMB nxt=%dMB pipe=%.1fMB retxQ=%d retx=%d rto=%d rcvd=%dMB dup=%d acksSent=%d oooHW=%d",
-				e.Now(), s.sndUna>>20, s.sndNxt>>20, float64(s.pipe)/(1<<20), len(s.retxQueue), s.Retransmits, s.Timeouts,
+				e.Now(), s.sndUna>>20, s.sndNxt>>20, float64(s.pipe)/(1<<20), s.retxQueue.len(), s.Retransmits, s.Timeouts,
 				r.TotalReceived>>20, r.DupSegments, r.AcksSent, r.OutOfOrderHigh)
 		})
 	}

@@ -24,7 +24,7 @@ func TestDebugTrace(t *testing.T) {
 	for i := 0; i <= 200; i++ {
 		e.At(sim.Time(i)*100*sim.Microsecond, func() {
 			t.Logf("t=%v cwnd=%.0f pipe=%d una=%d nxt=%d retxQ=%d recov=%v rto=%d retx=%d srtt=%v qlen=%d",
-				e.Now(), s.cc.CWnd(), s.pipe, s.sndUna, s.sndNxt, len(s.retxQueue), s.recovery, s.Timeouts, s.Retransmits, s.rtt.srtt, d.Bottleneck.Queue().Bytes())
+				e.Now(), s.cc.CWnd(), s.pipe, s.sndUna, s.sndNxt, s.retxQueue.len(), s.recovery, s.Timeouts, s.Retransmits, s.rtt.srtt, d.Bottleneck.Queue().Bytes())
 		})
 	}
 	s.Start()

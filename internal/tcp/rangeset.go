@@ -58,7 +58,10 @@ func (s *rangeSet) popBelow(seq uint64) uint64 {
 		n++
 	}
 	if n > 0 {
-		s.ranges = s.ranges[n:]
+		// Compact the survivors to the front: reslicing [n:] would shed
+		// the backing array's head, so reordering on bonded links would
+		// reallocate it every few segments.
+		s.ranges = s.ranges[:copy(s.ranges, s.ranges[n:])]
 	}
 	return limit
 }
@@ -86,9 +89,7 @@ func (s *rangeSet) blocks(max int) []byteRange {
 	return s.ranges[:max]
 }
 
-// reset empties the set, keeping the backing array for reuse. (popBelow
-// slides the slice forward, so a reused set may carry a reduced-capacity
-// tail for a while; the next growth append re-anchors a fresh array.)
+// reset empties the set, keeping the backing array for reuse.
 func (s *rangeSet) reset() { s.ranges = s.ranges[:0] }
 
 // len reports the number of disjoint ranges.

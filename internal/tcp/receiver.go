@@ -36,6 +36,9 @@ type Receiver struct {
 	// received segment must come first, so the sender's scoreboard
 	// converges even when there are more holes than SACK option space).
 	recent []uint64
+	// sackBuf is sackBlocks' scratch space: an ACK's blocks are copied
+	// into its packet before the next ACK is assembled.
+	sackBuf [maxSACKBlocks]byteRange
 
 	// OnData observes in-order payload delivery (newly contiguous bytes);
 	// throughput monitors attach here.
@@ -144,10 +147,15 @@ func (r *Receiver) Reset(host *netsim.Host, flow netsim.FlowID, src netsim.NodeI
 // delivered so far).
 func (r *Receiver) RcvNxt() uint64 { return r.rcvNxt }
 
+// handleData is the receiver's host-attachment handler. A data packet ends
+// in process, or here if it is a stray ACK or overflows the receive ring;
+// either way it goes back to the host's packet pool.
+//
 //greenvet:hotpath
 func (r *Receiver) handleData(p *netsim.Packet) {
 	if p.DataLen == 0 {
-		return // stray ACK or control packet
+		r.host.Recycle(p) // stray ACK or control packet
+		return
 	}
 	// Serialized receive-path model: ring admission, then processing
 	// after the backlog drains.
@@ -162,6 +170,7 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 		}
 		if int((r.rxFreeAt-now)/r.cfg.RxPathCost) >= ring {
 			r.RxDropped++
+			r.host.Recycle(p)
 			return
 		}
 		r.rxFreeAt += r.cfg.RxPathCost
@@ -181,6 +190,7 @@ func (r *Receiver) process(p *netsim.Packet) {
 		// receiver was rebound). The original flow already completed —
 		// completion is cumulative-ACK driven — so dropping it matches
 		// what a detached, unpooled receiver would have done.
+		r.host.Recycle(p)
 		return
 	}
 	r.SegmentsRecvd++
@@ -262,6 +272,7 @@ func (r *Receiver) process(p *netsim.Packet) {
 		}
 		r.sendAck(now)
 	}
+	r.host.Recycle(p)
 }
 
 // noteRecent records seq as belonging to the most recently updated range.
@@ -277,10 +288,15 @@ func (r *Receiver) noteRecent(seq uint64) {
 	r.recent = out
 }
 
-// sackBlocks assembles up to max SACK blocks, most recently updated range
-// first (RFC 2018 §4).
-func (r *Receiver) sackBlocks(max int) []byteRange {
-	var out []byteRange
+// maxSACKBlocks is how many SACK blocks an ACK carries (the TCP option
+// space's limit with timestamps off).
+const maxSACKBlocks = 4
+
+// sackBlocks assembles up to maxSACKBlocks SACK blocks, most recently
+// updated range first (RFC 2018 §4), in the receiver's scratch space: the
+// result is valid until the next call.
+func (r *Receiver) sackBlocks() []byteRange {
+	out := r.sackBuf[:0]
 	for _, k := range r.recent {
 		if k < r.rcvNxt {
 			continue
@@ -299,13 +315,13 @@ func (r *Receiver) sackBlocks(max int) []byteRange {
 		if dup {
 			continue
 		}
-		out = append(out, rg) //greenvet:allow hotpathalloc SACK blocks exist only during loss episodes, never in steady state
-		if len(out) == max {
+		out = append(out, rg) //greenvet:allow hotpathalloc appends into the receiver's fixed sackBuf, whose capacity is the block limit
+		if len(out) == maxSACKBlocks {
 			return out
 		}
 	}
 	// Fill remaining slots with the lowest-first ranges.
-	for _, rg := range r.ooo.blocks(max) {
+	for _, rg := range r.ooo.blocks(maxSACKBlocks) {
 		dup := false
 		for _, have := range out {
 			if have == rg {
@@ -314,8 +330,8 @@ func (r *Receiver) sackBlocks(max int) []byteRange {
 			}
 		}
 		if !dup {
-			out = append(out, rg) //greenvet:allow hotpathalloc SACK blocks exist only during loss episodes, never in steady state
-			if len(out) == max {
+			out = append(out, rg) //greenvet:allow hotpathalloc appends into the receiver's fixed sackBuf, whose capacity is the block limit
+			if len(out) == maxSACKBlocks {
 				break
 			}
 		}
@@ -341,19 +357,21 @@ func (r *Receiver) onDelAck() {
 func (r *Receiver) sendAck(echo sim.Time) {
 	r.delack.Stop()
 	r.unacked = 0
-	//greenvet:allow hotpathalloc one Packet per ACK by design: its lifetime spans links and queues, so pooling belongs to a dedicated packet-pool change
-	ack := &netsim.Packet{
-		Flow:     r.flow,
-		Dst:      r.src,
-		Seq:      0,
-		Ack:      r.rcvNxt,
-		WireSize: HeaderBytes,
-		Flags:    netsim.FlagACK,
-		SentAt:   r.engine.Now(),
-		EchoTS:   echo,
+	ack := r.host.NewPacket()
+	ack.Flow = r.flow
+	ack.Dst = r.src
+	ack.Ack = r.rcvNxt
+	ack.WireSize = HeaderBytes
+	ack.Flags = netsim.FlagACK
+	ack.SentAt = r.engine.Now()
+	ack.EchoTS = echo
+	blocks := r.sackBlocks()
+	if cap(ack.SACK) < len(blocks) {
+		ack.SACK = make([]netsim.SACKBlock, 0, maxSACKBlocks) //greenvet:allow hotpathalloc a pooled packet's SACK array is made once, at full size; recycling keeps it
 	}
-	for _, b := range r.sackBlocks(4) {
-		ack.SACK = append(ack.SACK, netsim.SACKBlock{Start: b.Start, End: b.End}) //greenvet:allow hotpathalloc SACK blocks exist only during loss episodes, never in steady state
+	ack.SACK = ack.SACK[:len(blocks)]
+	for i, b := range blocks {
+		ack.SACK[i] = netsim.SACKBlock{Start: b.Start, End: b.End}
 	}
 	if len(r.lastINT) > 0 {
 		ack.INT = r.lastINT

@@ -67,11 +67,11 @@ type Sender struct {
 
 	// retxQueue holds sequence numbers of lost segments to retransmit,
 	// in order.
-	retxQueue []uint64
+	retxQueue fifo[uint64]
 	// retxWatch tracks outstanding retransmissions so that a lost
 	// retransmission is itself re-detected (RACK-style time threshold)
 	// instead of stalling until the RTO.
-	retxWatch []retxWatchEntry
+	retxWatch fifo[retxWatchEntry]
 	// lossScan is the index below which loss inference has already run.
 	lossScan int
 	// highSacked is the highest sequence selectively acknowledged.
@@ -170,8 +170,8 @@ func (s *Sender) Reset(host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID,
 	s.segs = s.segStore[:0]
 	s.segBase = 0
 	s.pipe = 0
-	s.retxQueue = s.retxQueue[:0]
-	s.retxWatch = s.retxWatch[:0]
+	s.retxQueue.reset()
+	s.retxWatch.reset()
 	s.lossScan = 0
 	s.highSacked = 0
 	s.rtt = rttEstimator{}
@@ -272,8 +272,18 @@ func (s *Sender) seg(seq uint64) *segment {
 
 // --- receive path ---
 
+// handleAck is the sender's host-attachment handler. An ACK ends here, so
+// it goes back to the host's packet pool once processed. The host is read
+// first: completion may rebind a pooled sender to another host.
+//
 //greenvet:hotpath
 func (s *Sender) handleAck(p *netsim.Packet) {
+	h := s.host
+	s.onAck(p)
+	h.Recycle(p)
+}
+
+func (s *Sender) onAck(p *netsim.Packet) {
 	if s.done || !p.Flags.Has(netsim.FlagACK) {
 		return
 	}
@@ -282,7 +292,10 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 	now := s.engine.Now()
 
 	prevDelivered := s.delivered
-	var newestAcked *segment
+	// newest is the most recently delivered segment, copied by value
+	// because its slot in segs may be popped: the rate sample's source.
+	var newest segment
+	haveNewest := false
 
 	// Cumulative acknowledgment.
 	if p.Ack > s.sndUna {
@@ -303,7 +316,7 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 					s.rtt.sample(now - sg.sentAt)
 				}
 			}
-			newestAcked = s.snapshotOf(sg)
+			newest, haveNewest = *sg, true
 			s.segBase = end
 			s.segs = s.segs[1:]
 			if s.lossScan > 0 {
@@ -322,7 +335,9 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 
 	// Selective acknowledgments.
 	for _, blk := range p.SACK {
-		s.markSacked(blk.Start, blk.End, now, &newestAcked)
+		if s.markSacked(blk.Start, blk.End, now, &newest) {
+			haveNewest = true
+		}
 	}
 
 	// Loss inference: data SACKed ReorderSegs segments above an unsacked
@@ -338,14 +353,14 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 		InRecovery: s.recovery,
 		INT:        p.INT,
 	}
-	if newestAcked != nil {
-		interval := now - newestAcked.deliveredTimeAtSend
+	if haveNewest {
+		interval := now - newest.deliveredTimeAtSend
 		if interval > 0 {
-			info.DeliveryRate = float64(s.delivered-newestAcked.deliveredAtSend) / interval.Seconds()
+			info.DeliveryRate = float64(s.delivered-newest.deliveredAtSend) / interval.Seconds()
 		}
-		info.AppLimited = newestAcked.appLimited
-		if newestAcked.retx == 0 {
-			info.RTT = now - newestAcked.sentAt
+		info.AppLimited = newest.appLimited
+		if newest.retx == 0 {
+			info.RTT = now - newest.sentAt
 		}
 	}
 	if info.RTT == 0 {
@@ -371,20 +386,16 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 	s.armTLP()
 }
 
-// snapshotOf returns a stable copy of a segment for rate sampling (the
-// underlying slice entry may be popped).
-func (s *Sender) snapshotOf(sg *segment) *segment {
-	cp := *sg
-	return &cp
-}
-
-func (s *Sender) markSacked(start, end uint64, now sim.Time, newest **segment) {
+// markSacked marks [start, end) selectively acknowledged. It reports
+// whether it delivered any segment, copying the last one into newest.
+func (s *Sender) markSacked(start, end uint64, now sim.Time, newest *segment) bool {
 	if start < s.segBase {
 		start = s.segBase
 	}
 	if start >= end {
-		return
+		return false
 	}
+	found := false
 	firstIdx := -1
 	for seq := start; seq < end && seq < s.sndNxt; {
 		idx := s.segIndex(seq)
@@ -415,7 +426,7 @@ func (s *Sender) markSacked(start, end uint64, now sim.Time, newest **segment) {
 		if sg.seq+uint64(sg.length) > s.highSacked {
 			s.highSacked = sg.seq + uint64(sg.length)
 		}
-		*newest = s.snapshotOf(sg)
+		*newest, found = *sg, true
 		seq = sg.jumpSeq
 	}
 	// Path-compress: the block's first segment points at the furthest
@@ -429,6 +440,7 @@ func (s *Sender) markSacked(start, end uint64, now sim.Time, newest **segment) {
 			s.segs[firstIdx].jumpSeq = limit
 		}
 	}
+	return found
 }
 
 // inferLoss marks unsacked segments well below the SACK frontier as lost
@@ -455,7 +467,7 @@ func (s *Sender) inferLoss() {
 			s.pipe -= sg.length
 			sg.counted = false
 		}
-		s.retxQueue = append(s.retxQueue, sg.seq) //greenvet:allow hotpathalloc retransmission queue fills only during loss episodes
+		s.retxQueue.push(sg.seq)
 		s.noteCongestion(sg.seq)
 	}
 }
@@ -482,9 +494,9 @@ func (s *Sender) expireRetransmissions(now sim.Time) {
 	if reo < 100*sim.Microsecond {
 		reo = 100 * sim.Microsecond
 	}
-	for len(s.retxWatch) > 0 && now-s.retxWatch[0].at > reo {
-		w := s.retxWatch[0]
-		s.retxWatch = s.retxWatch[1:]
+	for s.retxWatch.len() > 0 && now-s.retxWatch.front().at > reo {
+		w := s.retxWatch.front()
+		s.retxWatch.pop()
 		if w.seq < s.segBase {
 			continue // already cumulatively acked
 		}
@@ -500,7 +512,7 @@ func (s *Sender) expireRetransmissions(now sim.Time) {
 			s.pipe -= sg.length
 			sg.counted = false
 		}
-		s.retxQueue = append(s.retxQueue, sg.seq) //greenvet:allow hotpathalloc retransmission queue fills only during loss episodes
+		s.retxQueue.push(sg.seq)
 		s.noteCongestion(sg.seq)
 	}
 }
@@ -530,22 +542,22 @@ func (s *Sender) sendOne(now sim.Time) bool {
 	cwnd := int(s.cc.CWnd())
 
 	// Retransmissions take priority and obey the pipe limit.
-	for len(s.retxQueue) > 0 {
-		seq := s.retxQueue[0]
+	for s.retxQueue.len() > 0 {
+		seq := s.retxQueue.front()
 		if seq < s.segBase { // already cumulatively acked
-			s.retxQueue = s.retxQueue[1:]
+			s.retxQueue.pop()
 			continue
 		}
 		sg := s.seg(seq)
 		if sg.sacked || !sg.lost {
-			s.retxQueue = s.retxQueue[1:]
+			s.retxQueue.pop()
 			continue
 		}
 		if s.pipe+sg.length > cwnd && !s.fastRetxPending {
 			return false
 		}
 		s.fastRetxPending = false
-		s.retxQueue = s.retxQueue[1:]
+		s.retxQueue.pop()
 		sg.lost = false
 		sg.retx++
 		s.transmit(sg, now, true)
@@ -596,16 +608,14 @@ func (s *Sender) transmit(sg *segment, now sim.Time, retx bool) {
 	s.pipe += sg.length
 
 	wire := sg.length + HeaderBytes
-	//greenvet:allow hotpathalloc one Packet per segment by design: its lifetime spans links and queues, so pooling belongs to a dedicated packet-pool change
-	p := &netsim.Packet{
-		Flow:       s.flow,
-		Dst:        s.dst,
-		Seq:        sg.seq,
-		DataLen:    sg.length,
-		WireSize:   wire,
-		SentAt:     now,
-		Retransmit: retx,
-	}
+	p := s.host.NewPacket()
+	p.Flow = s.flow
+	p.Dst = s.dst
+	p.Seq = sg.seq
+	p.DataLen = sg.length
+	p.WireSize = wire
+	p.SentAt = now
+	p.Retransmit = retx
 	if s.cc.ECNCapable() {
 		p.Flags |= netsim.FlagECT
 	}
@@ -615,7 +625,7 @@ func (s *Sender) transmit(sg *segment, now sim.Time, retx bool) {
 	s.DataSent++
 	if retx {
 		s.Retransmits++
-		s.retxWatch = append(s.retxWatch, retxWatchEntry{seq: sg.seq, at: now}) //greenvet:allow hotpathalloc watch entries accrue only on retransmissions
+		s.retxWatch.push(retxWatchEntry{seq: sg.seq, at: now})
 	}
 	s.account.SentData(retx, int(s.sndNxt-s.sndUna))
 	s.host.Send(p)
@@ -663,7 +673,7 @@ func (s *Sender) armSendTimer() {
 // highest outstanding segment after ~2·SRTT, which elicits the SACK
 // feedback normal recovery needs.
 func (s *Sender) armTLP() {
-	if s.done || s.pipe == 0 || len(s.retxQueue) > 0 {
+	if s.done || s.pipe == 0 || s.retxQueue.len() > 0 {
 		s.tlpTimer.Stop()
 		return
 	}
@@ -704,7 +714,7 @@ func (s *Sender) onTLP() {
 }
 
 func (s *Sender) armRTO() {
-	if s.pipe == 0 && len(s.retxQueue) == 0 && s.sndUna >= s.totalBytes {
+	if s.pipe == 0 && s.retxQueue.len() == 0 && s.sndUna >= s.totalBytes {
 		s.rtoTimer.Stop()
 		return
 	}
@@ -731,7 +741,7 @@ func (s *Sender) onRTO() {
 		s.rtoBackoff++
 	}
 	// Everything unsacked and outstanding is presumed lost.
-	s.retxQueue = s.retxQueue[:0]
+	s.retxQueue.reset()
 	s.lossScan = 0
 	for i := range s.segs {
 		sg := &s.segs[i]
@@ -743,7 +753,7 @@ func (s *Sender) onRTO() {
 			s.pipe -= sg.length
 			sg.counted = false
 		}
-		s.retxQueue = append(s.retxQueue, sg.seq) //greenvet:allow hotpathalloc retransmission queue fills only during loss episodes
+		s.retxQueue.push(sg.seq)
 	}
 	s.recovery = true
 	s.recoveryPoint = s.sndNxt

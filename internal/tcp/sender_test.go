@@ -169,7 +169,7 @@ func TestSenderRTORetransmitsAllOutstanding(t *testing.T) {
 	// All 5 outstanding segments (1000..6000) are presumed lost: the
 	// first goes out immediately; the rest wait in the retransmission
 	// queue because the post-RTO window is one segment.
-	if got := len(h.snd.retxQueue); got != 4 {
+	if got := h.snd.retxQueue.len(); got != 4 {
 		t.Fatalf("retx queue = %d entries, want 4 awaiting window", got)
 	}
 	var first *netsim.Packet

@@ -1,6 +1,8 @@
 package greenenvy
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -49,5 +51,26 @@ func TestRunProductionBenchmark(t *testing.T) {
 	}
 	if res.Cell("nope", 1500) != nil {
 		t.Fatal("bogus cell lookup matched")
+	}
+}
+
+// productionGoldenTable is the sha256 of the production benchmark's table at
+// Reps 1, Scale 0.002, Seed 21. fig5 has no INT consumer, so this is the
+// golden that covers HPCC's in-band telemetry path: links stamping hops,
+// the receiver echoing them on ACKs, the sender's controller keeping the
+// previous sample.
+const productionGoldenTable = "47b10723437566593c5aad7f6051c5ad8e28450f0698648f59571dda660d0354"
+
+func TestProductionTableGoldenDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the simulator")
+	}
+	res, err := RunProduction(Options{Reps: 1, Scale: 0.002, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(res.Table()))
+	if got := hex.EncodeToString(sum[:]); got != productionGoldenTable {
+		t.Fatalf("production table digest changed:\n  got  %s\n  want %s\n%s", got, productionGoldenTable, res.Table())
 	}
 }
