@@ -10,6 +10,7 @@ import (
 	"greenenvy/internal/cache"
 	"greenenvy/internal/cca"
 	"greenenvy/internal/iperf"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/stats"
 	"greenenvy/internal/tcp"
@@ -155,7 +156,7 @@ func RunCCASweep(o Options) (*SweepResult, error) {
 // is submitted to one shared worker pool — no per-cell barriers — and the
 // cells are reassembled in cca.PaperOrder() × SweepMTUs order afterwards.
 // Per-repetition seeds depend only on (Seed, repetition index), exactly as
-// the serial repeatRuns path derives them, so the assembled SweepResult is
+// registry.RepeatRuns derives them, so the assembled SweepResult is
 // identical for any Workers value.
 func runCCASweep(o Options) (*SweepResult, error) {
 	bytes := uint64(float64(paperTransferBytes) * o.Scale)
@@ -178,7 +179,7 @@ func runCCASweep(o Options) (*SweepResult, error) {
 		seeds[i] = root.Split(uint64(i)).Uint64()
 	}
 
-	deadline := deadlineFor(bytes) * 4
+	deadline := registry.DeadlineFor(bytes) * 4
 	runs := make([][]testbed.RunResult, len(specs))
 	for i := range runs {
 		runs[i] = make([]testbed.RunResult, o.Reps)
@@ -223,6 +224,21 @@ func runCCASweep(o Options) (*SweepResult, error) {
 		res.Cells = append(res.Cells, cell)
 	}
 	return res, nil
+}
+
+// cellFromRuns assembles the per-repetition measurement vectors of one
+// (CCA, MTU) cell from single-flow runs. The CCA sweep (Figures 5–8) and
+// the production benchmark share this shape.
+func cellFromRuns(ccaName string, mtu int, runs []testbed.RunResult) SweepCell {
+	cell := SweepCell{CCA: ccaName, MTU: mtu}
+	for _, r := range runs {
+		e := r.SenderEnergyJ[0]
+		cell.EnergyJ = append(cell.EnergyJ, e)
+		cell.FCTSecs = append(cell.FCTSecs, r.Duration.Seconds())
+		cell.PowerW = append(cell.PowerW, e/r.Duration.Seconds())
+		cell.Retx = append(cell.Retx, float64(r.Retransmits))
+	}
+	return cell
 }
 
 // --- Figure 5: total energy per CCA × MTU ---

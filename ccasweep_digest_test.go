@@ -6,10 +6,13 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
+
+	"greenenvy/internal/registry"
 )
 
-// The golden digest constant (fig5GoldenDigest) lives in version.go because
-// it doubles as the persistent result cache's simulator version stamp.
+// The golden digest constant lives in internal/registry
+// (registry.Fig5GoldenDigest) because it doubles as the persistent result
+// cache's simulator version stamp.
 
 // digestOpts is the reduced-scale sweep the digest covers: 50 MB per run,
 // 2 repetitions of every (CCA, MTU) cell. Workers is left at the default;
@@ -54,11 +57,11 @@ func TestFig5SweepGoldenDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sweepDigest(sw)
-	if got != fig5GoldenDigest {
+	if got != registry.Fig5GoldenDigest {
 		t.Fatalf("Fig-5 sweep digest changed:\n  got  %s\n  want %s\n"+
 			"Same-seed results are no longer bit-identical. If this is an intentional "+
-			"behaviour change, update fig5GoldenDigest in the same commit and record why "+
-			"in CHANGES.md; otherwise a refactor broke determinism.", got, fig5GoldenDigest)
+			"behaviour change, update registry.Fig5GoldenDigest in the same commit and record why "+
+			"in CHANGES.md; otherwise a refactor broke determinism.", got, registry.Fig5GoldenDigest)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"greenenvy/internal/iperf"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/testbed"
 )
 
@@ -12,7 +13,7 @@ func TestDiagFig4Savings(t *testing.T) {
 	if !testing.Verbose() {
 		t.Skip("diagnostic")
 	}
-	bytes := uint64(10 * paperGbit * 0.1)
+	bytes := uint64(10 * registry.PaperGbit * 0.1)
 	for _, serial := range []bool{false, true} {
 		tb := testbed.New(testbed.Options{Senders: 2, UseDRR: !serial, Seed: 1, MeasureNoise: 1e-9})
 		for i := 0; i < 2; i++ {
@@ -28,7 +29,7 @@ func TestDiagFig4Savings(t *testing.T) {
 			tb.SetWeight(c1.Report().Flow, 0.5)
 			tb.SetWeight(c2.Report().Flow, 0.5)
 		}
-		res, err := tb.Run(deadlineFor(2 * bytes))
+		res, err := tb.Run(registry.DeadlineFor(2 * bytes))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"greenenvy/internal/energy"
 	"greenenvy/internal/iperf"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/testbed"
 )
 
@@ -69,7 +70,7 @@ func RunIncast(o Options) (IncastResult, error) {
 	if err != nil {
 		return IncastResult{}, err
 	}
-	totalBytes := uint64(20 * paperGbit * o.Scale)
+	totalBytes := uint64(20 * registry.PaperGbit * o.Scale)
 	res := IncastResult{TotalGbit: float64(totalBytes) * 8 / 1e9}
 	p := PaperPowerFunc()
 
@@ -77,7 +78,7 @@ func RunIncast(o Options) (IncastResult, error) {
 		per := totalBytes / uint64(n)
 		run := func(serial bool) (float64, float64, error) {
 			id := fmt.Sprintf("incast/n=%d/serial=%t/per=%d", n, serial, per)
-			aggs, err := runCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 				tb := testbed.New(testbed.Options{Senders: n, UseDRR: !serial, Seed: seed})
 				var prev *iperf.Client
 				for i := 0; i < n; i++ {
@@ -95,7 +96,7 @@ func RunIncast(o Options) (IncastResult, error) {
 					}
 				}
 				return tb, nil
-			}, deadlineFor(totalBytes), senderJoules, runSeconds)
+			}, registry.DeadlineFor(totalBytes), registry.SenderJoules, registry.RunSeconds)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -171,11 +172,11 @@ func RunSameSender(o Options) (SameSenderResult, error) {
 	if err != nil {
 		return SameSenderResult{}, err
 	}
-	bytes := uint64(10 * paperGbit * o.Scale)
+	bytes := uint64(10 * registry.PaperGbit * o.Scale)
 
 	run := func(senders int, serial bool) (float64, error) {
 		id := fmt.Sprintf("samesender/senders=%d/serial=%t/bytes=%d", senders, serial, bytes)
-		aggs, err := runCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 			tb := testbed.New(testbed.Options{Senders: senders, UseDRR: !serial, Seed: seed})
 			host2 := 0
 			if senders == 2 {
@@ -200,7 +201,7 @@ func RunSameSender(o Options) (SameSenderResult, error) {
 				}
 			}
 			return tb, nil
-		}, deadlineFor(2*bytes), senderJoules)
+		}, registry.DeadlineFor(2*bytes), registry.SenderJoules)
 		if err != nil {
 			return 0, err
 		}

@@ -7,6 +7,7 @@ import (
 	"greenenvy/internal/core"
 	"greenenvy/internal/iperf"
 	"greenenvy/internal/netsim"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/testbed"
 )
@@ -67,7 +68,7 @@ func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
 	if err != nil {
 		return FatTreeIncastResult{}, err
 	}
-	totalBytes := uint64(20 * paperGbit * o.Scale)
+	totalBytes := uint64(20 * registry.PaperGbit * o.Scale)
 	res := FatTreeIncastResult{TotalGbit: float64(totalBytes) * 8 / 1e9}
 	p := PaperPowerFunc()
 
@@ -87,7 +88,7 @@ func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
 
 		run := func(serial bool) (float64, float64, error) {
 			id := fmt.Sprintf("fattree-incast/n=%d/k=%d/ecmp=%d/serial=%t/per=%d/sh=%d", n, k, o.Seed, serial, per, o.ShardTag())
-			aggs, err := runCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 				cfg := netsim.DefaultFatTree(k)
 				cfg.ECMPSeed = o.Seed
 				if !serial {
@@ -116,7 +117,7 @@ func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
 					}
 				}
 				return tb, nil
-			}, deadlineFor(totalBytes), senderJoules, runSeconds, eventsFired)
+			}, registry.DeadlineFor(totalBytes), registry.SenderJoules, registry.RunSeconds, registry.EventsFired)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -263,7 +264,7 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 	if err != nil {
 		return CrossRackResult{}, err
 	}
-	bytes := uint64(10 * paperGbit * o.Scale)
+	bytes := uint64(10 * registry.PaperGbit * o.Scale)
 	if bytes == 0 {
 		return CrossRackResult{}, fmt.Errorf("greenenvy: scale too small")
 	}
@@ -304,10 +305,10 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 		analytic[f] = sav * 100
 	}
 
-	deadline := deadlineFor(2 * bytes)
+	deadline := registry.DeadlineFor(2 * bytes)
 	for _, f := range fractions {
 		id := fmt.Sprintf("crossrack/k=%d/ecmp=%d/frac=%.2f/bytes=%d/sh=%d", k, o.Seed, f, bytes, o.ShardTag())
-		aggs, err := runCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 			cfg := baseCfg
 			if f < 1.0 {
 				cfg.NewQueue = func(port netsim.FatTreePort) netsim.Queue {
@@ -342,7 +343,7 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 				c2.StartAfter(c1)
 			}
 			return tb, nil
-		}, deadline, senderJoules, eventsFired)
+		}, deadline, registry.SenderJoules, registry.EventsFired)
 		if err != nil {
 			return CrossRackResult{}, fmt.Errorf("crossrack fraction %v: %w", f, err)
 		}

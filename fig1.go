@@ -6,6 +6,7 @@ import (
 
 	"greenenvy/internal/core"
 	"greenenvy/internal/iperf"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/testbed"
 )
 
@@ -58,7 +59,7 @@ func RunFig1(o Options) (Fig1Result, error) {
 	if err != nil {
 		return Fig1Result{}, err
 	}
-	bytes := uint64(10 * paperGbit * o.Scale)
+	bytes := uint64(10 * registry.PaperGbit * o.Scale)
 	if bytes == 0 {
 		return Fig1Result{}, fmt.Errorf("greenenvy: scale too small")
 	}
@@ -81,10 +82,10 @@ func RunFig1(o Options) (Fig1Result, error) {
 		analytic[f] = sav * 100
 	}
 
-	deadline := deadlineFor(2 * bytes)
+	deadline := registry.DeadlineFor(2 * bytes)
 	for _, f := range fractions {
 		id := fmt.Sprintf("fig1/frac=%.2f/bytes=%d", f, bytes)
-		aggs, err := runCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 			tb := testbed.New(testbed.Options{Senders: 2, UseDRR: f < 1.0, Seed: seed})
 			c1, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic"})
 			if err != nil {
@@ -107,7 +108,7 @@ func RunFig1(o Options) (Fig1Result, error) {
 				c2.StartAfter(c1)
 			}
 			return tb, nil
-		}, deadline, senderJoules)
+		}, deadline, registry.SenderJoules)
 		if err != nil {
 			return Fig1Result{}, fmt.Errorf("fraction %v: %w", f, err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"greenenvy/internal/energy"
 	"greenenvy/internal/iperf"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/testbed"
 )
@@ -67,11 +68,11 @@ func RunFig2(o Options) (Fig2Result, error) {
 	for _, gbps := range rates {
 		bytes := uint64(gbps * 1e9 / 8 * hold)
 		id := fmt.Sprintf("fig2/target=%g/bytes=%d", gbps, bytes)
-		aggs, err := runCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 			tb := testbed.New(testbed.Options{Seed: seed})
 			_, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic", TargetBps: int64(gbps * 1e9)})
 			return tb, err
-		}, deadlineFor(bytes), firstSenderWatts)
+		}, registry.DeadlineFor(bytes), registry.FirstSenderWatts)
 		if err != nil {
 			return Fig2Result{}, fmt.Errorf("rate %v Gb/s: %w", gbps, err)
 		}

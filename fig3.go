@@ -7,6 +7,7 @@ import (
 	"greenenvy/internal/cache"
 	"greenenvy/internal/iperf"
 	"greenenvy/internal/netsim"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/testbed"
 )
@@ -42,7 +43,7 @@ func RunFig3(o Options) (Fig3Result, error) {
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	bytes := uint64(10 * paperGbit * o.Scale)
+	bytes := uint64(10 * registry.PaperGbit * o.Scale)
 	res := Fig3Result{FlowGbit: float64(bytes) * 8 / 1e9}
 
 	store := o.CacheStore()
@@ -74,7 +75,7 @@ func RunFig3(o Options) (Fig3Result, error) {
 				return nil, err
 			}
 		}
-		if _, err := tb.Run(deadlineFor(2 * bytes)); err != nil {
+		if _, err := tb.Run(registry.DeadlineFor(2 * bytes)); err != nil {
 			return nil, err
 		}
 		samples := mergeSeries(tb.Monitor.Series(f1), tb.Monitor.Series(f2))

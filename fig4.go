@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"greenenvy/internal/iperf"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/testbed"
 )
 
@@ -68,14 +69,14 @@ func RunFig4(o Options) (Fig4Result, error) {
 		for _, gbps := range rates {
 			bytes := uint64(gbps * 1e9 / 8 * hold)
 			id := fmt.Sprintf("fig4/load=%g/target=%g/bytes=%d", load, gbps, bytes)
-			aggs, err := runCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 				tb := testbed.New(testbed.Options{Seed: seed})
 				if err := tb.AddLoad(0, load); err != nil {
 					return nil, err
 				}
 				_, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic", TargetBps: int64(gbps * 1e9)})
 				return tb, err
-			}, deadlineFor(bytes), firstSenderWatts)
+			}, registry.DeadlineFor(bytes), registry.FirstSenderWatts)
 			if err != nil {
 				return Fig4Result{}, fmt.Errorf("load %v rate %v: %w", load, gbps, err)
 			}
@@ -87,12 +88,12 @@ func RunFig4(o Options) (Fig4Result, error) {
 
 	// §4.2 savings: two flows, fair (WFQ 50/50) vs serial, on loaded
 	// senders.
-	bytes := uint64(10 * paperGbit * o.Scale)
+	bytes := uint64(10 * registry.PaperGbit * o.Scale)
 	targets := map[float64]string{0: "~16%", 0.25: "~1%", 0.50: "(not quoted)", 0.75: "~0.17%"}
 	for _, load := range loads {
 		energy := func(serial bool) (float64, error) {
 			id := fmt.Sprintf("fig4/savings/load=%g/serial=%t/bytes=%d", load, serial, bytes)
-			aggs, err := runCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 				tb := testbed.New(testbed.Options{Senders: 2, UseDRR: !serial, Seed: seed})
 				for i := 0; i < 2; i++ {
 					if err := tb.AddLoad(i, load); err != nil {
@@ -118,7 +119,7 @@ func RunFig4(o Options) (Fig4Result, error) {
 					}
 				}
 				return tb, nil
-			}, deadlineFor(2*bytes), senderJoules)
+			}, registry.DeadlineFor(2*bytes), registry.SenderJoules)
 			if err != nil {
 				return 0, err
 			}

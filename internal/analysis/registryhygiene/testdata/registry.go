@@ -19,8 +19,8 @@ func Register(e Experiment) {}
 
 func runStub(Options) (*Result, error) { return nil, nil }
 
-// goodCacheID stands in for the repeatRuns/cache.NewKey id site: the
-// literal carrying the declared "good/" prefix.
+// goodCacheID stands in for the registry.RunCell/RepeatRuns or
+// cache.NewKey id site: the literal carrying the declared "good/" prefix.
 const goodCacheID = "good/run"
 
 // scenarioPrefix stands in for the root package's CachePrefix cross-check:

@@ -25,16 +25,9 @@ func Compile(spec Spec) (registry.Experiment, error) {
 	if err != nil {
 		return registry.Experiment{}, err
 	}
-	var run func(registry.Options) (registry.Result, error)
-	switch c.Preset {
-	case PresetFractionSweep:
-		run = runFractionSweep(c, prefix)
-	case PresetFanInSweep:
-		run = runFanInSweep(c, prefix)
-	case PresetAQMMatrix:
+	run := runFlows(c, prefix)
+	if c.Preset == PresetAQMMatrix {
 		run = runAQMMatrix(c, prefix)
-	default:
-		run = runFlows(c, prefix)
 	}
 	return registry.Experiment{
 		Name:        c.Name,
@@ -70,12 +63,11 @@ func dumbbellConfig(t Topology) netsim.DumbbellConfig {
 	return cfg
 }
 
-// fatTreeConfig maps a canonical fat-tree topology (with an explicit arity,
-// since the fanin preset derives k per width) onto the netsim config. With
-// the spec defaults it reproduces netsim.DefaultFatTree(k).
-func fatTreeConfig(t Topology, k int) netsim.FatTreeConfig {
+// fatTreeConfig maps a canonical fat-tree topology onto the netsim config.
+// With the spec defaults it reproduces netsim.DefaultFatTree(t.K).
+func fatTreeConfig(t Topology) netsim.FatTreeConfig {
 	return netsim.FatTreeConfig{
-		K:           k,
+		K:           t.K,
 		HostBps:     t.HostBps,
 		EdgeAggBps:  t.EdgeAggBps,
 		AggCoreBps:  t.AggCoreBps,

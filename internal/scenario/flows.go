@@ -15,9 +15,9 @@ import (
 // The literal-flows preset runs exactly the flows the spec lists — each with
 // its own CCA, size, schedule, pacing, and fair-queue weight — once per
 // repetition, and reports per-flow throughput alongside the run's sender
-// energy and Jain fairness. It is the escape hatch the sweep presets build
-// on: anything the testbed can express (heterogeneous RTTs, mixed CCAs,
-// chained starts, background load, AQM bottlenecks) fits here.
+// energy and Jain fairness. Anything the testbed can express (heterogeneous
+// RTTs, mixed CCAs, chained starts, background load, AQM bottlenecks) fits
+// here.
 
 // flowRow is one flow's aggregated outcome.
 type flowRow struct {
@@ -93,7 +93,7 @@ func runFlows(spec Spec, prefix string) func(registry.Options) (registry.Result,
 				plan.Dumbbell = &cfg
 				opts = testbed.Options{Senders: t.Senders, Seed: seed}
 			} else {
-				cfg := fatTreeConfig(t, t.K)
+				cfg := fatTreeConfig(t)
 				cfg.ECMPSeed = o.Seed
 				if t.Queue.Kind != "droptail" {
 					q := t.Queue

@@ -5,20 +5,19 @@ import (
 	"testing"
 )
 
-// minimalFraction is a fraction-sweep spec with every optional field
-// omitted.
-const minimalFraction = `{
+// minimalMatrix is an aqm-matrix spec with every optional field omitted.
+const minimalMatrix = `{
   "name": "t",
-  "preset": "fraction-sweep",
+  "preset": "aqm-matrix",
   "topology": {"kind": "dumbbell"},
-  "sweep": {"gbit_per_flow": 10, "fractions": [0.5, 0.75, 1.0]}
+  "sweep": {"gbit_per_flow": 2.5, "ccas": ["cubic", "reno"], "queues": [{"kind": "droptail"}, {"kind": "codel"}]}
 }`
 
-// explicitFraction spells out, in TOML, every default minimalFraction
-// leaves implicit. The two must canonicalize — and digest — identically.
-const explicitFraction = `
+// explicitMatrix spells out, in TOML, every default minimalMatrix leaves
+// implicit. The two must canonicalize — and digest — identically.
+const explicitMatrix = `
 name = "t"
-preset = "fraction-sweep"
+preset = "aqm-matrix"
 
 [topology]
 kind = "dumbbell"
@@ -31,9 +30,16 @@ switch_delay_us = 1.0
 buffer_bytes = 1_048_576
 
 [sweep]
-cca = "cubic"
-gbit_per_flow = 10.0
-fractions = [0.5, 0.75, 1.0]
+gbit_per_flow = 2.5
+ccas = ["cubic", "reno"]
+
+[[sweep.queues]]
+kind = "droptail"
+
+[[sweep.queues]]
+kind = "codel"
+target_us = 50.0
+interval_us = 500.0
 `
 
 func mustParseJSON(t *testing.T, s string) Spec {
@@ -58,8 +64,8 @@ func digestOf(t *testing.T, spec Spec) string {
 // omitted vs explicit defaults — lands on one digest, so they share one
 // cache lineage.
 func TestDigestStability(t *testing.T) {
-	j := mustParseJSON(t, minimalFraction)
-	tomlSpec, err := ParseTOML([]byte(explicitFraction))
+	j := mustParseJSON(t, minimalMatrix)
+	tomlSpec, err := ParseTOML([]byte(explicitMatrix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +88,7 @@ func TestDigestStability(t *testing.T) {
 // TestDigestExcludesPresentation: retitling must keep the cache lineage;
 // any physics edit must move it.
 func TestDigestExcludesPresentation(t *testing.T) {
-	base := mustParseJSON(t, minimalFraction)
+	base := mustParseJSON(t, minimalMatrix)
 	d0 := digestOf(t, base)
 
 	renamed := base
@@ -99,13 +105,14 @@ func TestDigestExcludesPresentation(t *testing.T) {
 		mut  func(*Spec)
 	}{
 		{"transfer size", func(s *Spec) { s.Sweep.GbitPerFlow = 20 }},
-		{"sweep axis", func(s *Spec) { s.Sweep.Fractions = []float64{0.5, 1.0} }},
-		{"cca", func(s *Spec) { s.Sweep.CCA = "reno" }},
+		{"cca axis", func(s *Spec) { s.Sweep.CCAs = []string{"cubic", "bbr"} }},
+		{"queue axis", func(s *Spec) { s.Sweep.Queues = []QueueSpec{{Kind: "droptail"}} }},
+		{"queue parameter", func(s *Spec) { s.Sweep.Queues = []QueueSpec{{Kind: "droptail"}, {Kind: "codel", TargetUs: 100}} }},
 		{"bottleneck rate", func(s *Spec) { s.Topology.BottleneckBps = 1_000_000_000 }},
 		{"link delay", func(s *Spec) { s.Topology.LinkDelayUs = 100 }},
 		{"access delays", func(s *Spec) { s.Topology.AccessDelaysUs = []float64{5, 250} }},
 	} {
-		mutated := mustParseJSON(t, minimalFraction)
+		mutated := mustParseJSON(t, minimalMatrix)
 		sw := *mutated.Sweep
 		mutated.Sweep = &sw
 		edit.mut(&mutated)
@@ -131,8 +138,9 @@ func TestCanonicalDoesNotMutateCaller(t *testing.T) {
 	}
 }
 
-// TestInvalidSpecs: every malformed spec is rejected with an error that
-// names the failing field, never silently defaulted.
+// TestInvalidSpecs: every malformed spec is rejected, by the parser or the
+// compiler, with an error that names the failing field, never silently
+// defaulted.
 func TestInvalidSpecs(t *testing.T) {
 	cases := []struct {
 		name, spec, want string
@@ -151,20 +159,22 @@ func TestInvalidSpecs(t *testing.T) {
 		{"sender out of range", `{"name":"t","topology":{"kind":"dumbbell"},"flows":[{"gbit":1,"sender":7}]}`, "sender 7 out of range"},
 		{"weight without drr", `{"name":"t","topology":{"kind":"dumbbell"},"flows":[{"gbit":1,"weight":0.5}]}`, "weight needs the drr queue"},
 		{"self chain", `{"name":"t","topology":{"kind":"dumbbell"},"flows":[{"gbit":1,"after":0}]}`, "must name another flow"},
-		{"fanin with k", `{"name":"t","preset":"fanin-sweep","topology":{"kind":"fattree","k":4},"sweep":{"total_gbit":20,"widths":[4]}}`, "derives k per width"},
-		{"fanin on dumbbell", `{"name":"t","preset":"fanin-sweep","topology":{"kind":"dumbbell"},"sweep":{"total_gbit":20,"widths":[4]}}`, "needs the fattree topology"},
+		{"aqm-matrix on fattree", `{"name":"t","preset":"aqm-matrix","topology":{"kind":"fattree","k":4},"sweep":{"gbit_per_flow":1,"ccas":["cubic"],"queues":[{"kind":"pie"}]}}`, "needs the dumbbell topology"},
 		{"odd arity", `{"name":"t","topology":{"kind":"fattree","k":5},"flows":[{"gbit":1,"src":0,"dst":1}]}`, "must be even"},
-		{"fraction out of range", `{"name":"t","preset":"fraction-sweep","topology":{"kind":"dumbbell"},"sweep":{"gbit_per_flow":10,"fractions":[0.3]}}`, "outside [0.5, 1.0]"},
-		{"sweep preset with flows", `{"name":"t","preset":"fraction-sweep","topology":{"kind":"dumbbell"},"flows":[{"gbit":1}],"sweep":{"gbit_per_flow":10,"fractions":[0.5]}}`, "generates its own flows"},
-		{"sweep preset with queue", `{"name":"t","preset":"fraction-sweep","topology":{"kind":"dumbbell","queue":{"kind":"codel"}},"sweep":{"gbit_per_flow":10,"fractions":[0.5]}}`, "owns the queue discipline"},
-		{"aqm-matrix stray cca", `{"name":"t","preset":"aqm-matrix","topology":{"kind":"dumbbell"},"sweep":{"cca":"cubic","gbit_per_flow":1,"ccas":["cubic"],"queues":[{"kind":"pie"}]}}`, "takes only sweep.ccas"},
+		{"fattree without k", `{"name":"t","topology":{"kind":"fattree"},"flows":[{"gbit":1,"src":0,"dst":1}]}`, "must be even and >= 4, got 0"},
+		{"sweep preset with flows", `{"name":"t","preset":"aqm-matrix","topology":{"kind":"dumbbell"},"flows":[{"gbit":1}],"sweep":{"gbit_per_flow":1,"ccas":["cubic"],"queues":[{"kind":"pie"}]}}`, "generates its own flows"},
+		{"sweep preset with queue", `{"name":"t","preset":"aqm-matrix","topology":{"kind":"dumbbell","queue":{"kind":"codel"}},"sweep":{"gbit_per_flow":1,"ccas":["cubic"],"queues":[{"kind":"pie"}]}}`, "owns the queue discipline"},
+		{"aqm-matrix stray cca", `{"name":"t","preset":"aqm-matrix","topology":{"kind":"dumbbell"},"sweep":{"cca":"cubic","gbit_per_flow":1,"ccas":["cubic"],"queues":[{"kind":"pie"}]}}`, `unknown field "cca"`},
+		{"aqm-matrix unknown cca", `{"name":"t","preset":"aqm-matrix","topology":{"kind":"dumbbell"},"sweep":{"gbit_per_flow":1,"ccas":["quic"],"queues":[{"kind":"pie"}]}}`, `sweep.ccas[0]: unknown cca "quic"`},
 		{"load out of range", `{"name":"t","topology":{"kind":"dumbbell"},"flows":[{"gbit":1}],"loads":[{"fraction":1.5}]}`, "outside (0, 1]"},
 		{"dumbbell with fattree fields", `{"name":"t","topology":{"kind":"dumbbell","k":4},"flows":[{"gbit":1}]}`, "does not take fat-tree fields"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			spec := mustParseJSON(t, c.spec)
-			_, err := Compile(spec)
+			spec, err := ParseJSON([]byte(c.spec))
+			if err == nil {
+				_, err = Compile(spec)
+			}
 			if err == nil {
 				t.Fatalf("Compile accepted an invalid spec: %s", c.spec)
 			}

@@ -35,10 +35,8 @@ type Spec struct {
 	// Order positions the experiment in the registry listing.
 	Order int `json:"order,omitempty"`
 	// Preset selects the compiled shape: "" (run the literal Flows once per
-	// repetition), "fraction-sweep" (the Figure 1 bandwidth-fraction sweep),
-	// "fanin-sweep" (the fat-tree incast fair-vs-serial sweep), or
-	// "aqm-matrix" (CCA × queue-discipline matrix on the dumbbell
-	// bottleneck).
+	// repetition) or "aqm-matrix" (CCA × queue-discipline matrix on the
+	// dumbbell bottleneck).
 	Preset   string   `json:"preset,omitempty"`
 	Topology Topology `json:"topology"`
 	// Flows are the literal flows of the generic preset, installed in
@@ -46,7 +44,7 @@ type Spec struct {
 	Flows []Flow `json:"flows,omitempty"`
 	// Loads run stress background load on dumbbell sender hosts.
 	Loads []Load `json:"loads,omitempty"`
-	// Sweep carries the axes of the sweep presets.
+	// Sweep carries the axes of the aqm-matrix preset.
 	Sweep *Sweep `json:"sweep,omitempty"`
 }
 
@@ -68,8 +66,7 @@ type Topology struct {
 	// receiver access link, and the bottleneck use LinkDelayUs.
 	AccessDelaysUs []float64 `json:"access_delays_us,omitempty"`
 
-	// K is the fat-tree arity (even, >= 4). The fanin-sweep preset derives
-	// it per width and requires it unset.
+	// K is the fat-tree arity (even, >= 4).
 	K int `json:"k,omitempty"`
 	// HostBps, EdgeAggBps, AggCoreBps are the fat-tree tier rates
 	// (default 10 Gb/s each).
@@ -88,8 +85,8 @@ type Topology struct {
 	// MarkBytes is the DCTCP ECN threshold (0 = no marking).
 	MarkBytes int `json:"mark_bytes,omitempty"`
 	// Queue is the bottleneck queue discipline for the generic preset
-	// (default droptail). The sweep presets own their queue choice and
-	// require it unset.
+	// (default droptail). The aqm-matrix preset sweeps its own queues and
+	// requires it unset.
 	Queue QueueSpec `json:"queue,omitempty"`
 }
 
@@ -147,37 +144,20 @@ type Load struct {
 	Fraction float64 `json:"fraction"`
 }
 
-// Sweep carries the axes of the sweep presets.
+// Sweep carries the axes of the aqm-matrix preset.
 type Sweep struct {
-	// CCA is the algorithm the fraction-sweep and fanin-sweep presets run
-	// (default cubic).
-	CCA string `json:"cca,omitempty"`
-	// GbitPerFlow sizes each flow of the fraction-sweep and aqm-matrix
-	// presets (gigabits at full scale, multiplied by Options.Scale).
+	// GbitPerFlow sizes each flow (gigabits at full scale, multiplied by
+	// Options.Scale).
 	GbitPerFlow float64 `json:"gbit_per_flow,omitempty"`
-	// Fractions are the fraction-sweep x-positions (bandwidth share of
-	// flow 1; 1.0 switches to the serial schedule).
-	Fractions []float64 `json:"fractions,omitempty"`
-	// TotalGbit is the fanin-sweep aggregate volume (constant across
-	// widths so runs are comparable).
-	TotalGbit float64 `json:"total_gbit,omitempty"`
-	// Widths are the fanin-sweep sender counts.
-	Widths []int `json:"widths,omitempty"`
-	// WideWidth, when positive, is an extra width only run at
-	// Options.Scale >= 0.25, mirroring the handwritten incast sweep's
-	// guard that keeps tiny-scale smoke runs cheap.
-	WideWidth int `json:"wide_width,omitempty"`
-	// CCAs and Queues are the aqm-matrix axes.
+	// CCAs and Queues are the matrix axes.
 	CCAs   []string    `json:"ccas,omitempty"`
 	Queues []QueueSpec `json:"queues,omitempty"`
 }
 
 // Preset names.
 const (
-	PresetFlows         = ""
-	PresetFractionSweep = "fraction-sweep"
-	PresetFanInSweep    = "fanin-sweep"
-	PresetAQMMatrix     = "aqm-matrix"
+	PresetFlows     = ""
+	PresetAQMMatrix = "aqm-matrix"
 )
 
 // Topology kinds.
@@ -201,11 +181,8 @@ func (s Spec) withDefaults() (Spec, error) {
 		s.Section = "spec"
 	}
 
-	switch s.Preset {
-	case PresetFlows, PresetFractionSweep, PresetFanInSweep, PresetAQMMatrix:
-	default:
-		return s, errf("unknown preset %q (known: %q, %q, %q, and \"\" for literal flows)",
-			s.Preset, PresetFractionSweep, PresetFanInSweep, PresetAQMMatrix)
+	if s.Preset != PresetFlows && s.Preset != PresetAQMMatrix {
+		return s, errf("unknown preset %q (known: %q, and \"\" for literal flows)", s.Preset, PresetAQMMatrix)
 	}
 
 	t, err := s.Topology.withDefaults(s.Preset)
@@ -236,7 +213,7 @@ func (s Spec) withDefaults() (Spec, error) {
 		if s.Description == "" {
 			s.Description = fmt.Sprintf("scenario spec: %d flow(s) on the %s topology", len(s.Flows), s.Topology.Kind)
 		}
-	default:
+	case PresetAQMMatrix:
 		if len(s.Flows) != 0 {
 			return s, errf("preset %q generates its own flows; drop the flows block", s.Preset)
 		}
@@ -244,27 +221,22 @@ func (s Spec) withDefaults() (Spec, error) {
 			return s, errf("preset %q needs a sweep block", s.Preset)
 		}
 		sw := *s.Sweep
-		if err := sw.validate(s.Preset); err != nil {
+		if err := sw.validate(); err != nil {
 			return s, err
 		}
-		if sw.CCA == "" && s.Preset != PresetAQMMatrix {
-			sw.CCA = "cubic"
-		}
-		if len(sw.Queues) > 0 {
-			queues := make([]QueueSpec, len(sw.Queues))
-			copy(queues, sw.Queues)
-			for i := range queues {
-				q, err := queues[i].withDefaults(true)
-				if err != nil {
-					return s, fmt.Errorf("%w (sweep queue %d)", err, i)
-				}
-				queues[i] = q
+		queues := make([]QueueSpec, len(sw.Queues))
+		copy(queues, sw.Queues)
+		for i := range queues {
+			q, err := queues[i].withDefaults(true)
+			if err != nil {
+				return s, fmt.Errorf("%w (sweep queue %d)", err, i)
 			}
-			sw.Queues = queues
+			queues[i] = q
 		}
+		sw.Queues = queues
 		s.Sweep = &sw
 		if s.Description == "" {
-			s.Description = presetDescription(s.Preset)
+			s.Description = "scenario spec: J/GB and Jain fairness per CCA x queue-discipline cell"
 		}
 	}
 	for i, l := range s.Loads {
@@ -281,24 +253,9 @@ func (s Spec) withDefaults() (Spec, error) {
 	return s, nil
 }
 
-func presetDescription(preset string) string {
-	switch preset {
-	case PresetFractionSweep:
-		return "scenario spec: energy savings vs bandwidth fraction for two competing flows"
-	case PresetFanInSweep:
-		return "scenario spec: fair-vs-serial energy for fat-tree fan-in"
-	case PresetAQMMatrix:
-		return "scenario spec: J/GB and Jain fairness per CCA x queue-discipline cell"
-	}
-	return "scenario spec"
-}
-
 func (t Topology) withDefaults(preset string) (Topology, error) {
 	switch t.Kind {
 	case KindDumbbell:
-		if preset == PresetFanInSweep {
-			return t, errf("preset %q needs the fattree topology", preset)
-		}
 		if t.K != 0 || t.HostBps != 0 || t.EdgeAggBps != 0 || t.AggCoreBps != 0 {
 			return t, errf("dumbbell topology does not take fat-tree fields (k, host_bps, edge_agg_bps, agg_core_bps)")
 		}
@@ -329,20 +286,14 @@ func (t Topology) withDefaults(preset string) (Topology, error) {
 			}
 		}
 	case KindFatTree:
-		if preset == PresetFractionSweep || preset == PresetAQMMatrix {
+		if preset == PresetAQMMatrix {
 			return t, errf("preset %q needs the dumbbell topology", preset)
 		}
 		if t.Senders != 0 || t.BottleneckBps != 0 || t.AccessBps != 0 || t.BondedLinks != 0 || len(t.AccessDelaysUs) != 0 {
 			return t, errf("fattree topology does not take dumbbell fields (senders, bottleneck_bps, access_bps, bonded_links, access_delays_us)")
 		}
-		if preset == PresetFanInSweep {
-			if t.K != 0 {
-				return t, errf("the fanin-sweep preset derives k per width; drop the k field")
-			}
-		} else {
-			if t.K < 4 || t.K%2 != 0 {
-				return t, errf("fat-tree arity k must be even and >= 4, got %d", t.K)
-			}
+		if t.K < 4 || t.K%2 != 0 {
+			return t, errf("fat-tree arity k must be even and >= 4, got %d", t.K)
 		}
 		if t.HostBps == 0 {
 			t.HostBps = 10_000_000_000
@@ -488,61 +439,17 @@ func (f Flow) withDefaults(i, n int, t Topology) (Flow, error) {
 	return f, nil
 }
 
-func (sw Sweep) validate(preset string) error {
-	switch preset {
-	case PresetFractionSweep:
-		if len(sw.Fractions) == 0 {
-			return errf("the fraction-sweep preset needs sweep.fractions")
-		}
-		for i, f := range sw.Fractions {
-			if f < 0.5 || f > 1.0 {
-				return errf("sweep.fractions[%d] = %v outside [0.5, 1.0]", i, f)
-			}
-		}
-		if sw.GbitPerFlow <= 0 {
-			return errf("the fraction-sweep preset needs sweep.gbit_per_flow > 0")
-		}
-		if sw.TotalGbit != 0 || len(sw.Widths) != 0 || sw.WideWidth != 0 || len(sw.CCAs) != 0 || len(sw.Queues) != 0 {
-			return errf("the fraction-sweep preset takes only sweep.cca, sweep.gbit_per_flow, and sweep.fractions")
-		}
-	case PresetFanInSweep:
-		if len(sw.Widths) == 0 {
-			return errf("the fanin-sweep preset needs sweep.widths")
-		}
-		for i, w := range sw.Widths {
-			if w < 2 {
-				return errf("sweep.widths[%d] = %d is below the 2-sender minimum", i, w)
-			}
-		}
-		if sw.WideWidth < 0 {
-			return errf("sweep.wide_width must be non-negative")
-		}
-		if sw.TotalGbit <= 0 {
-			return errf("the fanin-sweep preset needs sweep.total_gbit > 0")
-		}
-		if sw.GbitPerFlow != 0 || len(sw.Fractions) != 0 || len(sw.CCAs) != 0 || len(sw.Queues) != 0 {
-			return errf("the fanin-sweep preset takes only sweep.cca, sweep.total_gbit, sweep.widths, and sweep.wide_width")
-		}
-	case PresetAQMMatrix:
-		if len(sw.CCAs) == 0 || len(sw.Queues) == 0 {
-			return errf("the aqm-matrix preset needs sweep.ccas and sweep.queues")
-		}
-		for i, name := range sw.CCAs {
-			if _, err := cca.New(name); err != nil {
-				return errf("sweep.ccas[%d]: unknown cca %q (known: %s)", i, name, strings.Join(sortedCCANames(), ", "))
-			}
-		}
-		if sw.GbitPerFlow <= 0 {
-			return errf("the aqm-matrix preset needs sweep.gbit_per_flow > 0")
-		}
-		if sw.CCA != "" || sw.TotalGbit != 0 || len(sw.Fractions) != 0 || len(sw.Widths) != 0 || sw.WideWidth != 0 {
-			return errf("the aqm-matrix preset takes only sweep.ccas, sweep.queues, and sweep.gbit_per_flow")
+func (sw Sweep) validate() error {
+	if len(sw.CCAs) == 0 || len(sw.Queues) == 0 {
+		return errf("the aqm-matrix preset needs sweep.ccas and sweep.queues")
+	}
+	for i, name := range sw.CCAs {
+		if _, err := cca.New(name); err != nil {
+			return errf("sweep.ccas[%d]: unknown cca %q (known: %s)", i, name, strings.Join(sortedCCANames(), ", "))
 		}
 	}
-	if preset != PresetAQMMatrix && sw.CCA != "" {
-		if _, err := cca.New(sw.CCA); err != nil {
-			return errf("sweep.cca: unknown cca %q (known: %s)", sw.CCA, strings.Join(sortedCCANames(), ", "))
-		}
+	if sw.GbitPerFlow <= 0 {
+		return errf("the aqm-matrix preset needs sweep.gbit_per_flow > 0")
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"greenenvy/internal/cca"
 	"greenenvy/internal/iperf"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/stats"
 	"greenenvy/internal/tcp"
 	"greenenvy/internal/testbed"
@@ -53,11 +54,11 @@ func RunProduction(o Options) (ProductionResult, error) {
 	for _, name := range productionSet() {
 		for _, mtu := range []int{1500, 9000} {
 			id := fmt.Sprintf("production/%s/mtu=%d/bytes=%d", name, mtu, bytes)
-			runs, err := repeatRuns(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			runs, err := registry.RepeatRuns(o, id, func(seed uint64) (*testbed.Testbed, error) {
 				tb := testbed.New(testbed.Options{Seed: seed, MarkBytes: 100 << 10})
 				_, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: name, Config: tcp.Config{MTU: mtu}})
 				return tb, err
-			}, deadlineFor(bytes)*4)
+			}, registry.DeadlineFor(bytes)*4)
 			if err != nil {
 				return ProductionResult{}, fmt.Errorf("%s/%d: %w", name, mtu, err)
 			}

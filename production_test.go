@@ -1,8 +1,6 @@
 package greenenvy
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -69,8 +67,5 @@ func TestProductionTableGoldenDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256([]byte(res.Table()))
-	if got := hex.EncodeToString(sum[:]); got != productionGoldenTable {
-		t.Fatalf("production table digest changed:\n  got  %s\n  want %s\n%s", got, productionGoldenTable, res.Table())
-	}
+	checkTableDigest(t, "production", res.Table(), productionGoldenTable)
 }

@@ -2,12 +2,20 @@ package greenenvy
 
 import "greenenvy/internal/registry"
 
-// The experiment catalogue lives in internal/registry so the scenario
-// compiler (internal/scenario) can target it without importing the root
-// package. The root package re-exports the catalogue API: experiments in
-// this package keep calling Register with literal metadata (which is what
-// greenvet's registryhygiene analyzer audits), and external callers keep
-// the same surface they had when the registry lived here.
+// Options, the experiment catalogue, the repetition harness and the
+// persistent result cache live in internal/registry, so the scenario
+// compiler (internal/scenario) can target them without importing the root
+// package. The root package's experiments call the registry directly; this
+// file re-exports the part of its API that external callers use.
+
+// Options scales the experiment runners. The zero value gives a fast,
+// laptop-friendly configuration; Paper() gives the paper's full parameters.
+// See registry.Options for field documentation.
+type Options = registry.Options
+
+// Paper returns the paper's full experiment parameters: 10 repetitions,
+// full 50 GB transfers. Expect the CCA sweep to take a long while.
+func Paper() Options { return registry.Paper() }
 
 // Result is the uniform product of every registered experiment: the rows
 // the paper reports as aligned text, and a self-contained SVG rendering of
@@ -36,3 +44,19 @@ func LookupExperiment(name string) (Experiment, bool) { return registry.Lookup(n
 
 // ExperimentNames returns the canonical names in Experiments() order.
 func ExperimentNames() []string { return registry.Names() }
+
+// CacheStats is this process's accumulated accounting for one persistent
+// cache directory. See registry.CacheStats.
+type CacheStats = registry.CacheStats
+
+// CacheStatsFor returns the hit/miss/bytes accounting accumulated by this
+// process for the cache at dir (zero if the dir was never used).
+func CacheStatsFor(dir string) CacheStats { return registry.CacheStatsFor(dir) }
+
+// ClearCache empties the persistent result cache at dir (all entries, all
+// version stamps). The directory stays usable.
+func ClearCache(dir string) error { return registry.ClearCache(dir) }
+
+// DefaultCacheDir is the conventional per-user cache location
+// (os.UserCacheDir()/greenenvy), or "" when the platform defines none.
+func DefaultCacheDir() string { return registry.DefaultCacheDir() }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"greenenvy/internal/cca"
+	"greenenvy/internal/registry"
 )
 
 func TestCacheStoreResolution(t *testing.T) {
@@ -53,7 +54,7 @@ func TestPersistentCacheColdWarmPartial(t *testing.T) {
 
 	// digestOpts is Reps 2 / Scale 0.001 / Seed 1 — the configuration the
 	// golden digest pins — so the partial-warm phase can be checked
-	// against fig5GoldenDigest with no extra cold reference run.
+	// against registry.Fig5GoldenDigest with no extra cold reference run.
 	o1 := digestOpts()
 	o1.Reps = 1
 	o1.CacheDir = dir
@@ -103,9 +104,9 @@ func TestPersistentCacheColdWarmPartial(t *testing.T) {
 	if st3.Hits-st2.Hits != cells || st3.Misses-st2.Misses != cells {
 		t.Fatalf("partial run stats %+v (warm %+v), want +%d hits / +%d misses", st3, st2, cells, cells)
 	}
-	if got := sweepDigest(part); got != fig5GoldenDigest {
+	if got := sweepDigest(part); got != registry.Fig5GoldenDigest {
 		t.Fatalf("partially warm digest %s != all-cold golden digest %s:\n"+
-			"mixing cached and fresh repetitions changed the result", got, fig5GoldenDigest)
+			"mixing cached and fresh repetitions changed the result", got, registry.Fig5GoldenDigest)
 	}
 }
 

@@ -1,0 +1,80 @@
+package greenenvy
+
+import (
+	"testing"
+
+	"greenenvy/internal/scenario"
+)
+
+// loadSpec parses one of the shipped example specs.
+func loadSpec(t *testing.T, path string) scenario.Spec {
+	t.Helper()
+	spec, err := scenario.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// runCompiled compiles a spec and runs it.
+func runCompiled(t *testing.T, spec scenario.Spec, o Options) Result {
+	t.Helper()
+	e, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestScenarioUnequalRTTExample keeps the shipped heterogeneous-RTT example
+// runnable end to end: it must parse, compile, run at tiny scale, and
+// actually give the two senders different access delays.
+func TestScenarioUnequalRTTExample(t *testing.T) {
+	spec := loadSpec(t, "examples/scenarios/unequal-rtt.toml")
+	c, err := spec.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Topology.AccessDelaysUs) != 2 || c.Topology.AccessDelaysUs[0] == c.Topology.AccessDelaysUs[1] {
+		t.Fatalf("unequal-rtt example lost its heterogeneous delays: %v", c.Topology.AccessDelaysUs)
+	}
+	res := runCompiled(t, spec, Options{Reps: 2, Scale: 0.001, Seed: 1, NoCache: true})
+	if res.Table() == "" {
+		t.Fatal("empty table")
+	}
+	if svg, err := res.SVG(); err != nil || len(svg) == 0 {
+		t.Fatalf("svg: %v", err)
+	}
+}
+
+// TestScenarioCacheIDsPinned pins the cache lineage of every shipped spec.
+// A spec's cache id is the digest of its canonical physics, so any change
+// to the Spec schema, its defaults or its JSON encoding that moves one of
+// these ids orphans that spec's cached repetitions. Such a change must be
+// deliberate and update the constant here.
+func TestScenarioCacheIDsPinned(t *testing.T) {
+	aqm, ok := scenario.Builtin("aqm-matrix")
+	if !ok {
+		t.Fatal("no aqm-matrix builtin")
+	}
+	for _, c := range []struct {
+		name string
+		spec scenario.Spec
+		want string
+	}{
+		{"aqm-matrix", aqm, "scenario/29fbd9408f04"},
+		{"unequal-rtt.toml", loadSpec(t, "examples/scenarios/unequal-rtt.toml"), "scenario/a9042a4cf754"},
+	} {
+		got, err := c.spec.CacheID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%s: cache id %s, want %s", c.name, got, c.want)
+		}
+	}
+}

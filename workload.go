@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"greenenvy/internal/iperf"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/stats"
 	"greenenvy/internal/testbed"
@@ -71,7 +72,7 @@ func RunWorkload(o Options) (WorkloadResult, error) {
 			var energies, gbs, powers []float64
 			var meanFCTs, p99FCTs []float64
 			id := fmt.Sprintf("workload/%s/load=%g/window=%d", dist.Name(), load, int64(window))
-			runs, err := repeatRuns(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			runs, err := registry.RepeatRuns(o, id, func(seed uint64) (*testbed.Testbed, error) {
 				rng := sim.NewRNG(seed)
 				flows, err := workload.Generate(rng, dist, load, 10e9, window)
 				if err != nil {

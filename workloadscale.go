@@ -8,6 +8,7 @@ import (
 	"greenenvy/internal/energy"
 	"greenenvy/internal/netsim"
 	"greenenvy/internal/plot"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/stats"
 	"greenenvy/internal/tcp"
@@ -114,7 +115,7 @@ func RunWorkloadScale(o Options) (WorkloadScaleResult, error) {
 			for _, adm := range []testbed.Admission{fair, envy} {
 				adm := adm
 				id := fmt.Sprintf("workload-scale/%s/load=%g/flows=%d/%s", dist.Name(), load, flows, adm.Name())
-				runs, err := repeatStreamRuns(o, id, func(seed uint64) (testbed.StreamResult, error) {
+				runs, err := registry.RepeatStreamRuns(o, id, func(seed uint64) (testbed.StreamResult, error) {
 					tb := testbed.NewFatTree(testbed.Options{Seed: seed, StreamStats: true}, cfg)
 					hosts := tb.Fat.NumHosts()
 					// Pre-touch every host so the energy bracket spans the
