@@ -102,11 +102,6 @@ func TestSweepKeyAuditsOptionsFields(t *testing.T) {
 		"Verbose":  func(o *Options) { o.Verbose = !o.Verbose },
 		"CacheDir": func(o *Options) { o.CacheDir += "/elsewhere" },
 		"NoCache":  func(o *Options) { o.NoCache = !o.NoCache },
-		// The sweep runs on the dumbbell, which is a single partition:
-		// Shards never reaches its engine (TestDumbbellIgnoresShards pins
-		// this), so it must not split the sweep cache. Fat-tree experiment
-		// cache ids DO record sharded-vs-monolithic (Options.ShardTag).
-		"Shards": func(o *Options) { o.Shards++ },
 	}
 
 	rt := reflect.TypeOf(Options{})

@@ -44,7 +44,6 @@ func main() {
 		scale      = flag.Float64("scale", 0.04, "fraction of the paper's transfer sizes (paper: 1.0)")
 		seed       = flag.Uint64("seed", 1, "random seed")
 		workers    = flag.Int("workers", 0, "concurrent simulator runs per experiment (0 = all CPUs, 1 = serial; results are identical either way)")
-		shards     = flag.Int("shards", 0, "parallel partition workers inside each fat-tree run (0 = monolithic engine; any positive count yields identical results)")
 		quiet      = flag.Bool("q", false, "suppress progress lines")
 		cacheDir   = flag.String("cache-dir", greenenvy.DefaultCacheDir(), "persistent result cache directory (empty disables persistence)")
 		noCache    = flag.Bool("no-cache", false, "bypass the persistent result cache (force full recomputation)")
@@ -100,7 +99,7 @@ func main() {
 	}
 
 	o := greenenvy.Options{
-		Reps: *reps, Scale: *scale, Seed: *seed, Workers: *workers, Shards: *shards,
+		Reps: *reps, Scale: *scale, Seed: *seed, Workers: *workers,
 		CacheDir: *cacheDir, NoCache: *noCache, Verbose: !*quiet,
 	}
 	err := run(*fig, o, *svgDir)

@@ -70,11 +70,6 @@ var benchmarks = []struct {
 	{"WorkloadChurn", perf.BenchWorkloadChurn},
 	{"WorkloadScaleStreaming", perf.BenchWorkloadScaleStreaming},
 	{"FatTreeIncast", perf.BenchFatTreeIncast},
-	{"ShardedIncastMono", perf.BenchShardedIncastMono},
-	{"ShardedIncastW1", perf.BenchShardedIncastW1},
-	{"ShardedIncastW2", perf.BenchShardedIncastW2},
-	{"ShardedIncastW4", perf.BenchShardedIncastW4},
-	{"ShardedIncastW8", perf.BenchShardedIncastW8},
 }
 
 func main() {

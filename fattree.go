@@ -87,7 +87,8 @@ func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
 		hostBps := netsim.DefaultFatTree(k).HostBps
 
 		run := func(serial bool) (float64, float64, error) {
-			id := fmt.Sprintf("fattree-incast/n=%d/k=%d/ecmp=%d/serial=%t/per=%d/sh=%d", n, k, o.Seed, serial, per, o.ShardTag())
+			// "/sh=0" is frozen into existing cache ids (TestFatTreeCacheIDsPinned).
+			id := fmt.Sprintf("fattree-incast/n=%d/k=%d/ecmp=%d/serial=%t/per=%d/sh=0", n, k, o.Seed, serial, per)
 			aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 				cfg := netsim.DefaultFatTree(k)
 				cfg.ECMPSeed = o.Seed
@@ -99,7 +100,7 @@ func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
 						return nil
 					}
 				}
-				tb := testbed.NewFatTree(testbed.Options{Seed: seed, Shards: o.Shards}, cfg)
+				tb := testbed.NewFatTree(testbed.Options{Seed: seed}, cfg)
 				tb.WatchBottleneck(tb.Fat.HostDownlink(recv))
 				var prev *iperf.Client
 				for _, src := range senders {
@@ -307,7 +308,8 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 
 	deadline := registry.DeadlineFor(2 * bytes)
 	for _, f := range fractions {
-		id := fmt.Sprintf("crossrack/k=%d/ecmp=%d/frac=%.2f/bytes=%d/sh=%d", k, o.Seed, f, bytes, o.ShardTag())
+		// "/sh=0" is frozen into existing cache ids (TestFatTreeCacheIDsPinned).
+		id := fmt.Sprintf("crossrack/k=%d/ecmp=%d/frac=%.2f/bytes=%d/sh=0", k, o.Seed, f, bytes)
 		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 			cfg := baseCfg
 			if f < 1.0 {
@@ -318,7 +320,7 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 					return nil
 				}
 			}
-			tb := testbed.NewFatTree(testbed.Options{Seed: seed, Shards: o.Shards}, cfg)
+			tb := testbed.NewFatTree(testbed.Options{Seed: seed}, cfg)
 			c1, err := tb.AddFlowBetween(f1[0], f1[1], iperf.Spec{Bytes: bytes, CCA: "cubic"})
 			if err != nil {
 				return nil, err

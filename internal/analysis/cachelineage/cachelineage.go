@@ -12,15 +12,12 @@
 // Each Audit classifies every field of one struct:
 //
 //   - KeyPhysics: result-affecting; must be selected in the Canon function.
-//   - CacheTagged: enters per-experiment cache ids through the TagFunc
-//     (e.g. Options.Shards via ShardTag) instead of the canonical key;
-//     must be selected in TagFunc and must not appear in Canon.
 //   - Exempt: execution/persistence knob (Workers, CacheDir); must not
 //     appear in Canon and must not flow into a physics carrier.
 //   - Presentation: naming/metadata (Name, Section); same prohibitions as
 //     Exempt, reported with presentation-specific wording.
 //
-// Four checks, each running in the packages where its subject resolves:
+// Three checks, each running in the packages where its subject resolves:
 //
 //  1. Completeness (declaring package): the fact table and the struct's
 //     fields stay in bijection, so adding an un-keyed physics field — the
@@ -28,8 +25,7 @@
 //     it is classified.
 //  2. Canon bijection: the canonicalization function selects exactly the
 //     KeyPhysics fields.
-//  3. Tag bijection: TagFunc selects exactly the CacheTagged fields.
-//  4. Taint-lite carrier flow: no Exempt or Presentation field selector
+//  3. Taint-lite carrier flow: no Exempt or Presentation field selector
 //     appears inside a composite literal (or field assignment) of a
 //     physics-carrier type like testbed.Options or netsim.FatTreeConfig.
 //
@@ -58,8 +54,6 @@ type Class int
 const (
 	// KeyPhysics fields affect simulated results and must be in Canon.
 	KeyPhysics Class = iota
-	// CacheTagged fields enter cache ids through TagFunc, not Canon.
-	CacheTagged
 	// Exempt fields are execution/persistence knobs outside the lineage.
 	Exempt
 	// Presentation fields are naming/metadata outside the lineage.
@@ -70,8 +64,6 @@ func (c Class) String() string {
 	switch c {
 	case KeyPhysics:
 		return "KeyPhysics"
-	case CacheTagged:
-		return "CacheTagged"
 	case Exempt:
 		return "Exempt"
 	default:
@@ -88,9 +80,6 @@ type Audit struct {
 	// Canon is the canonicalization function: a function or method named
 	// Canon with the struct as receiver or parameter.
 	Canon string
-	// TagFunc optionally names the function routing CacheTagged fields
-	// into cache ids.
-	TagFunc string
 	// Fields classifies every field of Struct.
 	Fields map[string]Class
 	// Carriers are the physics-carrier types ("pkg.Type" or in-package
@@ -118,7 +107,6 @@ func run(pass *analysis.Pass, audits []Audit) (any, error) {
 		}
 		checkCompleteness(pass, a, st)
 		checkCanon(pass, a, st)
-		checkTagFunc(pass, a, st)
 		checkCarrierFlow(pass, a, st)
 	}
 	return nil, nil
@@ -159,7 +147,7 @@ func checkCompleteness(pass *analysis.Pass, a Audit, named *types.Named) {
 		f := st.Field(i)
 		have[f.Name()] = true
 		if _, classified := a.Fields[f.Name()]; !classified {
-			pass.Reportf(spec.Name.Pos(), "%s.%s has no cache-lineage class in the fact table: classify it KeyPhysics (and add it to %s), CacheTagged, Exempt, or Presentation before it can silently serve stale cache entries", a.Struct, f.Name(), a.Canon)
+			pass.Reportf(spec.Name.Pos(), "%s.%s has no cache-lineage class in the fact table: classify it KeyPhysics (and add it to %s), Exempt, or Presentation before it can silently serve stale cache entries", a.Struct, f.Name(), a.Canon)
 		}
 	}
 	for _, name := range sortedFields(a.Fields) {
@@ -192,27 +180,6 @@ func checkCanon(pass *analysis.Pass, a Audit, named *types.Named) {
 			continue
 		}
 		pass.Reportf(selected[name], "%s field %s is classified %s and must not enter %s: a non-physics field in the key splits the cache and duplicates work", a.Struct, name, class, a.Canon)
-	}
-}
-
-// checkTagFunc requires TagFunc to select exactly the CacheTagged fields.
-func checkTagFunc(pass *analysis.Pass, a Audit, named *types.Named) {
-	if a.TagFunc == "" {
-		return
-	}
-	fd := findFuncFor(pass, a.TagFunc, named)
-	if fd == nil {
-		return
-	}
-	selected := selectedFields(pass, fd, named)
-	for _, name := range sortedFields(a.Fields) {
-		class := a.Fields[name]
-		switch {
-		case class == CacheTagged && selected[name] == token.NoPos:
-			pass.Reportf(fd.Name.Pos(), "%s misses CacheTagged field %s of %s: the field is declared to reach cache ids through this function", a.TagFunc, name, a.Struct)
-		case class != CacheTagged && selected[name] != token.NoPos:
-			pass.Reportf(selected[name], "%s field %s is classified %s and must not enter %s: only CacheTagged fields reach cache ids through the tag", a.Struct, name, class, a.TagFunc)
-		}
 	}
 }
 

@@ -7,12 +7,9 @@ package cachelineage
 //
 //   - registry.Options (aliased as the root package's Options): Reps,
 //     Scale, and Seed are the result-affecting sweep inputs and form
-//     sweepKey; Shards selects a separate cache lineage for fat-tree
-//     experiments through ShardTag ("/sh=<bit>" in their cache ids) but
-//     deliberately stays out of sweepKey — the dumbbell sweep is a single
-//     partition and byte-identical for every Shards value; Workers,
-//     CacheDir, NoCache, and Verbose change wall-clock, persistence, and
-//     logging only and must never reach a simulation input.
+//     sweepKey; Workers, CacheDir, NoCache, and Verbose change wall-clock,
+//     persistence, and logging only and must never reach a simulation
+//     input.
 //   - scenario.Spec: Preset, Topology, Flows, Loads, and Sweep are the
 //     physics a spec digest is computed over (digestPayload); Name,
 //     Description, Section, and Order are presentation — retitling an
@@ -24,14 +21,12 @@ package cachelineage
 // leak even if the canonical key is currently right.
 var Audits = []Audit{
 	{
-		Struct:  "Options",
-		Canon:   "sweepKey",
-		TagFunc: "ShardTag",
+		Struct: "Options",
+		Canon:  "sweepKey",
 		Fields: map[string]Class{
 			"Reps":     KeyPhysics,
 			"Scale":    KeyPhysics,
 			"Seed":     KeyPhysics,
-			"Shards":   CacheTagged,
 			"Workers":  Exempt,
 			"CacheDir": Exempt,
 			"NoCache":  Exempt,

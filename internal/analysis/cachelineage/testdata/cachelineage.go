@@ -10,20 +10,12 @@ import "fmt"
 type Options struct {
 	Reps    int
 	Seed    uint64
-	Shards  int
 	Workers int
 	Verbose bool
 }
 
 func goodKey(o Options) string {
 	return fmt.Sprintf("%d/%d", o.Reps, o.Seed) // ok: exactly the KeyPhysics fields
-}
-
-func (o Options) ShardTag() int {
-	if o.Shards > 0 { // ok: exactly the CacheTagged fields
-		return 1
-	}
-	return 0
 }
 
 // SimConfig is the physics carrier.
@@ -34,7 +26,7 @@ type SimConfig struct {
 }
 
 func buildGood(o Options) SimConfig {
-	return SimConfig{Seed: o.Seed, Senders: o.Shards} // ok: physics and tagged fields may parameterize physics
+	return SimConfig{Seed: o.Seed, Senders: o.Reps} // ok: physics fields may parameterize physics
 }
 
 // --- audit 2: Leaky/leakyKey — every failure mode ---------------------
@@ -43,18 +35,12 @@ type Leaky struct { // want `Leaky\.Extra has no cache-lineage class in the fact
 	Bytes   int64
 	Delay   int64
 	Extra   float64 // the seeded mutation: a physics field nobody classified
-	Shift   int
 	Title   string
 	Workers int
 }
 
 func leakyKey(l Leaky) string { // want `leakyKey misses result-affecting field\(s\) Delay of Leaky`
 	return fmt.Sprintf("%d/%s/%d", l.Bytes, l.Title, l.Workers) // want `Leaky field Title is classified Presentation and must not enter leakyKey` `Leaky field Workers is classified Exempt and must not enter leakyKey`
-}
-
-func (l Leaky) BadTag() int { // want `BadTag misses CacheTagged field Shift of Leaky`
-	_ = l.Title // want `Leaky field Title is classified Presentation and must not enter BadTag`
-	return 0
 }
 
 func buildLeaky(l Leaky) SimConfig {

@@ -261,73 +261,6 @@ func BenchFatTreeIncast(b *testing.B) {
 	b.ReportMetric(float64(pkts)/float64(b.N), "pkts/run")
 }
 
-// benchShardedIncast is the shared body of the sharded-engine benchmarks:
-// a k=8 fat-tree carrying eight simultaneous 32-to-1 cross-pod incasts (256
-// flows, one incast per pod, every sender in a foreign pod so all traffic
-// crosses the pod/core cut). shards selects the engine: 0 is the monolithic
-// baseline, a positive count runs the conservative-synchronization
-// partition with that many workers. The workload is identical in every
-// variant; within the sharded variants the results are byte-identical too,
-// so the ratio of run times is pure scheduler scaling. Reported pkts/s is
-// the fabric forwarding rate, comparable across variants.
-func benchShardedIncast(b *testing.B, shards int) {
-	const (
-		k           = 8
-		hostsPerPod = k * k / 4
-		receivers   = k  // one incast per pod
-		fanIn       = 32 // senders per incast
-		bytes       = 100_000
-	)
-	b.ReportAllocs()
-	var pkts uint64
-	for i := 0; i < b.N; i++ {
-		tb := testbed.NewFatTree(testbed.Options{Seed: 1, Shards: shards}, netsim.DefaultFatTree(k))
-		for r := 0; r < receivers; r++ {
-			recv := netsim.NodeID(r * hostsPerPod) // host 0 of pod r
-			for j := 0; j < fanIn; j++ {
-				// Senders cycle over the seven other pods, a fresh host
-				// every full lap: all 256 flows traverse the core tier.
-				q := (r + 1 + j%(k-1)) % k
-				src := netsim.NodeID(q*hostsPerPod + 1 + j/(k-1))
-				if _, err := tb.AddFlowBetween(src, recv, iperf.Spec{
-					Bytes:  bytes,
-					CCA:    "cubic",
-					Config: tcp.Config{MTU: 1500},
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		if _, err := tb.Run(10 * sim.Second); err != nil {
-			b.Fatal(err)
-		}
-		for _, sw := range tb.Fat.Switches() {
-			pkts += sw.RxPackets
-		}
-	}
-	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
-	b.ReportMetric(float64(pkts)/float64(b.N), "pkts/run")
-}
-
-// BenchShardedIncastMono is the cross-pod incast on the monolithic engine —
-// the pre-tentpole baseline the sharded variants are measured against.
-func BenchShardedIncastMono(b *testing.B) { benchShardedIncast(b, 0) }
-
-// BenchShardedIncastW1 runs the partitioned engine with one worker: the
-// synchronization overhead in isolation, and the baseline for worker
-// scaling (W1/WN run time is the parallel speedup on the host's cores).
-func BenchShardedIncastW1(b *testing.B) { benchShardedIncast(b, 1) }
-
-// BenchShardedIncastW2 is the partitioned engine with two workers.
-func BenchShardedIncastW2(b *testing.B) { benchShardedIncast(b, 2) }
-
-// BenchShardedIncastW4 is the partitioned engine with four workers.
-func BenchShardedIncastW4(b *testing.B) { benchShardedIncast(b, 4) }
-
-// BenchShardedIncastW8 is the partitioned engine with eight workers — one
-// per pod, the partition's natural maximum.
-func BenchShardedIncastW8(b *testing.B) { benchShardedIncast(b, 8) }
-
 // BenchWorkloadChurn measures the pooled flow-churn path: 2000 short cubic
 // flows arriving back to back on the dumbbell testbed, recycled through the
 // client free-list with streaming aggregation (no per-flow Reports). The

@@ -1,8 +1,6 @@
 package registry
 
 import (
-	"fmt"
-
 	"greenenvy/internal/cache"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/stats"
@@ -32,8 +30,7 @@ func SenderJoules(r testbed.RunResult) float64 { return r.TotalSenderJ }
 // RunSeconds is the experiment's wall-clock (simulated) duration.
 func RunSeconds(r testbed.RunResult) float64 { return r.Duration.Seconds() }
 
-// EventsFired is the discrete-event count of the run, aggregated across
-// every partition engine on the sharded path (never just shard 0's).
+// EventsFired is the discrete-event count of the run.
 func EventsFired(r testbed.RunResult) float64 { return float64(r.EventsFired) }
 
 // FirstSenderWatts is host 0's average power over the run.
@@ -72,24 +69,12 @@ func RunCell(o Options, id string, build BuildFunc, deadline sim.Duration, metri
 // already capture (transfer bytes, rates, loads, topology, CCA, MTU, ...).
 // Two call sites with the same id and seed MUST build identical testbeds.
 func RepeatRuns(o Options, id string, build func(seed uint64) (*testbed.Testbed, error), deadline sim.Duration) ([]testbed.RunResult, error) {
-	store := o.CacheStore()
-	return testbed.RepeatParallel(o.Reps, o.Seed, o.Workers, func(rep int, seed uint64) (testbed.RunResult, error) {
-		key := cache.NewKey("run", id, seed)
-		var cached testbed.RunResult
-		if store.Get(key, &cached) {
-			return cached, nil
-		}
+	return repeatCached(o, "run", id, func(seed uint64) (testbed.RunResult, error) {
 		tb, err := build(seed)
 		if err != nil {
 			return testbed.RunResult{}, err
 		}
-		r, err := tb.Run(deadline)
-		if err == nil {
-			// Best-effort: a full disk or unwritable store must not
-			// fail the experiment, only future warm starts.
-			_ = store.Put(key, r)
-		}
-		return r, err
+		return tb.Run(deadline)
 	})
 }
 
@@ -99,27 +84,26 @@ func RepeatRuns(o Options, id string, build func(seed uint64) (*testbed.Testbed,
 // of retained per-flow reports. Stream runs cache under the "stream" key
 // kind so their gob shape evolves independently of RunResult's.
 func RepeatStreamRuns(o Options, id string, run func(seed uint64) (testbed.StreamResult, error)) ([]testbed.StreamResult, error) {
+	return repeatCached(o, "stream", id, run)
+}
+
+// repeatCached fans Options.Reps repetitions of run out over
+// Options.Workers, serving each from the persistent cache under
+// (kind, id, seed) when present and storing it there after a fresh run.
+func repeatCached[R any](o Options, kind, id string, run func(seed uint64) (R, error)) ([]R, error) {
 	store := o.CacheStore()
-	root := sim.NewRNG(o.Seed)
-	out := make([]testbed.StreamResult, o.Reps)
-	err := testbed.ForEach(o.Reps, o.Workers, func(rep int) error {
-		seed := root.Split(uint64(rep)).Uint64()
-		key := cache.NewKey("stream", id, seed)
-		var cached testbed.StreamResult
+	return testbed.RepeatParallel(o.Reps, o.Seed, o.Workers, func(_ int, seed uint64) (R, error) {
+		key := cache.NewKey(kind, id, seed)
+		var cached R
 		if store.Get(key, &cached) {
-			out[rep] = cached
-			return nil
+			return cached, nil
 		}
 		r, err := run(seed)
-		if err != nil {
-			return fmt.Errorf("repetition %d: %w", rep, err)
+		if err == nil {
+			// Best-effort: a full disk or unwritable store must not
+			// fail the experiment, only future warm starts.
+			_ = store.Put(key, r)
 		}
-		_ = store.Put(key, r)
-		out[rep] = r
-		return nil
+		return r, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -37,14 +37,6 @@ type Options struct {
 	// NoCache bypasses the persistent cache even when CacheDir is set:
 	// nothing is read from or written to disk, forcing full recomputation.
 	NoCache bool
-	// Shards, when positive, runs each fat-tree repetition on the sharded
-	// conservative-synchronization engine with up to this many workers
-	// (testbed.Options.Shards). Results for a given topology are
-	// byte-identical for every positive value — only wall-clock changes —
-	// but differ from the monolithic (0) schedule, so Shards>0 selects a
-	// separate cache lineage. Dumbbell experiments ignore it. Composes
-	// with Workers: repetitions fan out first, shards within each.
-	Shards int
 	// Verbose, when set, makes runners print progress lines.
 	Verbose bool
 }
@@ -56,10 +48,13 @@ func (o Options) WithDefaults() (Options, error) {
 	if o.Reps == 0 {
 		o.Reps = 3
 	}
+	if o.Reps < 0 {
+		return Options{}, fmt.Errorf("greenenvy: Reps %d negative", o.Reps)
+	}
 	if o.Scale == 0 {
 		o.Scale = 0.04
 	}
-	if o.Scale < 0 || o.Scale > 1 {
+	if !(o.Scale > 0 && o.Scale <= 1) { // also rejects NaN
 		return Options{}, fmt.Errorf("greenenvy: Scale %v out of (0, 1]", o.Scale)
 	}
 	if o.Seed == 0 {
@@ -71,20 +66,7 @@ func (o Options) WithDefaults() (Options, error) {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.Shards < 0 {
-		return Options{}, fmt.Errorf("greenenvy: Shards %d negative", o.Shards)
-	}
 	return o, nil
-}
-
-// ShardTag collapses Shards to the single bit that affects results: the
-// sharded schedule is byte-identical for every positive worker count, so
-// cache identities record only sharded-vs-monolithic.
-func (o Options) ShardTag() int {
-	if o.Shards > 0 {
-		return 1
-	}
-	return 0
 }
 
 // Paper returns the paper's full experiment parameters: 10 repetitions,

@@ -73,7 +73,8 @@ func runFlows(spec Spec, prefix string) func(registry.Options) (registry.Result,
 
 		id := fmt.Sprintf("%s/flows=%d/total=%d", prefix, len(spec.Flows), totalBytes)
 		if t.Kind == KindFatTree {
-			id = fmt.Sprintf("%s/ecmp=%d/sh=%d", id, o.Seed, o.ShardTag())
+			// "/sh=0" is frozen into existing cache ids, like fattree-incast's.
+			id = fmt.Sprintf("%s/ecmp=%d/sh=0", id, o.Seed)
 		}
 
 		metrics := []registry.Metric{registry.SenderJoules, registry.RunSeconds, jainOverFlows}
@@ -86,12 +87,12 @@ func runFlows(spec Spec, prefix string) func(registry.Options) (registry.Result,
 
 		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 			plan := testbed.Plan{}
-			var opts testbed.Options
+			opts := testbed.Options{Seed: seed}
 			if t.Kind == KindDumbbell {
 				cfg := dumbbellConfig(t)
 				cfg.BottleneckQueue = buildQueue(t.Queue, cfg.BufferBytes, cfg.MarkBytes, cfg.BottleneckBps, seed)
 				plan.Dumbbell = &cfg
-				opts = testbed.Options{Senders: t.Senders, Seed: seed}
+				opts.Senders = t.Senders
 			} else {
 				cfg := fatTreeConfig(t)
 				cfg.ECMPSeed = o.Seed
@@ -105,7 +106,6 @@ func runFlows(spec Spec, prefix string) func(registry.Options) (registry.Result,
 					}
 				}
 				plan.FatTree = &cfg
-				opts = testbed.Options{Seed: seed, Shards: o.Shards}
 			}
 			for i, f := range spec.Flows {
 				pf := testbed.PlanFlow{

@@ -593,24 +593,16 @@ func (tb *Testbed) allDone() bool {
 	return true
 }
 
-// Repeat runs build-and-run n times with per-repetition seeds derived from
-// baseSeed and returns all results. The build function receives the
-// repetition index and its seed and must construct, populate, and run a
-// fresh testbed.
-func Repeat(n int, baseSeed uint64, run func(rep int, seed uint64) (RunResult, error)) ([]RunResult, error) {
-	return RepeatParallel(n, baseSeed, 1, run)
-}
-
-// RepeatParallel is Repeat over a pool of `workers` goroutines. Each
-// repetition derives its seed from baseSeed by index and runs on its own
-// engine, so results are placed by repetition index and are byte-identical
-// to the serial path regardless of worker count or scheduling. workers <= 1
-// reproduces Repeat exactly. If a repetition fails, outstanding repetitions
-// are cancelled and the error names the failing index (when several fail,
-// the lowest failing index wins).
-func RepeatParallel(n int, baseSeed uint64, workers int, run func(rep int, seed uint64) (RunResult, error)) ([]RunResult, error) {
+// RepeatParallel runs n repetitions over a pool of `workers` goroutines
+// and returns their results by repetition index. Each repetition receives
+// its index and a seed derived from baseSeed by that index, and must build
+// and run its own engine, so results are byte-identical to the serial path
+// (workers <= 1) regardless of worker count or scheduling. If a repetition
+// fails, outstanding repetitions are cancelled and the error names the
+// failing index (when several fail, the lowest failing index wins).
+func RepeatParallel[R any](n int, baseSeed uint64, workers int, run func(rep int, seed uint64) (R, error)) ([]R, error) {
 	root := sim.NewRNG(baseSeed)
-	out := make([]RunResult, n)
+	out := make([]R, n)
 	err := ForEach(n, workers, func(i int) error {
 		r, err := run(i, root.Split(uint64(i)).Uint64())
 		if err != nil {

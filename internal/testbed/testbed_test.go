@@ -172,7 +172,7 @@ func TestSetWeightWithoutDRR(t *testing.T) {
 }
 
 func TestRepetitionsVaryButCluster(t *testing.T) {
-	results, err := Repeat(3, 42, func(rep int, seed uint64) (RunResult, error) {
+	results, err := RepeatParallel(3, 42, 1, func(rep int, seed uint64) (RunResult, error) {
 		tb := New(Options{Seed: seed})
 		if _, err := tb.AddFlow(0, iperf.Spec{Bytes: 2 * gbit, CCA: "cubic"}); err != nil {
 			return RunResult{}, err

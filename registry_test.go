@@ -1,6 +1,7 @@
 package greenenvy
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -113,10 +114,15 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentRejectsBadScale feeds every experiment options that
+// WithDefaults must reject before any simulation starts: bad input is an
+// error, never a panic or a misleading run.
 func TestEveryExperimentRejectsBadScale(t *testing.T) {
-	for _, e := range Experiments() {
-		if _, err := e.Run(Options{Scale: 5}); err == nil {
-			t.Errorf("%s: Scale=5 did not return an error", e.Name)
+	for _, bad := range []Options{{Scale: 5}, {Scale: math.NaN()}, {Reps: -1}} {
+		for _, e := range Experiments() {
+			if _, err := e.Run(bad); err == nil {
+				t.Errorf("%s: %+v did not return an error", e.Name, bad)
+			}
 		}
 	}
 }

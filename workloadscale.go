@@ -75,9 +75,7 @@ const workloadScaleSizeFactor = 0.01
 // converging on host 0, under fair admission and under the online envy
 // policy. Flow count is 10^6·Scale per repetition (min 200); the run
 // streams — per-flow state is pooled and only O(1) aggregates are kept,
-// so memory does not grow with Scale. The sharded engine cannot license
-// online flow creation mid-run, so this experiment always uses the
-// monolithic engine and Options.Shards does not affect its results.
+// so memory does not grow with Scale.
 func RunWorkloadScale(o Options) (WorkloadScaleResult, error) {
 	o, err := o.WithDefaults()
 	if err != nil {

@@ -36,40 +36,26 @@ func workloadScaleDigest(r WorkloadScaleResult) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestWorkloadScaleDigestStableAcrossWorkersAndShards is the streaming
-// replay's same-seed-same-bytes proof: pooled churn, online admission, and
-// P² aggregation must produce byte-identical results for every worker
-// count — and for every Shards setting, because the experiment always runs
-// the monolithic engine (online flow creation cannot be licensed across
-// shard boundaries) and must not let the option leak into results.
-func TestWorkloadScaleDigestStableAcrossWorkersAndShards(t *testing.T) {
+// TestWorkloadScaleDigestStableAcrossWorkers is the streaming replay's
+// same-seed-same-bytes proof: pooled churn, online admission, and P²
+// aggregation must produce byte-identical results for every worker count.
+func TestWorkloadScaleDigestStableAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the reduced-scale streaming replay three times")
+		t.Skip("runs the reduced-scale streaming replay twice")
 	}
-	base := digestOpts()
-	ref, err := RunWorkloadScale(base)
+	o := digestOpts()
+	ref, err := RunWorkloadScale(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := workloadScaleDigest(ref)
-
-	for _, mod := range []struct {
-		name string
-		set  func(*Options)
-	}{
-		{"workers=4", func(o *Options) { o.Workers = 4 }},
-		{"shards=2", func(o *Options) { o.Shards = 2 }},
-	} {
-		o := base
-		mod.set(&o)
-		res, err := RunWorkloadScale(o)
-		if err != nil {
-			t.Fatalf("%s: %v", mod.name, err)
-		}
-		if got := workloadScaleDigest(res); got != want {
-			t.Fatalf("workload-scale digest differs under %s:\nwant %s\ngot  %s\nthe same-seed-same-bytes contract is broken",
-				mod.name, want, got)
-		}
+	o.Workers = 4
+	res, err := RunWorkloadScale(o)
+	if err != nil {
+		t.Fatalf("workers=4: %v", err)
+	}
+	if want, got := workloadScaleDigest(ref), workloadScaleDigest(res); got != want {
+		t.Fatalf("workload-scale digest differs under workers=4:\nwant %s\ngot  %s\nthe same-seed-same-bytes contract is broken",
+			want, got)
 	}
 }
 
