@@ -7,11 +7,9 @@ import (
 	"strings"
 	"sync"
 
-	"greenenvy/internal/cache"
 	"greenenvy/internal/cca"
 	"greenenvy/internal/iperf"
 	"greenenvy/internal/registry"
-	"greenenvy/internal/sim"
 	"greenenvy/internal/stats"
 	"greenenvy/internal/tcp"
 	"greenenvy/internal/testbed"
@@ -152,75 +150,46 @@ func RunCCASweep(o Options) (*SweepResult, error) {
 }
 
 // runCCASweep executes the sweep itself: every (CCA, MTU, repetition) task
-// is submitted to one shared worker pool — no per-cell barriers — and the
-// cells are reassembled in cca.PaperOrder() × SweepMTUs order afterwards.
-// Per-repetition seeds depend only on (Seed, repetition index), exactly as
-// registry.RepeatRuns derives them, so the assembled SweepResult is
-// identical for any Workers value.
+// runs on one registry.Run pool, and the cells come back in
+// cca.PaperOrder() × SweepMTUs order.
 func runCCASweep(o Options) (*SweepResult, error) {
 	bytes := uint64(float64(paperTransferBytes) * o.Scale)
 	res := &SweepResult{Bytes: bytes, ScaleToPaper: float64(paperTransferBytes) / float64(bytes)}
 
-	type cellSpec struct {
-		cca string
-		mtu int
-	}
-	var specs []cellSpec
+	deadline := registry.DeadlineFor(bytes) * 4
+	var cells []registry.Cell[testbed.RunResult]
 	for _, name := range cca.PaperOrder() {
 		for _, mtu := range SweepMTUs {
-			specs = append(specs, cellSpec{name, mtu})
+			cells = append(cells, registry.Cell[testbed.RunResult]{
+				// An int MTU and uint64 bytes: NewKey tags parts by
+				// type, and cached sweep repetitions use this shape.
+				Key: []any{"sweep", name, mtu, bytes},
+				Run: func(seed uint64) (testbed.RunResult, error) {
+					tb := testbed.New(testbed.Options{Seed: seed})
+					if _, err := tb.AddFlow(0, iperf.Spec{
+						Bytes:  bytes,
+						CCA:    name,
+						Config: tcp.Config{MTU: mtu},
+					}); err != nil {
+						return testbed.RunResult{}, err
+					}
+					return tb.Run(deadline)
+				},
+			})
 		}
 	}
-
-	root := sim.NewRNG(o.Seed)
-	seeds := make([]uint64, o.Reps)
-	for i := range seeds {
-		seeds[i] = root.Split(uint64(i)).Uint64()
-	}
-
-	deadline := registry.DeadlineFor(bytes) * 4
-	runs := make([][]testbed.RunResult, len(specs))
-	for i := range runs {
-		runs[i] = make([]testbed.RunResult, o.Reps)
-	}
-	store := o.CacheStore()
-	err := testbed.ForEach(len(specs)*o.Reps, o.Workers, func(task int) error {
-		s, rep := specs[task/o.Reps], task%o.Reps
-		// Per-(cell, repetition) memoization: the key is the cell's
-		// result-affecting inputs plus the repetition seed (which already
-		// encodes Options.Seed and the repetition index), so raising Reps
-		// against a warm cache computes only the new repetitions.
-		ck := cache.NewKey("sweep", s.cca, s.mtu, bytes, seeds[rep])
-		var cached testbed.RunResult
-		if store.Get(ck, &cached) {
-			runs[task/o.Reps][rep] = cached
-			return nil
-		}
-		tb := testbed.New(testbed.Options{Seed: seeds[rep]})
-		if _, err := tb.AddFlow(0, iperf.Spec{
-			Bytes:  bytes,
-			CCA:    s.cca,
-			Config: tcp.Config{MTU: s.mtu},
-		}); err != nil {
-			return fmt.Errorf("%s/%d: %w", s.cca, s.mtu, err)
-		}
-		r, err := tb.Run(deadline)
-		if err != nil {
-			return fmt.Errorf("%s/%d repetition %d: %w", s.cca, s.mtu, rep, err)
-		}
-		_ = store.Put(ck, r)
-		runs[task/o.Reps][rep] = r
-		return nil
-	})
+	runs, err := registry.Run(o, cells)
 	if err != nil {
 		return nil, err
 	}
 
-	for ci, s := range specs {
-		cell := cellFromRuns(s.cca, s.mtu, runs[ci])
-		o.Logf("sweep: %-9s mtu %-5d energy %s J  fct %s s  retx %s",
-			s.cca, s.mtu, stats.Summary(cell.EnergyJ), stats.Summary(cell.FCTSecs), stats.Summary(cell.Retx))
-		res.Cells = append(res.Cells, cell)
+	for i, name := range cca.PaperOrder() {
+		for j, mtu := range SweepMTUs {
+			cell := cellFromRuns(name, mtu, runs[i*len(SweepMTUs)+j])
+			o.Logf("sweep: %-9s mtu %-5d energy %s J  fct %s s  retx %s",
+				name, mtu, stats.Summary(cell.EnergyJ), stats.Summary(cell.FCTSecs), stats.Summary(cell.Retx))
+			res.Cells = append(res.Cells, cell)
+		}
 	}
 	return res, nil
 }

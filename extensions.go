@@ -74,11 +74,13 @@ func RunIncast(o Options) (IncastResult, error) {
 	res := IncastResult{TotalGbit: float64(totalBytes) * 8 / 1e9}
 	p := PaperPowerFunc()
 
-	for _, n := range []int{2, 4, 8, 16} {
+	widths := []int{2, 4, 8, 16}
+	var cells []registry.Cell[testbed.RunResult]
+	for _, n := range widths {
 		per := totalBytes / uint64(n)
-		run := func(serial bool) (float64, float64, error) {
+		for _, serial := range []bool{false, true} {
 			id := fmt.Sprintf("incast/n=%d/serial=%t/per=%d", n, serial, per)
-			aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			cells = append(cells, registry.TestbedCell(id, registry.DeadlineFor(totalBytes), func(seed uint64) (*testbed.Testbed, error) {
 				tb := testbed.New(testbed.Options{Senders: n, UseDRR: !serial, Seed: seed})
 				var prev *iperf.Client
 				for i := 0; i < n; i++ {
@@ -96,20 +98,19 @@ func RunIncast(o Options) (IncastResult, error) {
 					}
 				}
 				return tb, nil
-			}, registry.DeadlineFor(totalBytes), registry.SenderJoules, registry.RunSeconds)
-			if err != nil {
-				return 0, 0, err
-			}
-			return aggs[0].Mean, aggs[1].Mean, nil
+			}))
 		}
-		fairJ, fairD, err := run(false)
-		if err != nil {
-			return IncastResult{}, fmt.Errorf("incast n=%d fair: %w", n, err)
-		}
-		serialJ, serialD, err := run(true)
-		if err != nil {
-			return IncastResult{}, fmt.Errorf("incast n=%d serial: %w", n, err)
-		}
+	}
+	runs, err := registry.Run(o, cells)
+	if err != nil {
+		return IncastResult{}, err
+	}
+
+	for wi, n := range widths {
+		per := totalBytes / uint64(n)
+		fair := registry.Aggregate(runs[2*wi], registry.SenderJoules, registry.RunSeconds)
+		serial := registry.Aggregate(runs[2*wi+1], registry.SenderJoules, registry.RunSeconds)
+		fairJ, serialJ := fair[0].Mean, serial[0].Mean
 
 		// Analytic prediction: n hosts at C/n for T vs serial.
 		flows := make([]Flow, n)
@@ -132,8 +133,8 @@ func RunIncast(o Options) (IncastResult, error) {
 			SerialJ:        serialJ,
 			SavingsPct:     (fairJ - serialJ) / fairJ * 100,
 			AnalyticPct:    analytic,
-			FairDuration:   fairD,
-			SerialDuration: serialD,
+			FairDuration:   fair[1].Mean,
+			SerialDuration: serial[1].Mean,
 		})
 		o.Logf("incast: n=%d savings %.1f%% (analytic %.1f%%)", n, (fairJ-serialJ)/fairJ*100, analytic)
 	}
@@ -174,58 +175,31 @@ func RunSameSender(o Options) (SameSenderResult, error) {
 	}
 	bytes := uint64(10 * registry.PaperGbit * o.Scale)
 
-	run := func(senders int, serial bool) (float64, error) {
-		id := fmt.Sprintf("samesender/senders=%d/serial=%t/bytes=%d", senders, serial, bytes)
-		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
-			tb := testbed.New(testbed.Options{Senders: senders, UseDRR: !serial, Seed: seed})
-			host2 := 0
-			if senders == 2 {
-				host2 = 1
-			}
-			c1, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic"})
-			if err != nil {
-				return nil, err
-			}
-			c2, err := tb.AddFlow(host2, iperf.Spec{Bytes: bytes, CCA: "cubic"})
-			if err != nil {
-				return nil, err
-			}
-			if serial {
-				c2.StartAfter(c1)
-			} else {
-				if err := tb.SetWeight(c1.Report().Flow, 0.5); err != nil {
-					return nil, err
-				}
-				if err := tb.SetWeight(c2.Report().Flow, 0.5); err != nil {
-					return nil, err
-				}
-			}
-			return tb, nil
-		}, registry.DeadlineFor(2*bytes), registry.SenderJoules)
-		if err != nil {
-			return 0, err
+	// Cells in order: one host fair, one host serial, two hosts fair, two
+	// hosts serial.
+	var cells []registry.Cell[testbed.RunResult]
+	for _, senders := range []int{1, 2} {
+		for _, f := range []float64{0.5, 1} { // fair, serial
+			serial := f == 1
+			id := fmt.Sprintf("samesender/senders=%d/serial=%t/bytes=%d", senders, serial, bytes)
+			cells = append(cells, registry.TestbedCell(id, registry.DeadlineFor(2*bytes), func(seed uint64) (*testbed.Testbed, error) {
+				tb := testbed.New(testbed.Options{Senders: senders, UseDRR: !serial, Seed: seed})
+				return tb, addFlowPair(tb, senders-1, bytes, f)
+			}))
 		}
-		return aggs[0].Mean, nil
+	}
+	runs, err := registry.Run(o, cells)
+	if err != nil {
+		return SameSenderResult{}, err
+	}
+	joules := make([]float64, len(runs))
+	for i, r := range runs {
+		joules[i] = registry.Aggregate(r, registry.SenderJoules)[0].Mean
 	}
 
-	var res SameSenderResult
-	if res.FairJ, err = run(1, false); err != nil {
-		return res, fmt.Errorf("same-sender fair: %w", err)
-	}
-	if res.SerialJ, err = run(1, true); err != nil {
-		return res, fmt.Errorf("same-sender serial: %w", err)
-	}
+	res := SameSenderResult{FairJ: joules[0], SerialJ: joules[1]}
 	res.SavingsPct = (res.FairJ - res.SerialJ) / res.FairJ * 100
-
-	twoFair, err := run(2, false)
-	if err != nil {
-		return res, err
-	}
-	twoSerial, err := run(2, true)
-	if err != nil {
-		return res, err
-	}
-	res.TwoHostSavingsPct = (twoFair - twoSerial) / twoFair * 100
+	res.TwoHostSavingsPct = (joules[2] - joules[3]) / joules[2] * 100
 	return res, nil
 }
 

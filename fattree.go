@@ -77,6 +77,7 @@ func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
 		widths = append(widths, 1024)
 	}
 	const recv = netsim.NodeID(0)
+	var cells []registry.Cell[testbed.RunResult]
 	for _, n := range widths {
 		per := totalBytes / uint64(n)
 		if per == 0 {
@@ -84,12 +85,10 @@ func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
 		}
 		k := netsim.FatTreeArityFor(n)
 		senders := netsim.IncastHosts(k, n)
-		hostBps := netsim.DefaultFatTree(k).HostBps
-
-		run := func(serial bool) (float64, float64, error) {
+		for _, serial := range []bool{false, true} {
 			// "/sh=0" is frozen into existing cache ids (TestFatTreeCacheIDsPinned).
 			id := fmt.Sprintf("fattree-incast/n=%d/k=%d/ecmp=%d/serial=%t/per=%d/sh=0", n, k, o.Seed, serial, per)
-			aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			cells = append(cells, registry.TestbedCell(id, registry.DeadlineFor(totalBytes), func(seed uint64) (*testbed.Testbed, error) {
 				cfg := netsim.DefaultFatTree(k)
 				cfg.ECMPSeed = o.Seed
 				if !serial {
@@ -118,21 +117,23 @@ func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
 					}
 				}
 				return tb, nil
-			}, registry.DeadlineFor(totalBytes), registry.SenderJoules, registry.RunSeconds, registry.EventsFired)
-			if err != nil {
-				return 0, 0, err
-			}
-			o.Logf("fattree-incast: n=%d serial=%t %.0f events/run", n, serial, aggs[2].Mean)
-			return aggs[0].Mean, aggs[1].Mean, nil
+			}))
 		}
-		fairJ, fairD, err := run(false)
-		if err != nil {
-			return FatTreeIncastResult{}, fmt.Errorf("fattree-incast n=%d fair: %w", n, err)
-		}
-		serialJ, serialD, err := run(true)
-		if err != nil {
-			return FatTreeIncastResult{}, fmt.Errorf("fattree-incast n=%d serial: %w", n, err)
-		}
+	}
+	runs, err := registry.Run(o, cells)
+	if err != nil {
+		return FatTreeIncastResult{}, err
+	}
+
+	for wi, n := range widths {
+		per := totalBytes / uint64(n)
+		k := netsim.FatTreeArityFor(n)
+		hostBps := netsim.DefaultFatTree(k).HostBps
+		fair := registry.Aggregate(runs[2*wi], registry.SenderJoules, registry.RunSeconds, registry.EventsFired)
+		serial := registry.Aggregate(runs[2*wi+1], registry.SenderJoules, registry.RunSeconds, registry.EventsFired)
+		o.Logf("fattree-incast: n=%d serial=false %.0f events/run", n, fair[2].Mean)
+		o.Logf("fattree-incast: n=%d serial=true %.0f events/run", n, serial[2].Mean)
+		fairJ, serialJ := fair[0].Mean, serial[0].Mean
 
 		// Analytic prediction: n hosts sharing the receiver downlink.
 		flows := make([]core.Flow, n)
@@ -156,8 +157,8 @@ func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
 			SerialJ:        serialJ,
 			SavingsPct:     (fairJ - serialJ) / fairJ * 100,
 			AnalyticPct:    analytic,
-			FairDuration:   fairD,
-			SerialDuration: serialD,
+			FairDuration:   fair[1].Mean,
+			SerialDuration: serial[1].Mean,
 		})
 		o.Logf("fattree-incast: n=%d k=%d savings %.1f%% (analytic %.1f%%)", n, k, (fairJ-serialJ)/fairJ*100, analytic)
 	}
@@ -307,10 +308,11 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 	}
 
 	deadline := registry.DeadlineFor(2 * bytes)
-	for _, f := range fractions {
+	cells := make([]registry.Cell[testbed.RunResult], len(fractions))
+	for i, f := range fractions {
 		// "/sh=0" is frozen into existing cache ids (TestFatTreeCacheIDsPinned).
 		id := fmt.Sprintf("crossrack/k=%d/ecmp=%d/frac=%.2f/bytes=%d/sh=0", k, o.Seed, f, bytes)
-		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+		cells[i] = registry.TestbedCell(id, deadline, func(seed uint64) (*testbed.Testbed, error) {
 			cfg := baseCfg
 			if f < 1.0 {
 				cfg.NewQueue = func(port netsim.FatTreePort) netsim.Queue {
@@ -345,10 +347,14 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 				c2.StartAfter(c1)
 			}
 			return tb, nil
-		}, deadline, registry.SenderJoules, registry.EventsFired)
-		if err != nil {
-			return CrossRackResult{}, fmt.Errorf("crossrack fraction %v: %w", f, err)
-		}
+		})
+	}
+	runs, err := registry.Run(o, cells)
+	if err != nil {
+		return CrossRackResult{}, err
+	}
+	for i, f := range fractions {
+		aggs := registry.Aggregate(runs[i], registry.SenderJoules, registry.EventsFired)
 		res.Points = append(res.Points, CrossRackPoint{
 			Fraction:           f,
 			MeanEnergyJ:        aggs[0].Mean,

@@ -83,37 +83,21 @@ func RunFig1(o Options) (Fig1Result, error) {
 	}
 
 	deadline := registry.DeadlineFor(2 * bytes)
-	for _, f := range fractions {
+	cells := make([]registry.Cell[testbed.RunResult], len(fractions))
+	for i, f := range fractions {
 		id := fmt.Sprintf("fig1/frac=%.2f/bytes=%d", f, bytes)
-		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+		cells[i] = registry.TestbedCell(id, deadline, func(seed uint64) (*testbed.Testbed, error) {
 			tb := testbed.New(testbed.Options{Senders: 2, UseDRR: f < 1.0, Seed: seed})
-			c1, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic"})
-			if err != nil {
-				return nil, err
-			}
-			c2, err := tb.AddFlow(1, iperf.Spec{Bytes: bytes, CCA: "cubic"})
-			if err != nil {
-				return nil, err
-			}
-			if f < 1.0 {
-				if err := tb.SetWeight(c1.Report().Flow, f); err != nil {
-					return nil, err
-				}
-				if err := tb.SetWeight(c2.Report().Flow, 1-f); err != nil {
-					return nil, err
-				}
-			} else {
-				// The paper's "full speed, then idle": flow 2 starts
-				// when flow 1 completes.
-				c2.StartAfter(c1)
-			}
-			return tb, nil
-		}, deadline, registry.SenderJoules)
-		if err != nil {
-			return Fig1Result{}, fmt.Errorf("fraction %v: %w", f, err)
-		}
+			return tb, addFlowPair(tb, 1, bytes, f)
+		})
+	}
+	runs, err := registry.Run(o, cells)
+	if err != nil {
+		return Fig1Result{}, err
+	}
+	for i, f := range fractions {
 		jain := 1 / (2 * (f*f + (1-f)*(1-f)))
-		energy := aggs[0]
+		energy := registry.Aggregate(runs[i], registry.SenderJoules)[0]
 		res.Points = append(res.Points, Fig1Point{
 			Fraction:           f,
 			MeanEnergyJ:        energy.Mean,
@@ -132,6 +116,28 @@ func RunFig1(o Options) (Fig1Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// addFlowPair adds two cubic flows of bytes each, from sender 0 and from
+// sender host2, weighted f and 1−f at the DRR bottleneck. f = 1 is the
+// paper's "full speed, then idle": flow 2 starts when flow 1 completes.
+func addFlowPair(tb *testbed.Testbed, host2 int, bytes uint64, f float64) error {
+	c1, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic"})
+	if err != nil {
+		return err
+	}
+	c2, err := tb.AddFlow(host2, iperf.Spec{Bytes: bytes, CCA: "cubic"})
+	if err != nil {
+		return err
+	}
+	if f == 1 {
+		c2.StartAfter(c1)
+		return nil
+	}
+	if err := tb.SetWeight(c1.Report().Flow, f); err != nil {
+		return err
+	}
+	return tb.SetWeight(c2.Report().Flow, 1-f)
 }
 
 // Table renders the Figure 1 rows.

@@ -65,18 +65,22 @@ func RunFig2(o Options) (Fig2Result, error) {
 		hold = 0.5
 	}
 	rates := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, gbps := range rates {
+	cells := make([]registry.Cell[testbed.RunResult], len(rates))
+	for i, gbps := range rates {
 		bytes := uint64(gbps * 1e9 / 8 * hold)
 		id := fmt.Sprintf("fig2/target=%g/bytes=%d", gbps, bytes)
-		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+		cells[i] = registry.TestbedCell(id, registry.DeadlineFor(bytes), func(seed uint64) (*testbed.Testbed, error) {
 			tb := testbed.New(testbed.Options{Seed: seed})
 			_, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic", TargetBps: int64(gbps * 1e9)})
 			return tb, err
-		}, registry.DeadlineFor(bytes), registry.FirstSenderWatts)
-		if err != nil {
-			return Fig2Result{}, fmt.Errorf("rate %v Gb/s: %w", gbps, err)
-		}
-		watts := aggs[0]
+		})
+	}
+	runs, err := registry.Run(o, cells)
+	if err != nil {
+		return Fig2Result{}, err
+	}
+	for i, gbps := range rates {
+		watts := registry.Aggregate(runs[i], registry.FirstSenderWatts)[0]
 		res.Points = append(res.Points, Fig2Point{Gbps: gbps, SmoothW: watts.Mean, StdW: watts.Std})
 		o.Logf("fig2: %.0f Gb/s -> %.2f ± %.2f W", gbps, watts.Mean, watts.Std)
 	}

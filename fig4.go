@@ -65,74 +65,57 @@ func RunFig4(o Options) (Fig4Result, error) {
 		hold = 0.4
 	}
 	rates := []float64{1, 2.5, 5, 7.5, 10}
+	var cells []registry.Cell[testbed.RunResult]
 	for _, load := range loads {
 		for _, gbps := range rates {
 			bytes := uint64(gbps * 1e9 / 8 * hold)
 			id := fmt.Sprintf("fig4/load=%g/target=%g/bytes=%d", load, gbps, bytes)
-			aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			cells = append(cells, registry.TestbedCell(id, registry.DeadlineFor(bytes), func(seed uint64) (*testbed.Testbed, error) {
 				tb := testbed.New(testbed.Options{Seed: seed})
 				if err := tb.AddLoad(0, load); err != nil {
 					return nil, err
 				}
 				_, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic", TargetBps: int64(gbps * 1e9)})
 				return tb, err
-			}, registry.DeadlineFor(bytes), registry.FirstSenderWatts)
-			if err != nil {
-				return Fig4Result{}, fmt.Errorf("load %v rate %v: %w", load, gbps, err)
-			}
-			watts := aggs[0]
-			res.Points = append(res.Points, Fig4Point{Load: load, Gbps: gbps, MeanW: watts.Mean, StdW: watts.Std})
-			o.Logf("fig4: load %.0f%% %.1f Gb/s -> %.2f W", load*100, gbps, watts.Mean)
+			}))
 		}
 	}
 
 	// §4.2 savings: two flows, fair (WFQ 50/50) vs serial, on loaded
-	// senders.
+	// senders; one fair and one serial cell per load.
 	bytes := uint64(10 * registry.PaperGbit * o.Scale)
-	targets := map[float64]string{0: "~16%", 0.25: "~1%", 0.50: "(not quoted)", 0.75: "~0.17%"}
 	for _, load := range loads {
-		energy := func(serial bool) (float64, error) {
+		for _, f := range []float64{0.5, 1} { // fair, serial
+			serial := f == 1
 			id := fmt.Sprintf("fig4/savings/load=%g/serial=%t/bytes=%d", load, serial, bytes)
-			aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			cells = append(cells, registry.TestbedCell(id, registry.DeadlineFor(2*bytes), func(seed uint64) (*testbed.Testbed, error) {
 				tb := testbed.New(testbed.Options{Senders: 2, UseDRR: !serial, Seed: seed})
 				for i := 0; i < 2; i++ {
 					if err := tb.AddLoad(i, load); err != nil {
 						return nil, err
 					}
 				}
-				c1, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic"})
-				if err != nil {
-					return nil, err
-				}
-				c2, err := tb.AddFlow(1, iperf.Spec{Bytes: bytes, CCA: "cubic"})
-				if err != nil {
-					return nil, err
-				}
-				if serial {
-					c2.StartAfter(c1)
-				} else {
-					if err := tb.SetWeight(c1.Report().Flow, 0.5); err != nil {
-						return nil, err
-					}
-					if err := tb.SetWeight(c2.Report().Flow, 0.5); err != nil {
-						return nil, err
-					}
-				}
-				return tb, nil
-			}, registry.DeadlineFor(2*bytes), registry.SenderJoules)
-			if err != nil {
-				return 0, err
-			}
-			return aggs[0].Mean, nil
+				return tb, addFlowPair(tb, 1, bytes, f)
+			}))
 		}
-		fairJ, err := energy(false)
-		if err != nil {
-			return Fig4Result{}, fmt.Errorf("load %v fair: %w", load, err)
+	}
+	runs, err := registry.Run(o, cells)
+	if err != nil {
+		return Fig4Result{}, err
+	}
+
+	for li, load := range loads {
+		for ri, gbps := range rates {
+			watts := registry.Aggregate(runs[li*len(rates)+ri], registry.FirstSenderWatts)[0]
+			res.Points = append(res.Points, Fig4Point{Load: load, Gbps: gbps, MeanW: watts.Mean, StdW: watts.Std})
+			o.Logf("fig4: load %.0f%% %.1f Gb/s -> %.2f W", load*100, gbps, watts.Mean)
 		}
-		serialJ, err := energy(true)
-		if err != nil {
-			return Fig4Result{}, fmt.Errorf("load %v serial: %w", load, err)
-		}
+	}
+	targets := map[float64]string{0: "~16%", 0.25: "~1%", 0.50: "(not quoted)", 0.75: "~0.17%"}
+	savings := runs[len(loads)*len(rates):]
+	for li, load := range loads {
+		fairJ := registry.Aggregate(savings[2*li], registry.SenderJoules)[0].Mean
+		serialJ := registry.Aggregate(savings[2*li+1], registry.SenderJoules)[0].Mean
 		res.Savings = append(res.Savings, Fig4Savings{
 			Load:        load,
 			FairJ:       fairJ,

@@ -11,7 +11,7 @@ package registryhygiene
 //   - the registryhygiene analyzer statically requires every
 //     Register(Experiment{Name: ...}) call to have an entry here, and the
 //     non-empty prefixes to appear as string literals in the package (the
-//     cache.NewKey / registry.RepeatRuns id sites), so a new experiment
+//     cache.NewKey / registry.TestbedCell id sites), so a new experiment
 //     cannot compile without declaring how it keys the cache;
 //   - TestExperimentCacheIDFacts (root package) dynamically requires the
 //     registered set and this table to stay in bijection and the prefixes

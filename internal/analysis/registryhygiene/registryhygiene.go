@@ -15,9 +15,9 @@
 //   - the experiment must have an entry in ExperimentCacheIDs — the fact
 //     table shared with the sweepKey/cache-id audit test — and the entry's
 //     non-empty cache-id prefix must appear as a string literal in the
-//     package (the registry.RunCell/RepeatRuns or cache.NewKey id site),
-//     so an experiment cannot silently compute results under an undeclared
-//     cache namespace and corrupt key hygiene
+//     package (the registry.TestbedCell / registry.Cell Key or cache.NewKey
+//     id site), so an experiment cannot silently compute results under an
+//     undeclared cache namespace and corrupt key hygiene
 //
 // Scenario-compiled experiments register through two funnels instead of a
 // literal Experiment{...}:
@@ -252,7 +252,7 @@ func checkRegistration(pass *analysis.Pass, call *ast.CallExpr, lit *ast.Composi
 		return
 	}
 	if !prefixAppears(literals, prefix) {
-		pass.Reportf(call.Pos(), "experiment %q declares cache-id prefix %q but no string literal in the package starts with it: the registry.RunCell/RepeatRuns or cache.NewKey id site is missing or diverged from the fact table", name, prefix)
+		pass.Reportf(call.Pos(), "experiment %q declares cache-id prefix %q but no string literal in the package starts with it: the registry.TestbedCell/Cell Key or cache.NewKey id site is missing or diverged from the fact table", name, prefix)
 	}
 }
 

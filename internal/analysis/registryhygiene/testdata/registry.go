@@ -19,7 +19,7 @@ func Register(e Experiment) {}
 
 func runStub(Options) (*Result, error) { return nil, nil }
 
-// goodCacheID stands in for the registry.RunCell/RepeatRuns or
+// goodCacheID stands in for the registry.TestbedCell/Cell Key or
 // cache.NewKey id site: the literal carrying the declared "good/" prefix.
 const goodCacheID = "good/run"
 

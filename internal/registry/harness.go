@@ -1,6 +1,10 @@
 package registry
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
 	"greenenvy/internal/cache"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/stats"
@@ -8,16 +12,96 @@ import (
 )
 
 // This file is the shared run harness behind the registered experiments.
-// RepeatRuns owns repetition fan-out, derived seeds, and persistent-cache
-// threading; RunCell owns the per-cell metric aggregation that every figure
-// used to hand-roll: extract one or more scalars from each repetition's
-// RunResult in run order and summarize them with stats.MeanStd. Experiments
-// keep only their scenario construction and result interpretation.
+// An experiment declares its cells — a persistent-cache key and a
+// per-repetition run function each — and Run owns the rest: derived seeds,
+// one worker pool over every (cell, repetition) task, and persistent-cache
+// threading. Aggregate covers the per-cell metric summary most figures
+// report. Experiments keep only their scenario construction and result
+// interpretation.
 
-// BuildFunc constructs one repetition's testbed from its derived seed. It
-// must not capture state shared across repetitions; two call sites with the
-// same cell id and seed must build identical testbeds (see RepeatRuns).
+// Cell is one experiment cell: Options.Reps repetitions of Run, each at its
+// own derived seed and cached under Key plus that seed.
+type Cell[R any] struct {
+	// Key names the cell in the persistent cache. It must encode every
+	// result-affecting parameter that the repetition seed does not already
+	// capture (transfer bytes, rates, loads, topology, CCA, MTU, ...). Its
+	// first part is the key kind: "run" (TestbedCell), "stream" (so the
+	// StreamResult gob shape evolves independently of RunResult's) or
+	// "sweep". cache.NewKey tags each part by type: an int and a uint64 of
+	// the same value are different keys.
+	Key []any
+	// Run executes one repetition. It must build its own engine and must
+	// not capture state shared across repetitions; two cells with the same
+	// Key must produce identical results for the same seed.
+	Run func(seed uint64) (R, error)
+}
+
+// BuildFunc constructs one repetition's testbed from its derived seed.
 type BuildFunc = func(seed uint64) (*testbed.Testbed, error)
+
+// TestbedCell is the common cell: build a testbed per repetition and run it
+// to deadline, cached under the "run" kind.
+func TestbedCell(id string, deadline sim.Duration, build BuildFunc) Cell[testbed.RunResult] {
+	return Cell[testbed.RunResult]{
+		Key: []any{"run", id},
+		Run: func(seed uint64) (testbed.RunResult, error) {
+			tb, err := build(seed)
+			if err != nil {
+				return testbed.RunResult{}, err
+			}
+			return tb.Run(deadline)
+		},
+	}
+}
+
+// Run executes Options.Reps repetitions of every cell on one pool of
+// Options.Workers goroutines and returns runs[cell][rep] in declaration
+// order. Tasks are claimed in cell-major order, so no cell waits for
+// another's slowest repetition. Repetition rep runs at seed
+// sim.NewRNG(Seed).Split(rep) in every cell, so results are byte-identical
+// for any worker count. With a persistent cache each task is served from,
+// or stored under, cache.NewKey(Key..., seed), so raising Reps against a
+// warm cache computes only the new repetitions.
+//
+// If a task fails, outstanding tasks are cancelled and the error names the
+// cell and repetition; when several fail, the lowest (cell, rep) wins.
+func Run[R any](o Options, cells []Cell[R]) ([][]R, error) {
+	root := sim.NewRNG(o.Seed)
+	seeds := make([]uint64, o.Reps)
+	for i := range seeds {
+		seeds[i] = root.Split(uint64(i)).Uint64()
+	}
+	runs := make([][]R, len(cells))
+	for i := range runs {
+		runs[i] = make([]R, o.Reps)
+	}
+	store := o.CacheStore()
+	err := forEach(len(cells)*o.Reps, o.Workers, func(task int) error {
+		ci, rep := task/o.Reps, task%o.Reps
+		c := &cells[ci]
+		// The full slice expression makes append copy: repetitions of one
+		// cell must not share a backing array for their seed slot.
+		key := cache.NewKey(append(c.Key[:len(c.Key):len(c.Key)], seeds[rep])...)
+		var cached R
+		if store.Get(key, &cached) {
+			runs[ci][rep] = cached
+			return nil
+		}
+		r, err := c.Run(seeds[rep])
+		if err != nil {
+			return fmt.Errorf("%v repetition %d: %w", c.Key, rep, err)
+		}
+		// Best-effort: a full disk or unwritable store must not fail the
+		// experiment, only future warm starts.
+		_ = store.Put(key, r)
+		runs[ci][rep] = r
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return runs, nil
+}
 
 // Metric extracts one scalar from a repetition's bracketed measurement.
 type Metric = func(testbed.RunResult) float64
@@ -41,69 +125,69 @@ func FirstSenderWatts(r testbed.RunResult) float64 {
 // Agg summarizes one metric over a cell's repetitions.
 type Agg struct{ Mean, Std float64 }
 
-// RunCell runs one experiment cell — Reps repetitions fanned out over
-// Options.Workers with per-repetition persistent caching — and aggregates
-// each requested metric over the repetitions in run order.
-func RunCell(o Options, id string, build BuildFunc, deadline sim.Duration, metrics ...Metric) ([]Agg, error) {
-	runs, err := RepeatRuns(o, id, build, deadline)
-	if err != nil {
-		return nil, err
-	}
+// Aggregate summarizes each metric over one cell's repetitions in run
+// order.
+func Aggregate(runs []testbed.RunResult, metrics ...Metric) []Agg {
 	out := make([]Agg, len(metrics))
+	vals := make([]float64, len(runs))
 	for i, m := range metrics {
-		vals := make([]float64, len(runs))
 		for j, r := range runs {
 			vals[j] = m(r)
 		}
 		out[i].Mean, out[i].Std = stats.MeanStd(vals)
 	}
-	return out, nil
+	return out
 }
 
-// RepeatRuns centralizes the repetition loop with derived seeds, fanned out
-// over Options.Workers goroutines. Each repetition builds and runs its own
-// testbed, so build must not capture state shared across repetitions.
-//
-// id names the experiment cell for the persistent cache and must encode
-// every result-affecting parameter that the per-repetition seed does not
-// already capture (transfer bytes, rates, loads, topology, CCA, MTU, ...).
-// Two call sites with the same id and seed MUST build identical testbeds.
-func RepeatRuns(o Options, id string, build func(seed uint64) (*testbed.Testbed, error), deadline sim.Duration) ([]testbed.RunResult, error) {
-	return repeatCached(o, "run", id, func(seed uint64) (testbed.RunResult, error) {
-		tb, err := build(seed)
-		if err != nil {
-			return testbed.RunResult{}, err
+// forEach runs fn(0) … fn(n-1) across a pool of `workers` goroutines and
+// waits for completion. Indices are claimed in order but may complete out of
+// order; fn must write its result into a caller-owned slot keyed by index so
+// assembled output does not depend on scheduling. The first error stops the
+// pool from claiming further indices (work already started still finishes)
+// and is returned; when several indices fail, the lowest one's error wins so
+// the error path is as deterministic as the pool allows. workers <= 1 runs
+// serially on the calling goroutine with fail-fast semantics.
+func forEach(n, workers int, fn func(i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
 		}
-		return tb.Run(deadline)
-	})
-}
-
-// RepeatStreamRuns is RepeatRuns for the streaming churn path: the same
-// derived-seed repetition fan-out and per-repetition persistent caching,
-// but each repetition produces an O(1)-size testbed.StreamResult instead
-// of retained per-flow reports. Stream runs cache under the "stream" key
-// kind so their gob shape evolves independently of RunResult's.
-func RepeatStreamRuns(o Options, id string, run func(seed uint64) (testbed.StreamResult, error)) ([]testbed.StreamResult, error) {
-	return repeatCached(o, "stream", id, run)
-}
-
-// repeatCached fans Options.Reps repetitions of run out over
-// Options.Workers, serving each from the persistent cache under
-// (kind, id, seed) when present and storing it there after a fresh run.
-func repeatCached[R any](o Options, kind, id string, run func(seed uint64) (R, error)) ([]R, error) {
-	store := o.CacheStore()
-	return testbed.RepeatParallel(o.Reps, o.Seed, o.Workers, func(_ int, seed uint64) (R, error) {
-		key := cache.NewKey(kind, id, seed)
-		var cached R
-		if store.Get(key, &cached) {
-			return cached, nil
-		}
-		r, err := run(seed)
-		if err == nil {
-			// Best-effort: a full disk or unwritable store must not
-			// fail the experiment, only future warm starts.
-			_ = store.Put(key, r)
-		}
-		return r, err
-	})
+		return nil
+	}
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+	)
+	errIdx := -1
+	var firstErr error
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || failed.Load() {
+					return
+				}
+				if err := fn(i); err != nil {
+					failed.Store(true)
+					mu.Lock()
+					if errIdx < 0 || i < errIdx {
+						errIdx, firstErr = i, err
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
 }

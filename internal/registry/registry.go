@@ -6,9 +6,10 @@
 // hard-coding a dispatch switch per figure.
 //
 // The package also owns Options (the uniform runner configuration), the
-// repetition harness (RunCell / RepeatRuns / RepeatStreamRuns) and the
-// persistent-cache plumbing those helpers thread through, so a compiled
-// scenario runs through exactly the machinery the handwritten figures use.
+// run harness (an experiment declares its Cells and one Run call puts every
+// (cell, repetition) task on one worker pool) and the persistent-cache
+// plumbing Run threads through, so a compiled scenario runs through exactly
+// the machinery the handwritten figures use.
 package registry
 
 import (

@@ -85,7 +85,7 @@ func runFlows(spec Spec, prefix string) func(registry.Options) (registry.Result,
 				func(r testbed.RunResult) float64 { return r.Reports[i].Seconds })
 		}
 
-		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+		cell := registry.TestbedCell(id, deadline, func(seed uint64) (*testbed.Testbed, error) {
 			plan := testbed.Plan{}
 			opts := testbed.Options{Seed: seed}
 			if t.Kind == KindDumbbell {
@@ -132,10 +132,12 @@ func runFlows(spec Spec, prefix string) func(registry.Options) (registry.Result,
 			}
 			tb, _, err := testbed.Build(opts, plan)
 			return tb, err
-		}, deadline, metrics...)
+		})
+		runs, err := registry.Run(o, []registry.Cell[testbed.RunResult]{cell})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
+		aggs := registry.Aggregate(runs[0], metrics...)
 
 		res := &flowsResult{
 			Title:    fmt.Sprintf("Scenario %s — %d flow(s) on the %s topology, %s bottleneck", spec.Name, len(spec.Flows), t.Kind, t.Queue.Kind),

@@ -67,12 +67,11 @@ func runAQMMatrix(spec Spec, prefix string) func(registry.Options) (registry.Res
 		for _, q := range spec.Sweep.Queues {
 			res.Queues = append(res.Queues, q.Kind)
 		}
+		var cells []registry.Cell[testbed.RunResult]
 		for _, ccaName := range spec.Sweep.CCAs {
-			res.CCAs = append(res.CCAs, ccaName)
 			for _, q := range spec.Sweep.Queues {
-				ccaName, q := ccaName, q
 				id := fmt.Sprintf("%s/cca=%s/q=%s/bytes=%d", prefix, ccaName, q.Kind, bytes)
-				aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+				cells = append(cells, registry.TestbedCell(id, deadline, func(seed uint64) (*testbed.Testbed, error) {
 					cfg := base
 					cfg.BottleneckQueue = buildQueue(q, cfg.BufferBytes, cfg.MarkBytes, cfg.BottleneckBps, seed)
 					plan := testbed.Plan{Dumbbell: &cfg}
@@ -84,10 +83,17 @@ func runAQMMatrix(spec Spec, prefix string) func(registry.Options) (registry.Res
 					}
 					tb, _, err := testbed.Build(testbed.Options{Senders: senders, Seed: seed}, plan)
 					return tb, err
-				}, deadline, registry.SenderJoules, registry.RunSeconds, jainOverFlows)
-				if err != nil {
-					return nil, fmt.Errorf("cell %s/%s: %w", ccaName, q.Kind, err)
-				}
+				}))
+			}
+		}
+		runs, err := registry.Run(o, cells)
+		if err != nil {
+			return nil, err
+		}
+		for i, ccaName := range spec.Sweep.CCAs {
+			res.CCAs = append(res.CCAs, ccaName)
+			for j, q := range spec.Sweep.Queues {
+				aggs := registry.Aggregate(runs[i*len(spec.Sweep.Queues)+j], registry.SenderJoules, registry.RunSeconds, jainOverFlows)
 				cell := matrixCell{
 					CCA:        ccaName,
 					Queue:      q.Kind,

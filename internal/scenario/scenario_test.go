@@ -168,6 +168,8 @@ func TestInvalidSpecs(t *testing.T) {
 		{"aqm-matrix unknown cca", `{"name":"t","preset":"aqm-matrix","topology":{"kind":"dumbbell"},"sweep":{"gbit_per_flow":1,"ccas":["quic"],"queues":[{"kind":"pie"}]}}`, `sweep.ccas[0]: unknown cca "quic"`},
 		{"load out of range", `{"name":"t","topology":{"kind":"dumbbell"},"flows":[{"gbit":1}],"loads":[{"fraction":1.5}]}`, "outside (0, 1]"},
 		{"dumbbell with fattree fields", `{"name":"t","topology":{"kind":"dumbbell","k":4},"flows":[{"gbit":1}]}`, "does not take fat-tree fields"},
+		{"too many senders", `{"name":"huge","topology":{"kind":"dumbbell","senders":1125899906842624},"flows":[{"cca":"cubic","bytes":1000}]}`, "senders 1125899906842624 exceeds the 65536-host bound"},
+		{"fat-tree too large", `{"name":"t","topology":{"kind":"fattree","k":2097152},"flows":[{"bytes":1000,"src":0,"dst":1}]}`, "arity k=2097152 exceeds 64"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -218,5 +220,22 @@ func TestBuiltins(t *testing.T) {
 	}
 	if _, ok := Builtin("no-such-spec"); ok {
 		t.Fatal("Builtin returned a spec for an unknown name")
+	}
+}
+
+// TestHostBoundIsInclusive: the largest topologies within the host bound
+// still compile.
+func TestHostBoundIsInclusive(t *testing.T) {
+	for _, js := range []string{
+		`{"name":"t","topology":{"kind":"dumbbell","senders":65536},"flows":[{"bytes":1000,"sender":65535}]}`,
+		`{"name":"t","topology":{"kind":"fattree","k":64},"flows":[{"bytes":1000,"src":0,"dst":65535}]}`,
+	} {
+		spec, err := ParseJSON([]byte(js))
+		if err == nil {
+			_, err = Compile(spec)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", js, err)
+		}
 	}
 }

@@ -166,6 +166,15 @@ const (
 	KindFatTree  = "fattree"
 )
 
+// maxHosts bounds a topology's host count (a dumbbell's senders, a
+// fat-tree's k³/4 hosts) so a spec cannot ask Run for more memory than a
+// machine has; maxFatTreeK is the largest arity within it (64³/4 = 65536).
+// The largest registered fabric is k=18.
+const (
+	maxHosts    = 65536
+	maxFatTreeK = 64
+)
+
 func errf(format string, args ...any) error {
 	return fmt.Errorf("scenario: "+format, args...)
 }
@@ -265,6 +274,9 @@ func (t Topology) withDefaults(preset string) (Topology, error) {
 		if t.Senders < 1 {
 			return t, errf("dumbbell needs at least one sender, got %d", t.Senders)
 		}
+		if t.Senders > maxHosts {
+			return t, errf("dumbbell senders %d exceeds the %d-host bound", t.Senders, maxHosts)
+		}
 		if t.BottleneckBps == 0 {
 			t.BottleneckBps = 10_000_000_000
 		}
@@ -294,6 +306,9 @@ func (t Topology) withDefaults(preset string) (Topology, error) {
 		}
 		if t.K < 4 || t.K%2 != 0 {
 			return t, errf("fat-tree arity k must be even and >= 4, got %d", t.K)
+		}
+		if t.K > maxFatTreeK {
+			return t, errf("fat-tree arity k=%d exceeds %d (the %d-host bound)", t.K, maxFatTreeK, maxHosts)
 		}
 		if t.HostBps == 0 {
 			t.HostBps = 10_000_000_000

@@ -6,15 +6,14 @@
 // measurement bracketing each run.
 //
 // One Testbed is one experiment run. The paper repeats each scenario ten
-// times and reports standard deviations; Repeat drives that loop with a
-// per-repetition seed that perturbs start times and measurement noise the
-// way a physical lab run would.
+// times and reports standard deviations; each repetition builds its own
+// Testbed from a per-repetition seed (registry.Run derives them) that
+// perturbs start times and measurement noise the way a physical lab run
+// would.
 package testbed
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"greenenvy/internal/energy"
 	"greenenvy/internal/iperf"
@@ -591,81 +590,4 @@ func (tb *Testbed) allDone() bool {
 		}
 	}
 	return true
-}
-
-// RepeatParallel runs n repetitions over a pool of `workers` goroutines
-// and returns their results by repetition index. Each repetition receives
-// its index and a seed derived from baseSeed by that index, and must build
-// and run its own engine, so results are byte-identical to the serial path
-// (workers <= 1) regardless of worker count or scheduling. If a repetition
-// fails, outstanding repetitions are cancelled and the error names the
-// failing index (when several fail, the lowest failing index wins).
-func RepeatParallel[R any](n int, baseSeed uint64, workers int, run func(rep int, seed uint64) (R, error)) ([]R, error) {
-	root := sim.NewRNG(baseSeed)
-	out := make([]R, n)
-	err := ForEach(n, workers, func(i int) error {
-		r, err := run(i, root.Split(uint64(i)).Uint64())
-		if err != nil {
-			return fmt.Errorf("repetition %d: %w", i, err)
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForEach runs fn(0) … fn(n-1) across a pool of `workers` goroutines and
-// waits for completion. Indices are claimed in order but may complete out of
-// order; fn must write its result into a caller-owned slot keyed by index so
-// assembled output does not depend on scheduling. The first error stops the
-// pool from claiming further indices (work already started still finishes)
-// and is returned; when several indices fail, the lowest one's error wins so
-// the error path is as deterministic as the pool allows. workers <= 1 runs
-// serially on the calling goroutine with fail-fast semantics.
-func ForEach(n, workers int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-	)
-	errIdx := -1
-	var firstErr error
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if err := fn(i); err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if errIdx < 0 || i < errIdx {
-						errIdx, firstErr = i, err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

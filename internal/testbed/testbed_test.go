@@ -1,13 +1,8 @@
 package testbed
 
 import (
-	"errors"
 	"math"
-	"reflect"
-	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"greenenvy/internal/iperf"
 	"greenenvy/internal/netsim"
@@ -172,15 +167,18 @@ func TestSetWeightWithoutDRR(t *testing.T) {
 }
 
 func TestRepetitionsVaryButCluster(t *testing.T) {
-	results, err := RepeatParallel(3, 42, 1, func(rep int, seed uint64) (RunResult, error) {
-		tb := New(Options{Seed: seed})
+	root := sim.NewRNG(42)
+	var results []RunResult
+	for rep := uint64(0); rep < 3; rep++ {
+		tb := New(Options{Seed: root.Split(rep).Uint64()})
 		if _, err := tb.AddFlow(0, iperf.Spec{Bytes: 2 * gbit, CCA: "cubic"}); err != nil {
-			return RunResult{}, err
+			t.Fatal(err)
 		}
-		return tb.Run(10 * sim.Second)
-	})
-	if err != nil {
-		t.Fatal(err)
+		r, err := tb.Run(10 * sim.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
 	}
 	e0 := results[0].TotalSenderJ
 	varied := false
@@ -194,84 +192,6 @@ func TestRepetitionsVaryButCluster(t *testing.T) {
 	}
 	if !varied {
 		t.Fatal("repetitions identical; measurement noise not applied")
-	}
-}
-
-func TestRepeatParallelMatchesSerial(t *testing.T) {
-	run := func(rep int, seed uint64) (RunResult, error) {
-		tb := New(Options{Seed: seed})
-		if _, err := tb.AddFlow(0, iperf.Spec{Bytes: gbit / 2, CCA: "cubic"}); err != nil {
-			return RunResult{}, err
-		}
-		return tb.Run(10 * sim.Second)
-	}
-	serial, err := RepeatParallel(4, 42, 1, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RepeatParallel(4, 42, 8, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel results differ from serial:\n%+v\nvs\n%+v", parallel, serial)
-	}
-}
-
-func TestRepeatParallelSeedsMatchRepeat(t *testing.T) {
-	record := func(workers int) []uint64 {
-		seeds := make([]uint64, 6)
-		_, err := RepeatParallel(6, 7, workers, func(rep int, seed uint64) (RunResult, error) {
-			seeds[rep] = seed
-			return RunResult{}, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return seeds
-	}
-	if s1, s4 := record(1), record(4); !reflect.DeepEqual(s1, s4) {
-		t.Fatalf("per-rep seeds depend on worker count: %v vs %v", s1, s4)
-	}
-}
-
-func TestRepeatParallelErrorPropagation(t *testing.T) {
-	boom := errors.New("boom")
-	var calls atomic.Int32
-	_, err := RepeatParallel(64, 1, 4, func(rep int, seed uint64) (RunResult, error) {
-		calls.Add(1)
-		if rep == 0 {
-			return RunResult{}, boom
-		}
-		// Keep the other workers busy long enough for the failure to
-		// be observed before the pool drains all 64 indices.
-		time.Sleep(2 * time.Millisecond)
-		return RunResult{}, nil
-	})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-	if !strings.Contains(err.Error(), "repetition 0") {
-		t.Fatalf("err %q does not surface the failing repetition index", err)
-	}
-	if n := calls.Load(); n >= 64 {
-		t.Fatalf("all %d repetitions ran; failure did not cancel outstanding work", n)
-	}
-}
-
-func TestForEachCoversAllIndicesOnce(t *testing.T) {
-	const n = 100
-	var hits [n]atomic.Int32
-	if err := ForEach(n, 7, func(i int) error {
-		hits[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("index %d ran %d times", i, got)
-		}
 	}
 }
 

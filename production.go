@@ -51,18 +51,25 @@ func RunProduction(o Options) (ProductionResult, error) {
 	}
 	bytes := uint64(float64(paperTransferBytes) * o.Scale)
 	res := ProductionResult{Bytes: bytes, ScaleToPaper: float64(paperTransferBytes) / float64(bytes)}
+	mtus := []int{1500, 9000}
+	var cells []registry.Cell[testbed.RunResult]
 	for _, name := range productionSet() {
-		for _, mtu := range []int{1500, 9000} {
+		for _, mtu := range mtus {
 			id := fmt.Sprintf("production/%s/mtu=%d/bytes=%d", name, mtu, bytes)
-			runs, err := registry.RepeatRuns(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			cells = append(cells, registry.TestbedCell(id, registry.DeadlineFor(bytes)*4, func(seed uint64) (*testbed.Testbed, error) {
 				tb := testbed.New(testbed.Options{Seed: seed, MarkBytes: 100 << 10})
 				_, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: name, Config: tcp.Config{MTU: mtu}})
 				return tb, err
-			}, registry.DeadlineFor(bytes)*4)
-			if err != nil {
-				return ProductionResult{}, fmt.Errorf("%s/%d: %w", name, mtu, err)
-			}
-			cell := cellFromRuns(name, mtu, runs)
+			}))
+		}
+	}
+	runs, err := registry.Run(o, cells)
+	if err != nil {
+		return ProductionResult{}, err
+	}
+	for i, name := range productionSet() {
+		for j, mtu := range mtus {
+			cell := cellFromRuns(name, mtu, runs[i*len(mtus)+j])
 			o.Logf("production: %-6s mtu %-5d energy %s J fct %s s",
 				name, mtu, stats.Summary(cell.EnergyJ), stats.Summary(cell.FCTSecs))
 			res.Cells = append(res.Cells, cell)

@@ -2,7 +2,7 @@ package greenenvy
 
 import "greenenvy/internal/registry"
 
-// Options, the experiment catalogue, the repetition harness and the
+// Options, the experiment catalogue, the run harness and the
 // persistent result cache live in internal/registry, so the scenario
 // compiler (internal/scenario) can target them without importing the root
 // package. The root package's experiments call the registry directly; this

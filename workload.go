@@ -65,14 +65,13 @@ func RunWorkload(o Options) (WorkloadResult, error) {
 		window = 5 * sim.Second
 	}
 	const senders = 4
-	var res WorkloadResult
 	dists := []workload.SizeDist{workload.WebSearch(), workload.DataMining()}
+	loads := []float64{0.2, 0.5, 0.8}
+	var cells []registry.Cell[testbed.RunResult]
 	for _, dist := range dists {
-		for _, load := range []float64{0.2, 0.5, 0.8} {
-			var energies, gbs, powers []float64
-			var meanFCTs, p99FCTs []float64
+		for _, load := range loads {
 			id := fmt.Sprintf("workload/%s/load=%g/window=%d", dist.Name(), load, int64(window))
-			runs, err := registry.RepeatRuns(o, id, func(seed uint64) (*testbed.Testbed, error) {
+			cells = append(cells, registry.TestbedCell(id, window*8+20*sim.Second, func(seed uint64) (*testbed.Testbed, error) {
 				rng := sim.NewRNG(seed)
 				flows, err := workload.Generate(rng, dist, load, 10e9, window)
 				if err != nil {
@@ -90,10 +89,20 @@ func RunWorkload(o Options) (WorkloadResult, error) {
 					}
 				}
 				return tb, nil
-			}, window*8+20*sim.Second)
-			if err != nil {
-				return WorkloadResult{}, fmt.Errorf("%s load %v: %w", dist.Name(), load, err)
-			}
+			}))
+		}
+	}
+	cellRuns, err := registry.Run(o, cells)
+	if err != nil {
+		return WorkloadResult{}, err
+	}
+
+	var res WorkloadResult
+	for di, dist := range dists {
+		for li, load := range loads {
+			runs := cellRuns[di*len(loads)+li]
+			var energies, gbs, powers []float64
+			var meanFCTs, p99FCTs []float64
 			for _, r := range runs {
 				var bytes float64
 				var fcts []float64

@@ -9,8 +9,6 @@ import (
 	"greenenvy/internal/netsim"
 	"greenenvy/internal/plot"
 	"greenenvy/internal/registry"
-	"greenenvy/internal/sim"
-	"greenenvy/internal/stats"
 	"greenenvy/internal/tcp"
 	"greenenvy/internal/testbed"
 	"greenenvy/internal/workload"
@@ -82,59 +80,27 @@ func RunWorkloadCrossover(o Options) (WorkloadCrossoverResult, error) {
 	hostBps := float64(cfg.HostBps)
 	payload := tcp.DefaultConfig().MTU - tcp.HeaderBytes
 	envy := testbed.NewEnvyAdmission(energy.DefaultModel(), hostBps, payload, "cubic")
-	fair := testbed.FairAdmission{}
+	policies := []testbed.Admission{testbed.FairAdmission{}, envy}
 
-	avg := func(rs []testbed.StreamResult, f func(testbed.StreamResult) float64) float64 {
-		xs := make([]float64, len(rs))
-		for i, r := range rs {
-			xs[i] = f(r)
+	var cells []registry.Cell[testbed.StreamResult]
+	for _, factor := range workloadCrossoverFactors {
+		dist := workload.Scaled{Dist: workload.WebSearch(), Factor: factor}
+		for _, adm := range policies {
+			id := fmt.Sprintf("workload-crossover/%s/load=%g/flows=%d/%s", dist.Name(), load, flows, adm.Name())
+			cells = append(cells, streamCell(id, cfg, dist, load, flows, adm))
 		}
-		return stats.Mean(xs)
+	}
+	runs, err := registry.Run(o, cells)
+	if err != nil {
+		return WorkloadCrossoverResult{}, err
 	}
 
 	var res WorkloadCrossoverResult
-	for _, factor := range workloadCrossoverFactors {
-		dist := workload.Scaled{Dist: workload.WebSearch(), Factor: factor}
-		meanB := dist.Mean()
-		lambda := load * hostBps / 8 / meanB
-		deadline := sim.Duration((float64(flows)/lambda + float64(flows)*(meanB*8/hostBps+0.002) + 10) * float64(sim.Second))
-
-		byPolicy := map[string][]testbed.StreamResult{}
-		for _, adm := range []testbed.Admission{fair, envy} {
-			adm := adm
-			id := fmt.Sprintf("workload-crossover/%s/load=%g/flows=%d/%s", dist.Name(), load, flows, adm.Name())
-			runs, err := registry.RepeatStreamRuns(o, id, func(seed uint64) (testbed.StreamResult, error) {
-				tb := testbed.NewFatTree(testbed.Options{Seed: seed, StreamStats: true}, cfg)
-				hosts := tb.Fat.NumHosts()
-				tb.TouchHost(0, false)
-				for h := 1; h < hosts; h++ {
-					tb.TouchHost(netsim.NodeID(h), true)
-				}
-				ws, err := workload.NewStreamN(sim.NewRNG(seed), dist, load, hostBps, uint64(flows))
-				if err != nil {
-					return testbed.StreamResult{}, err
-				}
-				i := 0
-				stream := testbed.FlowStreamFunc(func() (testbed.FlowArrival, bool) {
-					f, ok := ws.Next()
-					if !ok {
-						return testbed.FlowArrival{}, false
-					}
-					a := testbed.FlowArrival{At: f.Start, Bytes: f.Bytes, Src: 1 + i%(hosts-1), Dst: 0}
-					i++
-					return a, true
-				})
-				return tb.RunStream(stream, "cubic", adm, deadline)
-			})
-			if err != nil {
-				return WorkloadCrossoverResult{}, fmt.Errorf("factor %v %s: %w", factor, adm.Name(), err)
-			}
-			byPolicy[adm.Name()] = runs
-		}
-
-		fr, er := byPolicy[fair.Name()], byPolicy[envy.Name()]
-		fairJ := avg(fr, testbed.StreamResult.EnergyPerGB)
-		envyJ := avg(er, testbed.StreamResult.EnergyPerGB)
+	for i, factor := range workloadCrossoverFactors {
+		meanB := workload.Scaled{Dist: workload.WebSearch(), Factor: factor}.Mean()
+		fr, er := runs[2*i], runs[2*i+1]
+		fairJ := meanOver(fr, testbed.StreamResult.EnergyPerGB)
+		envyJ := meanOver(er, testbed.StreamResult.EnergyPerGB)
 		p := WorkloadCrossoverPoint{
 			Factor:         factor,
 			MeanMB:         meanB / 1e6,
@@ -142,8 +108,8 @@ func RunWorkloadCrossover(o Options) (WorkloadCrossoverResult, error) {
 			FairJPerGB:     fairJ,
 			EnvyJPerGB:     envyJ,
 			EnergyDeltaPct: (envyJ - fairJ) / fairJ * 100,
-			FairP99ms:      avg(fr, func(r testbed.StreamResult) float64 { return r.P99FCT * 1000 }),
-			EnvyP99ms:      avg(er, func(r testbed.StreamResult) float64 { return r.P99FCT * 1000 }),
+			FairP99ms:      meanOver(fr, func(r testbed.StreamResult) float64 { return r.P99FCT * 1000 }),
+			EnvyP99ms:      meanOver(er, func(r testbed.StreamResult) float64 { return r.P99FCT * 1000 }),
 		}
 		res.Points = append(res.Points, p)
 		if p.EnergyDeltaPct < 0 && res.CrossoverFactor == 0 {

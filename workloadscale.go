@@ -89,64 +89,32 @@ func RunWorkloadScale(o Options) (WorkloadScaleResult, error) {
 	hostBps := float64(cfg.HostBps)
 	payload := tcp.DefaultConfig().MTU - tcp.HeaderBytes
 	envy := testbed.NewEnvyAdmission(energy.DefaultModel(), hostBps, payload, "cubic")
-	fair := testbed.FairAdmission{}
+	policies := []testbed.Admission{testbed.FairAdmission{}, envy}
+	bases := []workload.SizeDist{workload.WebSearch(), workload.DataMining()}
+	loads := []float64{0.2, 0.5, 0.9}
 
-	avg := func(rs []testbed.StreamResult, f func(testbed.StreamResult) float64) float64 {
-		xs := make([]float64, len(rs))
-		for i, r := range rs {
-			xs[i] = f(r)
+	var cells []registry.Cell[testbed.StreamResult]
+	for _, base := range bases {
+		dist := workload.Scaled{Dist: base, Factor: workloadScaleSizeFactor}
+		for _, load := range loads {
+			for _, adm := range policies {
+				id := fmt.Sprintf("workload-scale/%s/load=%g/flows=%d/%s", dist.Name(), load, flows, adm.Name())
+				cells = append(cells, streamCell(id, cfg, dist, load, flows, adm))
+			}
 		}
-		return stats.Mean(xs)
+	}
+	runs, err := registry.Run(o, cells)
+	if err != nil {
+		return WorkloadScaleResult{}, err
 	}
 
 	var res WorkloadScaleResult
-	for _, base := range []workload.SizeDist{workload.WebSearch(), workload.DataMining()} {
-		dist := workload.Scaled{Dist: base, Factor: workloadScaleSizeFactor}
-		for _, load := range []float64{0.2, 0.5, 0.9} {
-			// Bound the run: the arrival span, plus enough for a fully
-			// serialized drain with per-flow ramp-up slack.
-			meanB := dist.Mean()
-			lambda := load * hostBps / 8 / meanB
-			deadline := sim.Duration((float64(flows)/lambda + float64(flows)*(meanB*8/hostBps+0.002) + 10) * float64(sim.Second))
-
-			byPolicy := map[string][]testbed.StreamResult{}
-			for _, adm := range []testbed.Admission{fair, envy} {
-				adm := adm
-				id := fmt.Sprintf("workload-scale/%s/load=%g/flows=%d/%s", dist.Name(), load, flows, adm.Name())
-				runs, err := registry.RepeatStreamRuns(o, id, func(seed uint64) (testbed.StreamResult, error) {
-					tb := testbed.NewFatTree(testbed.Options{Seed: seed, StreamStats: true}, cfg)
-					hosts := tb.Fat.NumHosts()
-					// Pre-touch every host so the energy bracket spans the
-					// whole run for all of them, not from first flow.
-					tb.TouchHost(0, false)
-					for h := 1; h < hosts; h++ {
-						tb.TouchHost(netsim.NodeID(h), true)
-					}
-					ws, err := workload.NewStreamN(sim.NewRNG(seed), dist, load, hostBps, uint64(flows))
-					if err != nil {
-						return testbed.StreamResult{}, err
-					}
-					i := 0
-					stream := testbed.FlowStreamFunc(func() (testbed.FlowArrival, bool) {
-						f, ok := ws.Next()
-						if !ok {
-							return testbed.FlowArrival{}, false
-						}
-						a := testbed.FlowArrival{At: f.Start, Bytes: f.Bytes, Src: 1 + i%(hosts-1), Dst: 0}
-						i++
-						return a, true
-					})
-					return tb.RunStream(stream, "cubic", adm, deadline)
-				})
-				if err != nil {
-					return WorkloadScaleResult{}, fmt.Errorf("%s load %v %s: %w", dist.Name(), load, adm.Name(), err)
-				}
-				byPolicy[adm.Name()] = runs
-			}
-
-			fr, er := byPolicy[fair.Name()], byPolicy[envy.Name()]
-			fairJ := avg(fr, testbed.StreamResult.EnergyPerGB)
-			envyJ := avg(er, testbed.StreamResult.EnergyPerGB)
+	for bi, base := range bases {
+		for li, load := range loads {
+			i := 2 * (bi*len(loads) + li)
+			fr, er := runs[i], runs[i+1]
+			fairJ := meanOver(fr, testbed.StreamResult.EnergyPerGB)
+			envyJ := meanOver(er, testbed.StreamResult.EnergyPerGB)
 			p := WorkloadScalePoint{
 				Dist:           base.Name(),
 				Load:           load,
@@ -155,10 +123,10 @@ func RunWorkloadScale(o Options) (WorkloadScaleResult, error) {
 				FairJPerGB:     fairJ,
 				EnvyJPerGB:     envyJ,
 				EnergyDeltaPct: (envyJ - fairJ) / fairJ * 100,
-				FairP99ms:      avg(fr, func(r testbed.StreamResult) float64 { return r.P99FCT * 1000 }),
-				EnvyP99ms:      avg(er, func(r testbed.StreamResult) float64 { return r.P99FCT * 1000 }),
-				Deferred:       avg(er, func(r testbed.StreamResult) float64 { return float64(r.Deferred) }),
-				GBMoved:        avg(fr, func(r testbed.StreamResult) float64 { return float64(r.Bytes) / 1e9 }),
+				FairP99ms:      meanOver(fr, func(r testbed.StreamResult) float64 { return r.P99FCT * 1000 }),
+				EnvyP99ms:      meanOver(er, func(r testbed.StreamResult) float64 { return r.P99FCT * 1000 }),
+				Deferred:       meanOver(er, func(r testbed.StreamResult) float64 { return float64(r.Deferred) }),
+				GBMoved:        meanOver(fr, func(r testbed.StreamResult) float64 { return float64(r.Bytes) / 1e9 }),
 			}
 			res.Points = append(res.Points, p)
 			o.Logf("workload-scale: %s load %.1f: fair %.1f J/GB, envy %.1f J/GB (%+.1f%%), p99 %.2f -> %.2f ms",
@@ -166,6 +134,56 @@ func RunWorkloadScale(o Options) (WorkloadScaleResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// streamCell replays `flows` open-loop Poisson arrivals of dist at the
+// given load through a fat-tree built from cfg, every flow converging on
+// host 0, under admission policy adm. Repetitions cache under the "stream"
+// kind, whose StreamResult shape evolves independently of RunResult's.
+func streamCell(id string, cfg netsim.FatTreeConfig, dist workload.SizeDist, load float64, flows int, adm testbed.Admission) registry.Cell[testbed.StreamResult] {
+	// Bound the run: the arrival span, plus enough for a fully serialized
+	// drain with per-flow ramp-up slack.
+	hostBps := float64(cfg.HostBps)
+	meanB := dist.Mean()
+	lambda := load * hostBps / 8 / meanB
+	deadline := sim.Duration((float64(flows)/lambda + float64(flows)*(meanB*8/hostBps+0.002) + 10) * float64(sim.Second))
+	return registry.Cell[testbed.StreamResult]{
+		Key: []any{"stream", id},
+		Run: func(seed uint64) (testbed.StreamResult, error) {
+			tb := testbed.NewFatTree(testbed.Options{Seed: seed, StreamStats: true}, cfg)
+			hosts := tb.Fat.NumHosts()
+			// Pre-touch every host so the energy bracket spans the whole
+			// run for all of them, not from first flow.
+			tb.TouchHost(0, false)
+			for h := 1; h < hosts; h++ {
+				tb.TouchHost(netsim.NodeID(h), true)
+			}
+			ws, err := workload.NewStreamN(sim.NewRNG(seed), dist, load, hostBps, uint64(flows))
+			if err != nil {
+				return testbed.StreamResult{}, err
+			}
+			i := 0
+			stream := testbed.FlowStreamFunc(func() (testbed.FlowArrival, bool) {
+				f, ok := ws.Next()
+				if !ok {
+					return testbed.FlowArrival{}, false
+				}
+				a := testbed.FlowArrival{At: f.Start, Bytes: f.Bytes, Src: 1 + i%(hosts-1), Dst: 0}
+				i++
+				return a, true
+			})
+			return tb.RunStream(stream, "cubic", adm, deadline)
+		},
+	}
+}
+
+// meanOver averages one scalar over a cell's stream repetitions.
+func meanOver(rs []testbed.StreamResult, f func(testbed.StreamResult) float64) float64 {
+	xs := make([]float64, len(rs))
+	for i, r := range rs {
+		xs[i] = f(r)
+	}
+	return stats.Mean(xs)
 }
 
 // Table renders the workload-scale experiment.
