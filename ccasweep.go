@@ -104,8 +104,8 @@ var (
 
 // sweepKey is the in-memory sweep cache key. It must contain every
 // result-affecting Options field and nothing else: Workers only changes
-// wall-clock time, Verbose only logging, and CacheDir/NoCache only where
-// results are persisted — a sweep computed without a cache directory is
+// wall-clock time, Verbose only logging, and CacheDir only where results
+// are persisted — a sweep computed without a cache directory is
 // byte-identical to one computed with it. TestSweepKeyAuditsOptionsFields
 // enforces this classification for every current and future field.
 func sweepKey(o Options) string {

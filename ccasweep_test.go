@@ -101,7 +101,6 @@ func TestSweepKeyAuditsOptionsFields(t *testing.T) {
 		"Workers":  func(o *Options) { o.Workers++ },
 		"Verbose":  func(o *Options) { o.Verbose = !o.Verbose },
 		"CacheDir": func(o *Options) { o.CacheDir += "/elsewhere" },
-		"NoCache":  func(o *Options) { o.NoCache = !o.NoCache },
 	}
 
 	rt := reflect.TypeOf(Options{})

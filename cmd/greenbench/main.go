@@ -100,10 +100,13 @@ func main() {
 
 	o := greenenvy.Options{
 		Reps: *reps, Scale: *scale, Seed: *seed, Workers: *workers,
-		CacheDir: *cacheDir, NoCache: *noCache, Verbose: !*quiet,
+		CacheDir: *cacheDir, Verbose: !*quiet,
+	}
+	if *noCache {
+		o.CacheDir = ""
 	}
 	err := run(*fig, o, *svgDir)
-	printCacheStats(*cacheDir, *noCache)
+	printCacheStats(o.CacheDir)
 
 	if *memprofile != "" {
 		f, merr := os.Create(*memprofile)
@@ -143,8 +146,8 @@ func printList() {
 // invocation on stderr: how many per-repetition results were replayed from
 // disk versus simulated. Silent when the cache is disabled or untouched
 // (analytic-only figures never consult it).
-func printCacheStats(dir string, noCache bool) {
-	if dir == "" || noCache {
+func printCacheStats(dir string) {
+	if dir == "" {
 		return
 	}
 	st := greenenvy.CacheStatsFor(dir)

@@ -75,10 +75,23 @@ func RunFig3(o Options) (Fig3Result, error) {
 				return nil, err
 			}
 		}
+		// Sample each receiver's delivered bytes every 10 ms from run start
+		// until both transfers are done.
+		mon := netsim.NewThroughputMonitor(tb.Engine, 10*sim.Millisecond)
+		for _, c := range []*iperf.Client{c1, c2} {
+			flow := c.Report().Flow
+			c.Receiver().OnData = func(n int) { mon.Observe(flow, n) }
+			c.OnDone(func() {
+				if c1.Done() && c2.Done() {
+					mon.Stop()
+				}
+			})
+		}
+		mon.Start()
 		if _, err := tb.Run(registry.DeadlineFor(2 * bytes)); err != nil {
 			return nil, err
 		}
-		samples := mergeSeries(tb.Monitor.Series(f1), tb.Monitor.Series(f2))
+		samples := mergeSeries(mon.Series(f1), mon.Series(f2))
 		_ = store.Put(key, samples)
 		return samples, nil
 	}

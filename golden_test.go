@@ -32,7 +32,7 @@ func TestFig1TableGoldenDigest(t *testing.T) {
 		t.Skip("runs the simulator")
 	}
 	for _, workers := range []int{1, 4} {
-		res, err := RunFig1(Options{Reps: 2, Scale: 0.001, Seed: 1, Workers: workers, NoCache: true})
+		res, err := RunFig1(Options{Reps: 2, Scale: 0.001, Seed: 1, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestFatTreeIncastTableGoldenDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the simulator")
 	}
-	res, err := RunFatTreeIncast(Options{Reps: 1, Scale: 0.001, Seed: 1, Workers: 2, NoCache: true})
+	res, err := RunFatTreeIncast(Options{Reps: 1, Scale: 0.001, Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ package cachelineage
 //
 //   - registry.Options (aliased as the root package's Options): Reps,
 //     Scale, and Seed are the result-affecting sweep inputs and form
-//     sweepKey; Workers, CacheDir, NoCache, and Verbose change wall-clock,
+//     sweepKey; Workers, CacheDir, and Verbose change wall-clock,
 //     persistence, and logging only and must never reach a simulation
 //     input.
 //   - scenario.Spec: Preset, Topology, Flows, Loads, and Sweep are the
@@ -29,7 +29,6 @@ var Audits = []Audit{
 			"Seed":     KeyPhysics,
 			"Workers":  Exempt,
 			"CacheDir": Exempt,
-			"NoCache":  Exempt,
 			"Verbose":  Exempt,
 		},
 		Carriers: []string{"testbed.Options", "netsim.DumbbellConfig", "netsim.FatTreeConfig", "iperf.Spec"},

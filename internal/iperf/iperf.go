@@ -1,8 +1,8 @@
 // Package iperf provides an iperf3-like traffic generator over the testbed
 // TCP stack: fixed-size bulk transfers with optional target-bandwidth
-// pacing (iperf3's -b flag), per-interval statistics, and a summary report
-// matching the fields the paper's experiment scripts consume (bytes,
-// seconds, bits/second, retransmits).
+// pacing (iperf3's -b flag) and a summary report matching the fields the
+// paper's experiment scripts consume (bytes, seconds, bits/second,
+// retransmits).
 package iperf
 
 import (
@@ -38,22 +38,10 @@ type Spec struct {
 	// flight is acknowledged. Combines with Bytes — whichever limit is
 	// reached first ends the transfer.
 	Duration sim.Duration
-	// Interval is the reporting granularity (default 100 ms).
-	Interval sim.Duration
-	// NoIntervals disables per-interval statistics entirely (no periodic
-	// tick events, Report.Intervals empty). The streaming churn driver
-	// sets it: at 10^5–10^6 flows per run the per-flow interval timers and
-	// retained IntervalStats would dominate the event count and memory.
+	// NoIntervals has no effect: clients record no per-interval
+	// statistics, only the summary Report. It remains so that callers
+	// written when it disabled them still compile.
 	NoIntervals bool
-}
-
-// IntervalStat is one reporting interval, like an iperf3 "[ ID] interval"
-// line.
-type IntervalStat struct {
-	Start, End  sim.Time
-	Bytes       uint64
-	Bps         float64
-	Retransmits uint64
 }
 
 // Report is the client-side summary, like iperf3's closing JSON.
@@ -69,7 +57,6 @@ type Report struct {
 	Retransmits uint64
 	Timeouts    uint64
 	DataSent    uint64
-	Intervals   []IntervalStat
 }
 
 // String formats the summary like an iperf3 closing line.
@@ -85,11 +72,7 @@ type Client struct {
 	receiver *tcp.Receiver
 	engine   *sim.Engine
 
-	intervals    []IntervalStat
-	intervalOpen IntervalStat
-	lastBytes    uint64
-	lastRetrans  uint64
-	done         bool
+	done bool
 	// split marks a sender and receiver living on different partition
 	// engines: the client then never reads receiver state during the run.
 	split      bool
@@ -99,11 +82,11 @@ type Client struct {
 	// transfer completes first (and cleared on Reset, so a pooled client
 	// never inherits a stale stop).
 	stopEv *sim.Event
-	// startFn, stopFn and tickFn are the start, Duration-stop and interval
-	// callbacks, bound once at construction so a pooled client's Start does
-	// not re-create the method values.
-	startFn, stopFn, tickFn func()
-	onDone                  []func()
+	// startFn and stopFn are the start and Duration-stop callbacks, bound
+	// once at construction so a pooled client's Start does not re-create
+	// the method values.
+	startFn, stopFn func()
+	onDone          []func()
 	// OnComplete fires when the transfer finishes.
 	OnComplete func(Report)
 }
@@ -120,11 +103,10 @@ func NewClient(engine *sim.Engine, spec Spec, srcHost, dstHost *netsim.Host, src
 // in different shards). The sender and its timers run on srcEngine, the
 // receiver and its delayed-ACK machinery on dstEngine; they communicate
 // only through packets, which the topology carries across the partition
-// boundary. When the engines differ, per-interval statistics are disabled
-// (they would read the remote receiver's counters mid-run, which the
-// sharded engine's synchronization does not license) and Report.Bytes is
-// derived from the spec on completion — TCP delivers the transfer in order
-// and completes on the final ACK, so the two are equal by construction.
+// boundary. When the engines differ, Report.Bytes is derived from the spec
+// on completion rather than read from the remote receiver — TCP delivers
+// the transfer in order and completes on the final ACK, so the two are
+// equal by construction.
 // With srcEngine == dstEngine this is exactly NewClient.
 func NewClientOn(srcEngine, dstEngine *sim.Engine, spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dstAccount *energy.Account) (*Client, error) {
 	cfg := fillConfig(spec.Config)
@@ -138,13 +120,10 @@ func NewClientOn(srcEngine, dstEngine *sim.Engine, spec Spec, srcHost, dstHost *
 	if spec.TargetBps > 0 {
 		cfg.RateLimitBps = spec.TargetBps
 	}
-	if spec.Interval == 0 {
-		spec.Interval = 100 * sim.Millisecond
-	}
 	spec.Config = cfg
 
 	c := &Client{spec: spec, engine: srcEngine, split: srcEngine != dstEngine}
-	c.startFn, c.stopFn, c.tickFn = c.startNow, c.stop, c.tick
+	c.startFn, c.stopFn = c.startNow, c.stop
 	c.receiver = tcp.NewReceiver(dstEngine, dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), dstAccount)
 	c.sender = tcp.NewSender(srcEngine, srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, srcAccount)
 	c.sender.OnComplete = c.finish
@@ -164,8 +143,8 @@ var (
 // restarting the congestion controller in place instead of constructing a
 // fresh one. This is the pooled flow lifecycle's setup path: after pool
 // warm-up it performs no allocations. Split-engine clients (sharded runs)
-// cannot be pooled. OnComplete survives the reset; OnDone callbacks and
-// interval statistics are cleared.
+// cannot be pooled. OnComplete survives the reset; OnDone callbacks are
+// cleared.
 //
 //greenvet:hotpath
 func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dstAccount *energy.Account) error {
@@ -178,9 +157,6 @@ func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dst
 	cfg := fillConfig(spec.Config)
 	if spec.TargetBps > 0 {
 		cfg.RateLimitBps = spec.TargetBps
-	}
-	if spec.Interval == 0 {
-		spec.Interval = 100 * sim.Millisecond
 	}
 	spec.Config = cfg
 
@@ -196,10 +172,6 @@ func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dst
 	c.spec = spec
 	c.receiver.Reset(dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), dstAccount)
 	c.sender.Reset(srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, srcAccount)
-	c.intervals = c.intervals[:0]
-	c.intervalOpen = IntervalStat{}
-	c.lastBytes = 0
-	c.lastRetrans = 0
 	c.done = false
 	c.after = nil
 	c.startRelay = nil
@@ -292,14 +264,6 @@ func (c *Client) startNow() {
 	if c.spec.Duration > 0 {
 		c.stopEv = c.engine.After(c.spec.Duration, c.stopFn)
 	}
-	if c.split || c.spec.NoIntervals {
-		// Interval stats sample the receiver; with the receiver on another
-		// shard (or with NoIntervals churn flows) the summary report is
-		// the only statistic kept.
-		return
-	}
-	c.intervalOpen = IntervalStat{Start: c.engine.Now()}
-	c.engine.After(c.spec.Interval, c.tickFn)
 }
 
 // stop ends the transfer at its Duration limit.
@@ -308,37 +272,10 @@ func (c *Client) stop() {
 	c.sender.Finish()
 }
 
-func (c *Client) tick() {
-	if c.done {
-		return
-	}
-	c.closeInterval()
-	c.engine.After(c.spec.Interval, c.tickFn)
-}
-
-func (c *Client) closeInterval() {
-	now := c.engine.Now()
-	recvd := c.receiver.TotalReceived
-	st := c.intervalOpen
-	st.End = now
-	st.Bytes = recvd - c.lastBytes
-	st.Retransmits = c.sender.Retransmits - c.lastRetrans
-	if d := (st.End - st.Start).Seconds(); d > 0 {
-		st.Bps = float64(st.Bytes) * 8 / d
-	}
-	c.intervals = append(c.intervals, st)
-	c.lastBytes = recvd
-	c.lastRetrans = c.sender.Retransmits
-	c.intervalOpen = IntervalStat{Start: now}
-}
-
 func (c *Client) finish() {
 	if c.stopEv != nil {
 		c.stopEv.Cancel()
 		c.stopEv = nil
-	}
-	if !c.split && !c.spec.NoIntervals {
-		c.closeInterval()
 	}
 	c.done = true
 	if c.OnComplete != nil {
@@ -384,7 +321,6 @@ func (c *Client) Report() Report {
 		Retransmits: s.Retransmits,
 		Timeouts:    s.Timeouts,
 		DataSent:    s.DataSent,
-		Intervals:   c.intervals,
 	}
 	if s.Done() {
 		r.Seconds = s.FCT().Seconds()

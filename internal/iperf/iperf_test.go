@@ -46,16 +46,6 @@ func TestClientTransfersAndReports(t *testing.T) {
 	if final.Seconds <= 0 {
 		t.Fatal("zero duration")
 	}
-	if len(final.Intervals) == 0 {
-		t.Fatal("no interval stats")
-	}
-	var sum uint64
-	for _, iv := range final.Intervals {
-		sum += iv.Bytes
-	}
-	if sum != final.Bytes {
-		t.Fatalf("interval bytes sum %d != total %d", sum, final.Bytes)
-	}
 	if !strings.Contains(final.String(), "Gbits/sec") {
 		t.Fatalf("report string = %q", final.String())
 	}

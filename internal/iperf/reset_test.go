@@ -11,7 +11,7 @@ func newResetFixture(t *testing.T) (*Client, *netsim.Dumbbell) {
 	t.Helper()
 	eng := sim.NewEngine()
 	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbell(1))
-	c, err := NewClient(eng, Spec{Flow: 1, Bytes: 10_000, CCA: "cubic", NoIntervals: true},
+	c, err := NewClient(eng, Spec{Flow: 1, Bytes: 10_000, CCA: "cubic"},
 		d.Senders[0], d.Receiver, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestClientResetNoAllocs(t *testing.T) {
 	c, d := newResetFixture(t)
 	flow := netsim.FlowID(2)
 	reset := func() {
-		if err := c.Reset(Spec{Flow: flow, Bytes: 10_000, CCA: "cubic", NoIntervals: true},
+		if err := c.Reset(Spec{Flow: flow, Bytes: 10_000, CCA: "cubic"},
 			d.Senders[0], d.Receiver, nil, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestPooledFlowLifecycleNoAllocs(t *testing.T) {
 	eng := d.Engine
 	flow := netsim.FlowID(2)
 	cycle := func() {
-		if err := c.Reset(Spec{Flow: flow, Bytes: 10_000, CCA: "cubic", NoIntervals: true, Duration: sim.Second},
+		if err := c.Reset(Spec{Flow: flow, Bytes: 10_000, CCA: "cubic", Duration: sim.Second},
 			d.Senders[0], d.Receiver, nil, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestClientResetRejections(t *testing.T) {
 func TestClientResetRunsFreshTransfer(t *testing.T) {
 	eng := sim.NewEngine()
 	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbell(1))
-	c, err := NewClient(eng, Spec{Flow: 1, Bytes: 50_000, CCA: "cubic", NoIntervals: true},
+	c, err := NewClient(eng, Spec{Flow: 1, Bytes: 50_000, CCA: "cubic"},
 		d.Senders[0], d.Receiver, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestClientResetRunsFreshTransfer(t *testing.T) {
 			if !c.Quiescent() {
 				t.Fatalf("rep %d: receiver not quiescent after completion", rep)
 			}
-			if err := c.Reset(Spec{Flow: netsim.FlowID(rep + 1), Bytes: 50_000, CCA: "cubic", NoIntervals: true},
+			if err := c.Reset(Spec{Flow: netsim.FlowID(rep + 1), Bytes: 50_000, CCA: "cubic"},
 				d.Senders[0], d.Receiver, nil, nil); err != nil {
 				t.Fatalf("rep %d: %v", rep, err)
 			}

@@ -140,20 +140,13 @@ func BenchDRRQueue(b *testing.B) {
 }
 
 // cacheSampleResult is a realistically-shaped testbed.RunResult for the
-// persistent-cache benchmarks: one flow with a handful of reporting
-// intervals, the payload a CCA-sweep cell repetition stores.
+// persistent-cache benchmarks: one flow's summary report, the payload a
+// CCA-sweep cell repetition stores.
 func cacheSampleResult() testbed.RunResult {
 	rep := iperf.Report{
 		Flow: 1, CCA: "cubic", MTU: 1500, Bytes: 50_000_000,
 		Start: 0, End: 4_200_000_000, Seconds: 4.2, Bps: 9.5e9,
 		Retransmits: 17, DataSent: 50_100_000,
-	}
-	for i := 0; i < 42; i++ {
-		rep.Intervals = append(rep.Intervals, iperf.IntervalStat{
-			Start: sim.Time(i) * sim.Time(100*sim.Millisecond),
-			End:   sim.Time(i+1) * sim.Time(100*sim.Millisecond),
-			Bytes: 1_190_000, Bps: 9.52e9, Retransmits: uint64(i % 2),
-		})
 	}
 	return testbed.RunResult{
 		Reports:         []iperf.Report{rep},

@@ -70,10 +70,10 @@ func storeFor(dir string) (*cache.Store, error) {
 }
 
 // CacheStore resolves Options to the persistent store, or nil when
-// persistence is disabled (no CacheDir, NoCache set, or the directory
-// cannot be created — experiments must keep working without a cache).
+// persistence is disabled (no CacheDir, or the directory cannot be
+// created — experiments must keep working without a cache).
 func (o Options) CacheStore() *cache.Store {
-	if o.NoCache || o.CacheDir == "" {
+	if o.CacheDir == "" {
 		return nil
 	}
 	s, err := storeFor(o.CacheDir)

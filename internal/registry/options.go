@@ -32,11 +32,9 @@ type Options struct {
 	// simulator version stamp (see VersionStamp), so repeated runs —
 	// same or higher Reps, any Workers — replay from disk instead of
 	// simulating, with byte-identical results. Empty disables persistence
-	// (the in-process sweep cache still applies).
+	// and forces full recomputation (the in-process sweep cache still
+	// applies).
 	CacheDir string
-	// NoCache bypasses the persistent cache even when CacheDir is set:
-	// nothing is read from or written to disk, forcing full recomputation.
-	NoCache bool
 	// Verbose, when set, makes runners print progress lines.
 	Verbose bool
 }

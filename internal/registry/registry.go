@@ -50,7 +50,7 @@ type Experiment struct {
 	Order int
 	// Run executes the experiment. It must validate its Options (returning
 	// an error, never panicking, on bad input) and honor Reps, Scale,
-	// Seed, Workers, CacheDir/NoCache, and Verbose as applicable.
+	// Seed, Workers, CacheDir, and Verbose as applicable.
 	Run func(Options) (Result, error)
 }
 

@@ -85,14 +85,19 @@ func runFlows(spec Spec, prefix string) func(registry.Options) (registry.Result,
 				func(r testbed.RunResult) float64 { return r.Reports[i].Seconds })
 		}
 
+		// Flows land in spec order, each weight set as its flow lands, then
+		// the start chains, then the loads. Every AddFlow draws start jitter
+		// from the run RNG, so this order is part of the deterministic
+		// schedule. Canonical already rejected bad chain targets, load
+		// senders and loads on a fat-tree.
 		cell := registry.TestbedCell(id, deadline, func(seed uint64) (*testbed.Testbed, error) {
-			plan := testbed.Plan{}
 			opts := testbed.Options{Seed: seed}
+			var tb *testbed.Testbed
 			if t.Kind == KindDumbbell {
 				cfg := dumbbellConfig(t)
 				cfg.BottleneckQueue = buildQueue(t.Queue, cfg.BufferBytes, cfg.MarkBytes, cfg.BottleneckBps, seed)
-				plan.Dumbbell = &cfg
 				opts.Senders = t.Senders
+				tb = testbed.NewDumbbell(opts, cfg)
 			} else {
 				cfg := fatTreeConfig(t)
 				cfg.ECMPSeed = o.Seed
@@ -105,33 +110,41 @@ func runFlows(spec Spec, prefix string) func(registry.Options) (registry.Result,
 						return buildQueue(q, cfg.BufferBytes, cfg.MarkBytes, tierRate(cfg, port.Tier), seed)
 					}
 				}
-				plan.FatTree = &cfg
+				tb = testbed.NewFatTree(opts, cfg)
+			}
+			clients := make([]*iperf.Client, len(spec.Flows))
+			for i, f := range spec.Flows {
+				fs := iperf.Spec{
+					Bytes:     sizes[i],
+					CCA:       f.CCA,
+					TargetBps: f.TargetBps,
+					StartAt:   sim.Time(msToDur(f.StartMs)),
+					Duration:  msToDur(f.DurationMs),
+				}
+				var err error
+				if t.Kind == KindDumbbell {
+					clients[i], err = tb.AddFlow(f.Sender, fs)
+				} else {
+					clients[i], err = tb.AddFlowBetween(netsim.NodeID(f.Src), netsim.NodeID(f.Dst), fs)
+				}
+				if err == nil && f.Weight > 0 {
+					err = tb.SetWeight(clients[i].Report().Flow, f.Weight)
+				}
+				if err != nil {
+					return nil, fmt.Errorf("flow %d: %w", i, err)
+				}
 			}
 			for i, f := range spec.Flows {
-				pf := testbed.PlanFlow{
-					Sender: f.Sender,
-					Src:    netsim.NodeID(f.Src),
-					Dst:    netsim.NodeID(f.Dst),
-					Spec: iperf.Spec{
-						Bytes:     sizes[i],
-						CCA:       f.CCA,
-						TargetBps: f.TargetBps,
-						StartAt:   sim.Time(msToDur(f.StartMs)),
-						Duration:  msToDur(f.DurationMs),
-					},
-					Weight:    f.Weight,
-					SetWeight: f.Weight > 0,
-				}
 				if f.After != nil {
-					pf.After, pf.Chained = *f.After, true
+					clients[i].StartAfter(clients[*f.After])
 				}
-				plan.Flows = append(plan.Flows, pf)
 			}
-			for _, l := range spec.Loads {
-				plan.Loads = append(plan.Loads, testbed.PlanLoad{Sender: l.Sender, Fraction: l.Fraction})
+			for i, l := range spec.Loads {
+				if err := tb.AddLoad(l.Sender, l.Fraction); err != nil {
+					return nil, fmt.Errorf("load %d: %w", i, err)
+				}
 			}
-			tb, _, err := testbed.Build(opts, plan)
-			return tb, err
+			return tb, nil
 		})
 		runs, err := registry.Run(o, []registry.Cell[testbed.RunResult]{cell})
 		if err != nil {

@@ -74,15 +74,13 @@ func runAQMMatrix(spec Spec, prefix string) func(registry.Options) (registry.Res
 				cells = append(cells, registry.TestbedCell(id, deadline, func(seed uint64) (*testbed.Testbed, error) {
 					cfg := base
 					cfg.BottleneckQueue = buildQueue(q, cfg.BufferBytes, cfg.MarkBytes, cfg.BottleneckBps, seed)
-					plan := testbed.Plan{Dumbbell: &cfg}
+					tb := testbed.NewDumbbell(testbed.Options{Senders: senders, Seed: seed}, cfg)
 					for s := 0; s < senders; s++ {
-						plan.Flows = append(plan.Flows, testbed.PlanFlow{
-							Sender: s,
-							Spec:   iperf.Spec{Bytes: bytes, CCA: ccaName},
-						})
+						if _, err := tb.AddFlow(s, iperf.Spec{Bytes: bytes, CCA: ccaName}); err != nil {
+							return nil, err
+						}
 					}
-					tb, _, err := testbed.Build(testbed.Options{Senders: senders, Seed: seed}, plan)
-					return tb, err
+					return tb, nil
 				}))
 			}
 		}

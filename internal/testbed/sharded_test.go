@@ -76,13 +76,6 @@ func TestShardedFatTreeDeterministicAcrossWorkers(t *testing.T) {
 	if s := golden.Reports[5].Start; s <= golden.Reports[4].End {
 		t.Fatalf("chained flow started at %v, predecessor ended %v", s, golden.Reports[4].End)
 	}
-	// Cross-shard flows drop interval statistics; same-pod ones keep them.
-	if len(golden.Reports[0].Intervals) != 0 {
-		t.Fatal("split flow kept interval stats")
-	}
-	if len(golden.Reports[3].Intervals) == 0 {
-		t.Fatal("same-pod flow lost its interval stats")
-	}
 
 	for _, workers := range []int{2, 4} {
 		got := shardedIncastResult(t, workers)

@@ -199,7 +199,6 @@ type streamRun struct {
 	res StreamResult
 
 	finished bool
-	doneAt   sim.Time
 	err      error
 }
 
@@ -211,8 +210,7 @@ type streamRun struct {
 //
 // Requires Options.StreamStats (the caller's explicit opt-in to per-flow
 // retention being skipped) and the monolithic engine (see the file
-// comment). The throughput monitor is not wired — per-flow observation is
-// per-flow retention by another name.
+// comment).
 func (tb *Testbed) RunStream(stream FlowStream, ccaName string, adm Admission, deadline sim.Duration) (StreamResult, error) {
 	if tb.ran {
 		return StreamResult{}, fmt.Errorf("testbed: RunStream called twice; build a fresh testbed per run")
@@ -238,31 +236,12 @@ func (tb *Testbed) RunStream(stream FlowStream, ccaName string, adm Admission, d
 	}
 	sr.arrival = tb.Engine.NewTimer(sr.onArrival)
 
-	// Bracket the measurement exactly as Run does. Meters a fat-tree
-	// stream first touches mid-run begin integrating at first use (they
-	// were idle before); callers wanting full-window bracketing for every
-	// host should TouchHost them first.
-	for _, s := range tb.Sensors {
-		tb.measures = append(tb.measures, s.Begin())
-	}
-
-	// Pull the first arrival and arm the clock.
-	sr.advance()
-
-	var sample func()
-	sample = func() {
-		if sr.finished {
-			return
-		}
-		for _, m := range tb.Meters {
-			m.Sync()
-		}
-		if tb.Engine.Now() < sim.Time(deadline) {
-			tb.Engine.After(tb.opts.SyncEvery, sample)
-		}
-	}
-	tb.Engine.After(tb.opts.SyncEvery, sample)
-	tb.Engine.RunUntil(sim.Time(deadline))
+	// Bracket the measurement exactly as Run does, pulling the first
+	// arrival to arm the clock. Meters a fat-tree stream first touches
+	// mid-run begin integrating at first use (they were idle before);
+	// callers wanting full-window bracketing for every host should
+	// TouchHost them first.
+	tb.measure(deadline, sr.advance, func() bool { return sr.finished })
 
 	if sr.err != nil {
 		return StreamResult{}, sr.err
@@ -401,11 +380,10 @@ func (sr *streamRun) launch(a FlowArrival) {
 	}
 
 	spec := iperf.Spec{
-		Flow:        sr.nextFlow,
-		Bytes:       a.Bytes,
-		CCA:         sr.ccaName,
-		StartAt:     tb.rng.Jitter(tb.opts.StartJitter),
-		NoIntervals: true,
+		Flow:    sr.nextFlow,
+		Bytes:   a.Bytes,
+		CCA:     sr.ccaName,
+		StartAt: tb.rng.Jitter(tb.opts.StartJitter),
 	}
 	spec.Config.TxPathCost = tb.Model.Costs.TxPathCost
 	if tb.Net != nil {
@@ -510,36 +488,19 @@ func (sr *streamRun) fail(err error) {
 }
 
 // maybeFinish collects the energy bracket at the instant the last flow of
-// an exhausted stream completes, mirroring Run's collect.
+// an exhausted stream completes, as Run does at its last completion.
 func (sr *streamRun) maybeFinish() {
 	if sr.finished || !sr.exhausted || sr.active > 0 || sr.queueLen() > 0 {
 		return
 	}
-	tb := sr.tb
 	sr.finished = true
-	sr.doneAt = tb.Engine.Now()
-	for _, m := range tb.Meters {
-		m.Sync()
-	}
-
-	// Draw order — senders in registration order, then receivers — is the
-	// same determinism contract as Run's collect.
-	var senderJ, recvJ float64
-	for _, i := range tb.senderIdx {
-		senderJ += tb.measures[i].EndPackage() * (1 + tb.rng.Normal(0, tb.opts.MeasureNoise))
-	}
-	for _, i := range tb.recvIdx {
-		recvJ += tb.measures[i].EndPackage() * (1 + tb.rng.Normal(0, tb.opts.MeasureNoise))
-	}
-
-	sr.res.TotalSenderJ = senderJ
-	sr.res.ReceiverEnergyJ = recvJ
-	sr.res.Duration = sr.doneAt
-	if s := sr.res.Duration.Seconds(); s > 0 {
-		sr.res.AvgSenderPowerW = senderJ / s
-	}
+	bracket := sr.tb.collect()
+	sr.res.TotalSenderJ = bracket.TotalSenderJ
+	sr.res.ReceiverEnergyJ = bracket.ReceiverEnergyJ
+	sr.res.Duration = bracket.Duration
+	sr.res.AvgSenderPowerW = bracket.AvgSenderPowerW
 	sr.res.MeanFCT = sr.acc.Mean()
 	sr.res.P99FCT = sr.fct.Value()
 	sr.res.MaxFCT = sr.acc.Max()
-	sr.res.EventsFired = tb.Engine.Fired()
+	sr.res.EventsFired = sr.tb.Engine.Fired()
 }

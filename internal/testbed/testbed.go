@@ -87,9 +87,9 @@ func (o Options) withDefaults() Options {
 
 // Testbed is one assembled experiment environment. It drives either the
 // paper's dumbbell (New) or a k-ary fat-tree fabric (NewFatTree); the
-// measurement loop — meters, RAPL bracketing, throughput monitoring — is
-// shared, and the meter noise-draw order is identical between the two so
-// the dumbbell's golden digests are untouched by the generalization.
+// measurement loop — meters, RAPL bracketing — is shared, and the meter
+// noise-draw order is identical between the two so the dumbbell's golden
+// digests are untouched by the generalization.
 type Testbed struct {
 	Engine *sim.Engine
 	// Net is the dumbbell topology (nil for fat-tree testbeds).
@@ -99,7 +99,6 @@ type Testbed struct {
 	Model    energy.Model
 	Meters   []*energy.Meter // dumbbell: index i = sender i; last = receiver
 	Sensors  []*rapl.Sensor
-	Monitor  *netsim.ThroughputMonitor
 	opts     Options
 	rng      *sim.RNG
 	clients  []*iperf.Client
@@ -107,8 +106,8 @@ type Testbed struct {
 	measures []*rapl.Measurement
 	ran      bool
 	// senderIdx/recvIdx index Meters by measurement role, in registration
-	// order. Run's collect draws noise for senders first, then receivers —
-	// the dumbbell's historical order, preserved exactly.
+	// order. collect draws noise for senders first, then receivers — the
+	// dumbbell's historical order, preserved exactly.
 	senderIdx []int
 	recvIdx   []int
 	// meterOf lazily maps fat-tree hosts to their meters.
@@ -187,8 +186,6 @@ func NewDumbbell(opts Options, dcfg netsim.DumbbellConfig) *Testbed {
 	if q := d.BottleneckDRR(); q != nil {
 		tb.drrs = append(tb.drrs, q)
 	}
-
-	tb.Monitor = netsim.NewThroughputMonitor(engine, 10*sim.Millisecond)
 	return tb
 }
 
@@ -235,10 +232,6 @@ func NewFatTree(opts Options, cfg netsim.FatTreeConfig) *Testbed {
 		tb.Fat = netsim.NewFatTree(tb.Engine, cfg)
 	}
 	tb.switches = tb.Fat.Switches()
-	// The throughput monitor samples flows fabric-wide, which the sharded
-	// run cannot license mid-run; it stays idle there (runSharded never
-	// starts it, and register skips its observation hook).
-	tb.Monitor = netsim.NewThroughputMonitor(tb.Engine, 10*sim.Millisecond)
 	return tb
 }
 
@@ -385,22 +378,20 @@ func (tb *Testbed) AddFlowBetween(src, dst netsim.NodeID, spec iperf.Spec) (*ipe
 	return c, nil
 }
 
-// register wires the bookkeeping shared by both topologies: throughput
-// observation and scheduler-state teardown. The teardown callback is pure
-// synchronous cleanup — it schedules no events and draws no randomness, so
-// it cannot perturb the deterministic event stream.
+// register wires the bookkeeping shared by both topologies: scheduler-state
+// teardown. The teardown callback is pure synchronous cleanup — it
+// schedules no events and draws no randomness, so it cannot perturb the
+// deterministic event stream.
 //
-// On the sharded path the throughput monitor stays unwired (a fabric-wide
-// observer has no licensed view of remote shards mid-run) and flow teardown
-// releases only the DRR queues living on the flow's sender shard: the
-// OnDone callback executes there, and DRR release order on any other shard
-// would depend on when that shard observed the completion — a worker-count
-// dependence the determinism contract forbids. Sender-shard queues are the
-// only ones a finished flow still holds deficit state on that could affect
-// scheduling before the run drains.
+// On the sharded path flow teardown releases only the DRR queues living on
+// the flow's sender shard: the OnDone callback executes there, and DRR
+// release order on any other shard would depend on when that shard
+// observed the completion — a worker-count dependence the determinism
+// contract forbids. Sender-shard queues are the only ones a finished flow
+// still holds deficit state on that could affect scheduling before the run
+// drains.
 func (tb *Testbed) register(c *iperf.Client, flow netsim.FlowID) {
 	if tb.group == nil {
-		c.Receiver().OnData = func(n int) { tb.Monitor.Observe(flow, n) }
 		c.OnDone(func() {
 			for _, q := range tb.drrs {
 				q.Release(flow)
@@ -491,52 +482,62 @@ func (tb *Testbed) Run(deadline sim.Duration) (RunResult, error) {
 		return tb.runSharded(deadline)
 	}
 
-	// Bracket the measurement exactly as the paper does: read every
-	// host's energy counter before the experiment...
+	var res RunResult
+	finished := false
+	tb.measure(deadline, func() {
+		for _, c := range tb.clients {
+			c.Start()
+		}
+		// Collect at the exact completion instant: the sampler alone would
+		// quantize the measurement window to SyncEvery.
+		for _, c := range tb.clients {
+			c.OnDone(func() {
+				if !finished && tb.allDone() {
+					finished = true
+					res = tb.collect()
+				}
+			})
+		}
+	}, func() bool { return finished })
+
+	if !finished {
+		if !tb.allDone() {
+			return RunResult{}, fmt.Errorf("testbed: flows incomplete at deadline %v", deadline)
+		}
+		// Flows finished between the last sample and the deadline.
+		res = tb.collect()
+	}
+
+	for _, c := range tb.clients {
+		if !tb.opts.StreamStats {
+			res.Reports = append(res.Reports, c.Report())
+		}
+		res.Retransmits += c.Sender().Retransmits
+	}
+	if tb.watch != nil {
+		res.BottleneckStats = tb.watch.Queue().Stats()
+	}
+	for _, sw := range tb.switches {
+		res.NoRouteDrops += sw.DroppedNoRoute
+	}
+	res.EventsFired = tb.Engine.Fired()
+	return res, nil
+}
+
+// measure is the measurement protocol Run and RunStream share. It brackets
+// the run the way the paper's scripts bracket each iperf3 transfer: it
+// reads every host's energy counter before the experiment, lets start
+// launch the traffic, then integrates every meter each SyncEvery until done
+// reports true or the deadline passes, and runs the engine to the
+// deadline. The caller closes the window with collect.
+func (tb *Testbed) measure(deadline sim.Duration, start func(), done func() bool) {
 	for _, s := range tb.Sensors {
 		tb.measures = append(tb.measures, s.Begin())
 	}
-	tb.Monitor.Start()
-	for _, c := range tb.clients {
-		c.Start()
-	}
-
-	// ... and after it — at the instant the last flow completes, exactly
-	// as the paper's scripts bracket each iperf3 run.
-	var done sim.Time
-	finished := false
-	var senderJ []float64
-	var recvJ float64
-	noise := func() float64 { return 1 + tb.rng.Normal(0, tb.opts.MeasureNoise) }
-	collect := func() {
-		finished = true
-		done = tb.Engine.Now()
-		tb.Monitor.Stop()
-		// Draw order — senders in registration order, then receivers — is
-		// part of the determinism contract: the dumbbell's golden digests
-		// depend on it.
-		for _, i := range tb.senderIdx {
-			senderJ = append(senderJ, tb.measures[i].EndPackage()*noise())
-		}
-		for _, i := range tb.recvIdx {
-			recvJ += tb.measures[i].EndPackage() * noise()
-		}
-	}
-	// Collect at the exact completion instant: the sampler alone would
-	// quantize the measurement window to SyncEvery.
-	for _, c := range tb.clients {
-		c.OnDone(func() {
-			if !finished && tb.allDone() {
-				for _, m := range tb.Meters {
-					m.Sync()
-				}
-				collect()
-			}
-		})
-	}
+	start()
 	var sample func()
 	sample = func() {
-		if finished {
+		if done() {
 			return
 		}
 		for _, m := range tb.Meters {
@@ -548,40 +549,35 @@ func (tb *Testbed) Run(deadline sim.Duration) (RunResult, error) {
 	}
 	tb.Engine.After(tb.opts.SyncEvery, sample)
 	tb.Engine.RunUntil(sim.Time(deadline))
+}
 
-	if !finished {
-		if tb.allDone() {
-			// Flows finished between the last sample and the deadline.
-			collect()
-		} else {
-			return RunResult{}, fmt.Errorf("testbed: flows incomplete at deadline %v", deadline)
-		}
+// collect closes the measurement window at the current instant and fills
+// RunResult's energy fields. It syncs every meter, then reads each host's
+// counter with measurement noise drawn for senders first, then receivers,
+// each in registration order. That draw order is part of the determinism
+// contract: the dumbbell's golden digests depend on it. TotalSenderJ is
+// the left-to-right sum of SenderEnergyJ.
+func (tb *Testbed) collect() RunResult {
+	for _, m := range tb.Meters {
+		m.Sync()
 	}
-
-	res := RunResult{Duration: done}
-	for _, c := range tb.clients {
-		if !tb.opts.StreamStats {
-			res.Reports = append(res.Reports, c.Report())
-		}
-		res.Retransmits += c.Sender().Retransmits
-	}
-	res.SenderEnergyJ = senderJ
-	for _, j := range senderJ {
+	res := RunResult{Duration: tb.Engine.Now()}
+	for _, i := range tb.senderIdx {
+		j := tb.measures[i].EndPackage() * tb.noise()
+		res.SenderEnergyJ = append(res.SenderEnergyJ, j) //greenvet:allow hotpathalloc the measurement window closes once per run
 		res.TotalSenderJ += j
 	}
-	res.ReceiverEnergyJ = recvJ
+	for _, i := range tb.recvIdx {
+		res.ReceiverEnergyJ += tb.measures[i].EndPackage() * tb.noise()
+	}
 	if s := res.Duration.Seconds(); s > 0 {
 		res.AvgSenderPowerW = res.TotalSenderJ / s
 	}
-	if tb.watch != nil {
-		res.BottleneckStats = tb.watch.Queue().Stats()
-	}
-	for _, sw := range tb.switches {
-		res.NoRouteDrops += sw.DroppedNoRoute
-	}
-	res.EventsFired = tb.Engine.Fired()
-	return res, nil
+	return res
 }
+
+// noise draws one RAPL reading's relative measurement error.
+func (tb *Testbed) noise() float64 { return 1 + tb.rng.Normal(0, tb.opts.MeasureNoise) }
 
 func (tb *Testbed) allDone() bool {
 	for _, c := range tb.clients {

@@ -195,26 +195,6 @@ func TestRepetitionsVaryButCluster(t *testing.T) {
 	}
 }
 
-func TestThroughputMonitorSeriesPopulated(t *testing.T) {
-	tb := New(Options{Seed: 11})
-	c, err := tb.AddFlow(0, iperf.Spec{Bytes: 5 * gbit, CCA: "cubic"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.Run(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	series := tb.Monitor.Series(c.Report().Flow)
-	if len(series) < 10 {
-		t.Fatalf("only %d throughput samples", len(series))
-	}
-	// Mid-transfer samples should be near line rate.
-	mid := series[len(series)/2]
-	if mid.Bps < 8e9 {
-		t.Fatalf("mid-transfer sample = %.2f Gb/s, want near 10", mid.Bps/1e9)
-	}
-}
-
 func TestFatTreeTestbedEndToEnd(t *testing.T) {
 	// A cross-pod incast on a k=4 tree: 3 senders on distinct racks into
 	// one receiver. Every byte must arrive with no no-route drops, and

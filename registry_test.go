@@ -86,18 +86,28 @@ func TestRegisterRejectsBadExperiments(t *testing.T) {
 // TestEveryExperimentRunsAtTinyScale drives each registered experiment
 // through its registry Run at digestOpts' tiny scale and checks the uniform
 // Result contract: a non-empty table and a well-formed SVG document. The
-// simulation-heavy experiments share digestOpts' in-process sweep cache with
-// the golden-digest test, so the whole pass stays cheap.
+// cold pass and a warm second pass share one cache directory and each
+// starts from an empty in-process sweep cache, like two `greenbench -fig
+// all` processes. The cold pass must read no entry, so no experiment hits
+// another experiment's keys; the warm pass must replay every experiment
+// with zero misses and a byte-identical table.
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registered experiment")
 	}
 	o := digestOpts()
+	o.CacheDir = t.TempDir()
+	cold := map[string]string{}
+	resetSweepCache()
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
+			before := CacheStatsFor(o.CacheDir)
 			res, err := e.Run(o)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
+			}
+			if hits := CacheStatsFor(o.CacheDir).Hits - before.Hits; hits != 0 {
+				t.Fatalf("cold run read %d cache entries another experiment wrote", hits)
 			}
 			tbl := res.Table()
 			if strings.TrimSpace(tbl) == "" {
@@ -110,8 +120,32 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 			if !strings.HasPrefix(svg, "<svg") || !strings.HasSuffix(strings.TrimSpace(svg), "</svg>") {
 				t.Fatalf("malformed SVG (%d bytes)", len(svg))
 			}
+			cold[e.Name] = tbl
 		})
 	}
+
+	resetSweepCache() // a fresh process: only the disk cache survives
+	t.Run("warm", func(t *testing.T) {
+		for _, e := range Experiments() {
+			want, ok := cold[e.Name]
+			if !ok {
+				continue // the cold run failed or was filtered out
+			}
+			t.Run(e.Name, func(t *testing.T) {
+				before := CacheStatsFor(o.CacheDir)
+				res, err := e.Run(o)
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if misses := CacheStatsFor(o.CacheDir).Misses - before.Misses; misses != 0 {
+					t.Fatalf("warm run missed %d cache entries", misses)
+				}
+				if got := res.Table(); got != want {
+					t.Fatalf("warm table differs from the cold one:\n got:\n%s\nwant:\n%s", got, want)
+				}
+			})
+		}
+	})
 }
 
 // TestEveryExperimentRejectsBadScale feeds every experiment options that

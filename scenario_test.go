@@ -42,7 +42,7 @@ func TestScenarioUnequalRTTExample(t *testing.T) {
 	if len(c.Topology.AccessDelaysUs) != 2 || c.Topology.AccessDelaysUs[0] == c.Topology.AccessDelaysUs[1] {
 		t.Fatalf("unequal-rtt example lost its heterogeneous delays: %v", c.Topology.AccessDelaysUs)
 	}
-	res := runCompiled(t, spec, Options{Reps: 2, Scale: 0.001, Seed: 1, NoCache: true})
+	res := runCompiled(t, spec, Options{Reps: 2, Scale: 0.001, Seed: 1})
 	if res.Table() == "" {
 		t.Fatal("empty table")
 	}
