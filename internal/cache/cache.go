@@ -15,6 +15,15 @@
 // version-mismatched entries are silently treated as misses: the caller
 // recomputes and overwrites them.
 //
+// Every entry is a whole gob stream: the type definitions its writer sent,
+// then one value. Receiving and compiling those definitions is most of what
+// a fresh gob.Decoder spends on an entry, so a Store keeps one primed
+// decoder per distinct definitions prefix and hands later entries with the
+// same prefix only their value message. The prefix is the entry's own
+// bytes, never derived from the reader's types: gob numbers types
+// process-wide in first-use order, so the process that wrote an entry may
+// have numbered the same result type differently from the one reading it.
+//
 // All Store methods are safe for concurrent use and tolerate a nil
 // receiver, so callers can thread an optional *Store without nil checks.
 package cache
@@ -29,6 +38,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 )
 
@@ -108,6 +118,18 @@ type Store struct {
 
 	hits, misses, puts      atomic.Uint64
 	bytesRead, bytesWritten atomic.Uint64
+
+	mu       sync.Mutex
+	decoders map[string]*decoder // keyed by definitions prefix
+}
+
+// decoder is a gob.Decoder that has received one definitions prefix, so it
+// decodes a value message written after that prefix without receiving or
+// compiling the definitions again.
+type decoder struct {
+	mu  sync.Mutex
+	src bytes.Reader // an io.ByteReader, so gob reads it without buffering ahead
+	dec *gob.Decoder
 }
 
 // Open creates (if needed) and opens the cache directory. The version
@@ -120,7 +142,11 @@ func Open(dir, version string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	return &Store{dir: dir, version: sha256.Sum256([]byte(version))}, nil
+	return &Store{
+		dir:      dir,
+		version:  sha256.Sum256([]byte(version)),
+		decoders: make(map[string]*decoder),
+	}, nil
 }
 
 // Dir returns the store's root directory ("" for a nil store).
@@ -174,11 +200,60 @@ func openEnvelope(data []byte) ([]byte, bool) {
 	return payload, true
 }
 
+// splitStream splits a gob stream at its first value message: defs are the
+// type-definition messages before it, value the rest of the stream. Gob
+// frames each message as an unsigned byte count followed by a signed type
+// id, negative for a definition.
+func splitStream(p []byte) (defs, value []byte, ok bool) {
+	for off := 0; off < len(p); {
+		n, w := gobUint(p[off:])
+		if w == 0 || n == 0 || n > uint64(len(p)-off-w) {
+			return nil, nil, false
+		}
+		end := off + w + int(n)
+		id, iw := gobUint(p[off+w : end])
+		if iw == 0 {
+			return nil, nil, false
+		}
+		if id&1 == 0 { // a non-negative id: a value
+			return p[:off], p[off:], true
+		}
+		off = end
+	}
+	return nil, nil, false
+}
+
+// gobUint decodes the gob unsigned integer at the front of b and returns it
+// with its width in bytes, or width 0 if b does not start with one.
+func gobUint(b []byte) (uint64, int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] <= 0x7f {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || len(b) <= n {
+		return 0, 0
+	}
+	var x uint64
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, 1 + n
+}
+
 // Get looks key up and gob-decodes the entry into out (which must be a
 // pointer to a zero value of the type Put stored; on a decode failure out
 // may be partially populated and must be discarded). It reports whether a
 // valid entry was found; any read, framing, checksum, or decode failure is
 // a miss, never an error — the caller recomputes.
+//
+// An entry whose definitions prefix the store has decoded before is read by
+// that prefix's primed decoder from its value message alone; the first
+// entry with a prefix is decoded in full and primes one. A decode error or
+// unread bytes discard the decoder. A decoder's lock is held only while it
+// decodes; the file read, checksum and framing parse run outside it.
 func (s *Store) Get(key Key, out any) bool {
 	if s == nil {
 		return false
@@ -189,17 +264,56 @@ func (s *Store) Get(key Key, out any) bool {
 		return false
 	}
 	payload, ok := openEnvelope(data)
-	if !ok {
-		s.misses.Add(1)
-		return false
+	if ok {
+		ok = s.decode(payload, out)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(out); err != nil {
+	if !ok {
 		s.misses.Add(1)
 		return false
 	}
 	s.hits.Add(1)
 	s.bytesRead.Add(uint64(len(data)))
 	return true
+}
+
+// decode reads one gob stream into out through the primed decoder of its
+// definitions prefix, priming one if the store has none for it yet. Gob
+// reads exactly one value, so bytes left after it, such as a second value,
+// make the entry a miss.
+func (s *Store) decode(payload []byte, out any) bool {
+	defs, value, ok := splitStream(payload)
+	if !ok {
+		return false
+	}
+	s.mu.Lock()
+	d := s.decoders[string(defs)]
+	s.mu.Unlock()
+	if d == nil {
+		d = &decoder{}
+		d.src.Reset(payload)
+		d.dec = gob.NewDecoder(&d.src)
+		if d.dec.Decode(out) != nil || d.src.Len() != 0 {
+			return false
+		}
+		d.src.Reset(nil)
+		s.mu.Lock()
+		s.decoders[string(defs)] = d
+		s.mu.Unlock()
+		return true
+	}
+	d.mu.Lock()
+	d.src.Reset(value)
+	ok = d.dec.Decode(out) == nil && d.src.Len() == 0
+	d.src.Reset(nil)
+	d.mu.Unlock()
+	if !ok {
+		s.mu.Lock()
+		if s.decoders[string(defs)] == d {
+			delete(s.decoders, string(defs))
+		}
+		s.mu.Unlock()
+	}
+	return ok
 }
 
 // Put persists val under key, atomically: the envelope is written to a

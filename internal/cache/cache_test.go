@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -193,9 +195,17 @@ func TestVersionMismatchIsAMiss(t *testing.T) {
 	}
 }
 
+// other is a second result shape, so the store keeps two primed decoders.
+type other struct {
+	Label  string
+	Counts []uint64
+	Mean   float64
+}
+
 // TestConcurrentWriters: many goroutines putting and getting the same and
-// distinct keys concurrently must never error, corrupt an entry, or let a
-// reader observe a torn write (run under -race in CI).
+// distinct keys concurrently, interleaving two value types, must never
+// error, corrupt an entry, or let a reader observe a torn write (run under
+// -race in CI).
 func TestConcurrentWriters(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), "v1")
 	const (
@@ -203,10 +213,21 @@ func TestConcurrentWriters(t *testing.T) {
 		keys    = 4
 		rounds  = 20
 	)
-	want := make([]payload, keys)
+	want := make([]any, keys)
 	for k := range want {
-		want[k] = samplePayload()
-		want[k].Seed = uint64(k)
+		if k%2 == 0 {
+			p := samplePayload()
+			p.Seed = uint64(k)
+			want[k] = p
+		} else {
+			want[k] = other{Label: "other", Counts: []uint64{uint64(k), 3}, Mean: 0.5 * float64(k)}
+		}
+	}
+	// get decodes key k into a fresh value of want[k]'s type.
+	get := func(k int) (any, bool) {
+		out := reflect.New(reflect.TypeOf(want[k]))
+		ok := s.Get(NewKey("concurrent", k), out.Interface())
+		return out.Elem().Interface(), ok
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -215,13 +236,11 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				k := (w + r) % keys
-				key := NewKey("concurrent", k)
-				if err := s.Put(key, want[k]); err != nil {
+				if err := s.Put(NewKey("concurrent", k), want[k]); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				var got payload
-				if s.Get(key, &got) && !reflect.DeepEqual(got, want[k]) {
+				if got, ok := get(k); ok && !reflect.DeepEqual(got, want[k]) {
 					t.Errorf("worker %d observed torn/mixed entry: %+v", w, got)
 					return
 				}
@@ -230,12 +249,94 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	wg.Wait()
 	for k := range want {
-		var got payload
-		if !s.Get(NewKey("concurrent", k), &got) {
+		got, ok := get(k)
+		if !ok {
 			t.Fatalf("key %d missing after concurrent writes", k)
 		}
 		if !reflect.DeepEqual(got, want[k]) {
 			t.Fatalf("key %d corrupted: %+v", k, got)
+		}
+	}
+}
+
+// plant writes data where key's entry lives, bypassing Put.
+func plant(t testing.TB, s *Store, key Key, data []byte) {
+	t.Helper()
+	path := s.addr(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// gobStream is the payload Put seals for v.
+func gobStream(t testing.TB, v any) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// badValue returns a value message of value's type whose first field delta
+// points past the struct's last field, so it fails to decode.
+func badValue(value []byte) []byte {
+	_, w := gobUint(value)
+	_, iw := gobUint(value[w:])
+	body := append(append([]byte(nil), value[w:w+iw]...), 0x7f, 0x01)
+	return append([]byte{byte(len(body))}, body...)
+}
+
+// TestPrimedDecoderRejectsMalformedStreams: a sealed entry that is not
+// definitions followed by exactly one decodable value must miss, whether or
+// not a decoder is primed with its definitions, and must not stop a valid
+// entry with the same definitions from hitting afterwards.
+func TestPrimedDecoderRejectsMalformedStreams(t *testing.T) {
+	want := samplePayload()
+	stream := gobStream(t, want)
+	defs, value, ok := splitStream(stream)
+	if !ok || len(defs) == 0 {
+		t.Fatalf("splitStream(valid stream) = %d defs bytes, ok=%v", len(defs), ok)
+	}
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"garbage value", append(append([]byte(nil), defs...), badValue(value)...)},
+		{"trailing bytes", append(append([]byte(nil), stream...), 0x00)},
+		{"two values", append(append([]byte(nil), stream...), value...)},
+	}
+	for _, c := range cases {
+		for _, primed := range []bool{false, true} {
+			s := mustOpen(t, t.TempDir(), "v1")
+			good, bad := NewKey("good"), NewKey("bad")
+			if err := s.Put(good, want); err != nil {
+				t.Fatal(err)
+			}
+			if primed {
+				var got payload
+				if !s.Get(good, &got) {
+					t.Fatal("valid entry missed")
+				}
+			}
+			plant(t, s, bad, sealEnvelope(c.payload))
+			var junk payload
+			if s.Get(bad, &junk) {
+				t.Fatalf("%s (primed=%v): sealed entry hit: %+v", c.name, primed, junk)
+			}
+			if primed && c.name == "garbage value" && s.decoders[string(defs)] != nil {
+				t.Fatal("primed decoder kept after a failed decode")
+			}
+			var got payload
+			if !s.Get(good, &got) {
+				t.Fatalf("%s (primed=%v): valid entry missed afterwards", c.name, primed)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s (primed=%v): valid entry decoded as %+v, want %+v", c.name, primed, got, want)
+			}
 		}
 	}
 }

@@ -2,8 +2,7 @@ package cache
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -61,24 +60,62 @@ func FuzzStoreGetCorrupted(f *testing.F) {
 	f.Add(sealEnvelope([]byte("sealed but not gob")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Open(t.TempDir(), "fuzz-v1")
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mustOpen(t, t.TempDir(), "fuzz-v1")
 		key := NewKey("fuzz", "entry")
-		path := s.addr(key)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		plant(t, s, key, data)
 		var out payload
 		if s.Get(key, &out) {
 			// A hit is only legitimate if the bytes were a valid envelope.
 			if _, ok := openEnvelope(data); !ok {
 				t.Fatal("Get reported a hit on an invalid envelope")
 			}
+		}
+	})
+}
+
+// FuzzStoreGetPayload drives the gob decode path, which FuzzStoreGetCorrupted
+// almost never reaches past the checksum: it seals the fuzzed bytes so they
+// pass as an intact entry and reads them through a store whose decoder is
+// already primed with the expected definitions. Whatever the bytes, Get
+// must not panic, and a valid entry Put afterwards must still hit and
+// decode to what was stored.
+func FuzzStoreGetPayload(f *testing.F) {
+	want := samplePayload()
+	stream := gobStream(f, want)
+	defs, value, _ := splitStream(stream)
+	f.Add([]byte{})
+	f.Add(stream)
+	f.Add(defs)
+	f.Add(value)
+	f.Add(append(append([]byte(nil), stream...), 0x00))
+	f.Add(append(append([]byte(nil), stream...), value...))
+	f.Add(append(append([]byte(nil), defs...), badValue(value)...))
+	f.Add(gobStream(f, other{Label: "x", Counts: []uint64{1}}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := mustOpen(t, t.TempDir(), "fuzz-v1")
+		primer := NewKey("fuzz", "primer")
+		if err := s.Put(primer, want); err != nil {
+			t.Fatal(err)
+		}
+		var got payload
+		if !s.Get(primer, &got) {
+			t.Fatal("valid entry missed")
+		}
+		plant(t, s, NewKey("fuzz", "entry"), sealEnvelope(data))
+		var out payload
+		s.Get(NewKey("fuzz", "entry"), &out)
+
+		after := NewKey("fuzz", "after")
+		if err := s.Put(after, want); err != nil {
+			t.Fatal(err)
+		}
+		got = payload{}
+		if !s.Get(after, &got) {
+			t.Fatal("valid entry missed after a fuzzed one")
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("valid entry decoded as %+v, want %+v", got, want)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -405,5 +406,79 @@ func TestScheduleEnergyBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// plainEnergy is Energy's reference: p evaluated at every rate of every
+// phase.
+func plainEnergy(s Schedule, p PowerFunc) float64 {
+	total := 0.0
+	for _, ph := range s.Phases {
+		dt := ph.End - ph.Start
+		for _, r := range ph.Rates {
+			total += p(r) * dt
+		}
+	}
+	return total
+}
+
+// TestScheduleEnergyMatchesPlainSum: reusing p(r) across equal consecutive
+// rates must not move a single bit of any schedule's energy.
+func TestScheduleEnergyMatchesPlainSum(t *testing.T) {
+	p := paperPower()
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(12)
+		flows := make([]Flow, n)
+		arrivals := make([]Flow, n)
+		weights := make([]float64, n)
+		for i := range flows {
+			flows[i] = Flow{Bytes: 1e6 + rng.Float64()*2e9}
+			if trial%4 == 0 {
+				flows[i].Bytes = 1.25e9 // equal sizes: ties and shared phases
+			}
+			arrivals[i] = Flow{Bytes: flows[i].Bytes, Release: rng.Float64() * 2}
+			weights[i] = float64(rng.Intn(4)) // zeros exercise the background class
+		}
+		for _, c := range []struct {
+			name  string
+			build func() (Schedule, error)
+		}{
+			{"fair", func() (Schedule, error) { return FairShare(flows, c10g) }},
+			{"serial", func() (Schedule, error) { return FullSpeedThenIdle(flows, c10g) }},
+			{"weighted", func() (Schedule, error) { return WeightedShare(flows, c10g, weights) }},
+			{"srpt", func() (Schedule, error) { return Simulate(arrivals, c10g, SRPT) }},
+		} {
+			s, err := c.build()
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, c.name, err)
+			}
+			if got, want := s.Energy(p), plainEnergy(s, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d %s: Energy = %v (%#x), plain sum = %v (%#x)",
+					trial, c.name, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestFullSpeedThenIdleEnergyEvaluationsLinear: the serial schedule's n
+// phases of n rates, all but one idle, must not cost n² power evaluations
+// (fattree-incast's analytic column runs it at n=256).
+func TestFullSpeedThenIdleEnergyEvaluationsLinear(t *testing.T) {
+	const n = 256
+	flows := make([]Flow, n)
+	for i := range flows {
+		flows[i] = Flow{Bytes: 1e6}
+	}
+	s, err := FullSpeedThenIdle(flows, c10g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	p := paperPower()
+	s.Energy(func(bps float64) float64 { calls++; return p(bps) })
+	t.Logf("n=%d: %d power evaluations", n, calls)
+	if calls > 3*n {
+		t.Fatalf("Energy evaluated p %d times for n=%d, want at most %d", calls, n, 3*n)
 	}
 }
