@@ -146,3 +146,35 @@ func TestDRRRotationAllocFree(t *testing.T) {
 		t.Fatalf("DRR rotation allocated %d objects over 10000 packets, want 0", got)
 	}
 }
+
+// TestFatTreeBuildAllocs pins what one fabric costs to build. Hosts,
+// switches, links, default drop-tail queues, ECMP port lists and range
+// tables come from one slab per element type, and timers and delay lines
+// live inside their links and switches, so a k=8 tree's 128 hosts, 80
+// switches and 768 links cost about 3,500 allocations: mostly names and
+// the callbacks each link and switch binds. An object per element, or a
+// range table re-sorted per route, would cost about 9,500.
+func TestFatTreeBuildAllocs(t *testing.T) {
+	const limit = 4700
+	got := testing.AllocsPerRun(5, func() { NewFatTree(sim.NewEngine(), DefaultFatTree(8)) })
+	if got > limit {
+		t.Fatalf("building a k=8 fat-tree allocates %.0f objects, want at most %d", got, limit)
+	}
+}
+
+// TestNewPacketAllocatesByChunk: a pool with an empty free list hands out
+// packets from chunks, so a fresh host's first 1,000 packets cost a few
+// dozen allocations, not one each.
+func TestNewPacketAllocatesByChunk(t *testing.T) {
+	const limit = 40
+	pkts := make([]*Packet, 1000)
+	got := testing.AllocsPerRun(5, func() {
+		h := NewHost(0, "h")
+		for i := range pkts {
+			pkts[i] = h.NewPacket()
+		}
+	})
+	if got > limit {
+		t.Fatalf("1000 NewPacket calls on a fresh host allocate %.0f objects, want at most %d", got, limit)
+	}
+}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"strconv"
 
 	"greenenvy/internal/sim"
 )
@@ -182,16 +183,42 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 		part:     lay.part,
 	}
 
+	// Every element comes from a slab sized by the tree's exact counts:
+	// each host has an up and a down link, and each of the four switch
+	// tiers wires k·(k/2)² more. Edge and agg uplinks are ECMP port lists
+	// of k/2; agg and core downlinks are single-port routes. An edge holds
+	// one range route, an agg one per pod edge plus its uplinks, a core
+	// one per pod.
+	numLinks := 6 * numHosts
+	hosts := make(slab[Host], 0, numHosts)
+	switches := make(slab[Switch], 0, len(ft.Edges)+len(ft.Aggs)+len(ft.Cores))
+	links := make(slab[Link], 0, numLinks)
+	ports := make(slab[Handler], 0, 4*numHosts)
+	routes := make(slab[rangeRoute], 0, len(ft.Edges)+len(ft.Aggs)*(half+1)+len(ft.Cores)*k)
+	var drops slab[DropTail]
+
 	queueFor := func(port FatTreePort) Queue {
 		if cfg.NewQueue != nil {
 			if q := cfg.NewQueue(port); q != nil {
 				return q
 			}
 		}
-		if port.Tier == TierHostUp {
-			return NewDropTail(0, 0)
+		if drops == nil {
+			// At most one default queue per link not yet built.
+			drops = make(slab[DropTail], 0, cap(links)-len(links))
 		}
-		return NewDropTail(cfg.BufferBytes, cfg.MarkBytes)
+		q := drops.one()
+		if port.Tier == TierHostUp {
+			*q = DropTail{}
+		} else {
+			*q = DropTail{CapBytes: cfg.BufferBytes, MarkBytes: cfg.MarkBytes}
+		}
+		return q
+	}
+	newLink := func(eng *sim.Engine, name string, rateBps int64, q Queue, dst Handler) *Link {
+		l := links.one()
+		l.init(eng, name, rateBps, cfg.LinkDelay, q, dst)
+		return l
 	}
 
 	// Per-switch ECMP salts: a Mix64 chain over the seed and a stable
@@ -205,21 +232,24 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 	// The longest path crosses edge, agg, core, agg, edge: 5 switch hops.
 	// One hop of margin turns a wiring mistake into a prompt diagnostic.
 	const ttl = 6
-	newSwitch := func(eng *sim.Engine, name string) *Switch {
-		s := NewSwitch(eng, name, cfg.SwitchDelay)
+	newSwitch := func(eng *sim.Engine, name string, numRoutes int) *Switch {
+		s := switches.one()
+		s.init(eng, name, cfg.SwitchDelay)
 		s.SetTTL(ttl)
 		s.SetECMPSalt(salt())
+		s.ranges = routes.next(numRoutes)[:0]
 		return s
 	}
 
 	for p := 0; p < k; p++ {
+		pod := strconv.Itoa(p)
 		for i := 0; i < half; i++ {
-			ft.Edges[p*half+i] = newSwitch(lay.pod(p), fmt.Sprintf("edge-p%d-e%d", p, i))
-			ft.Aggs[p*half+i] = newSwitch(lay.pod(p), fmt.Sprintf("agg-p%d-a%d", p, i))
+			ft.Edges[p*half+i] = newSwitch(lay.pod(p), "edge-p"+pod+"-e"+strconv.Itoa(i), 1)
+			ft.Aggs[p*half+i] = newSwitch(lay.pod(p), "agg-p"+pod+"-a"+strconv.Itoa(i), half+1)
 		}
 	}
 	for c := range ft.Cores {
-		ft.Cores[c] = newSwitch(lay.core(c), fmt.Sprintf("core-%d", c))
+		ft.Cores[c] = newSwitch(lay.core(c), "core-"+strconv.Itoa(c), k)
 	}
 
 	// Hosts and the host↔edge tier (always pod-internal). All hosts on one
@@ -236,14 +266,15 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 			pool = new(packetPool)
 			pools[eng] = pool
 		}
-		host := newHost(NodeID(h), fmt.Sprintf("h%d", h), pool)
+		host := hosts.one()
+		host.init(NodeID(h), "h"+strconv.Itoa(h), pool)
 		ft.Hosts[h] = host
 
 		up := FatTreePort{Tier: TierHostUp, Pod: p, Switch: e, Host: NodeID(h), Port: h % half}
-		host.SetEgress(NewLink(eng, fmt.Sprintf("h%d-up", h), cfg.HostBps, cfg.LinkDelay, queueFor(up), edge))
+		host.SetEgress(newLink(eng, host.Name+"-up", cfg.HostBps, queueFor(up), edge))
 
 		down := FatTreePort{Tier: TierHostDown, Pod: p, Switch: e, Host: NodeID(h), Port: h % half}
-		l := NewLink(eng, fmt.Sprintf("%s->h%d", edge.Name, h), cfg.HostBps, cfg.LinkDelay, queueFor(down), host)
+		l := newLink(eng, edge.Name+"->"+host.Name, cfg.HostBps, queueFor(down), host)
 		ft.hostDown[h] = l
 		edge.Connect(NodeID(h), l)
 	}
@@ -254,11 +285,11 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
 			edge := ft.Edges[p*half+e]
-			ups := make([]Handler, half)
+			ups := ports.next(half)
 			for a := 0; a < half; a++ {
+				agg := ft.Aggs[p*half+a]
 				port := FatTreePort{Tier: TierEdgeUp, Pod: p, Switch: e, Host: -1, Port: a}
-				ups[a] = NewLink(lay.pod(p), fmt.Sprintf("%s->%s", edge.Name, ft.Aggs[p*half+a].Name),
-					cfg.EdgeAggBps, cfg.LinkDelay, queueFor(port), ft.Aggs[p*half+a])
+				ups[a] = newLink(lay.pod(p), edge.Name+"->"+agg.Name, cfg.EdgeAggBps, queueFor(port), agg)
 			}
 			edge.ConnectRange(0, NodeID(numHosts-1), ups...)
 		}
@@ -270,19 +301,19 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 		for a := 0; a < half; a++ {
 			agg := ft.Aggs[p*half+a]
 			for e := 0; e < half; e++ {
+				edge := ft.Edges[p*half+e]
 				lo := NodeID(p*hostsPerPod + e*half)
 				port := FatTreePort{Tier: TierAggDown, Pod: p, Switch: a, Host: -1, Port: e}
-				down := NewLink(lay.pod(p), fmt.Sprintf("%s->%s", agg.Name, ft.Edges[p*half+e].Name),
-					cfg.EdgeAggBps, cfg.LinkDelay, queueFor(port), ft.Edges[p*half+e])
-				agg.ConnectRange(lo, lo+NodeID(half-1), down)
+				down := ports.next(1)
+				down[0] = newLink(lay.pod(p), agg.Name+"->"+edge.Name, cfg.EdgeAggBps, queueFor(port), edge)
+				agg.ConnectRange(lo, lo+NodeID(half-1), down...)
 			}
-			ups := make([]Handler, half)
+			ups := ports.next(half)
 			for j := 0; j < half; j++ {
 				c := a*half + j
 				core := ft.Cores[c]
 				port := FatTreePort{Tier: TierAggUp, Pod: p, Switch: a, Host: -1, Port: j}
-				up := NewLink(lay.pod(p), fmt.Sprintf("%s->%s", agg.Name, core.Name),
-					cfg.AggCoreBps, cfg.LinkDelay, queueFor(port), core)
+				up := newLink(lay.pod(p), agg.Name+"->"+core.Name, cfg.AggCoreBps, queueFor(port), core)
 				lay.bindPodToCore(up, p, c, core)
 				ups[j] = up
 			}
@@ -297,10 +328,11 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 		for p := 0; p < k; p++ {
 			agg := ft.Aggs[p*half+a]
 			port := FatTreePort{Tier: TierCoreDown, Pod: p, Switch: c, Host: -1, Port: p}
-			down := NewLink(lay.core(c), fmt.Sprintf("%s->%s", core.Name, agg.Name),
-				cfg.AggCoreBps, cfg.LinkDelay, queueFor(port), agg)
+			down := newLink(lay.core(c), core.Name+"->"+agg.Name, cfg.AggCoreBps, queueFor(port), agg)
 			lay.bindCoreToPod(down, c, p, agg)
-			core.ConnectRange(NodeID(p*hostsPerPod), NodeID((p+1)*hostsPerPod-1), down)
+			route := ports.next(1)
+			route[0] = down
+			core.ConnectRange(NodeID(p*hostsPerPod), NodeID((p+1)*hostsPerPod-1), route...)
 		}
 	}
 	return ft

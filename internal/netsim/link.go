@@ -27,11 +27,11 @@ type Link struct {
 	// standing serialization-completion timer (rearmed per packet, never
 	// reallocated).
 	txPkt  *Packet
-	txDone *sim.Timer
+	txDone sim.Timer
 	// wire is the propagation stage: delay is constant per link, so
 	// deliveries are FIFO and one standing event plus a ring of in-flight
 	// packets replaces a heap event and closure per packet.
-	wire *sim.DelayLine[*Packet]
+	wire sim.DelayLine[*Packet]
 	// remote, when set, replaces wire: the far end lives on another
 	// partition's engine and the propagation delay is spent crossing the
 	// conduit (it doubles as the partition's lookahead guarantee). The
@@ -49,6 +49,14 @@ type Link struct {
 
 // NewLink creates a link with the given queue discipline delivering to dst.
 func NewLink(engine *sim.Engine, name string, rateBps int64, delay sim.Duration, queue Queue, dst Handler) *Link {
+	l := new(Link)
+	l.init(engine, name, rateBps, delay, queue, dst)
+	return l
+}
+
+// init builds the link in place, for NewLink and for topology builders
+// that take their links from a slab.
+func (l *Link) init(engine *sim.Engine, name string, rateBps int64, delay sim.Duration, queue Queue, dst Handler) {
 	if rateBps <= 0 {
 		panic(fmt.Sprintf("netsim: link %q with non-positive rate %d", name, rateBps))
 	}
@@ -58,10 +66,9 @@ func NewLink(engine *sim.Engine, name string, rateBps int64, delay sim.Duration,
 	if b, ok := queue.(EngineBinder); ok {
 		b.BindEngine(engine)
 	}
-	l := &Link{Name: name, RateBps: rateBps, Delay: delay, engine: engine, queue: queue, dst: dst}
-	l.txDone = engine.NewTimer(l.onTxDone)
-	l.wire = sim.NewDelayLine(engine, dst.HandlePacket)
-	return l
+	*l = Link{Name: name, RateBps: rateBps, Delay: delay, engine: engine, queue: queue, dst: dst}
+	l.txDone.Init(engine, l.onTxDone)
+	l.wire.Init(engine, dst.HandlePacket)
 }
 
 // SetRemote diverts the link's propagation stage through an inter-shard

@@ -9,18 +9,39 @@ package netsim
 // frames), so a dumbbell run reuses every packet.
 const maxFreePackets = 4096
 
+// packetChunk is the least number of packets a pool allocates at once.
+// Each chunk is rounded up to fill its allocator size class. At 176 bytes
+// a packet, 37 fill 6,512 bytes of a 6,528-byte block, where 32 would
+// leave 512 bytes of a 6,144-byte block unused.
+const packetChunk = 37
+
+// sackChunk is the least number of SACK blocks a pool allocates at once
+// for the SACK arrays of its ACKs, rounded up to the size class likewise.
+const sackChunk = 64
+
 // packetPool is the free list of packets shared by every host on one engine.
 // The topology builders hand one pool to all hosts they place on the same
 // engine, so data packets one host allocates and another frees, and ACKs
 // going the other way, balance out; the sharded fat-tree builds one pool per
 // shard, so each pool is only ever touched by its own shard's goroutine.
+//
+// A pool that finds its free list empty hands out the next packet of its
+// current chunk, a bump cursor over packets never issued before, and takes
+// a new chunk only when that one is spent. The free list holds recycled
+// packets only. SACK arrays come from chunks of their own, so a data
+// packet is no larger for the ACKs it may later become.
 type packetPool struct {
 	free []*Packet
+	// fresh and sacks are the unissued tails of the current packet and
+	// SACK-block chunks.
+	fresh []Packet
+	sacks []SACKBlock
 }
 
 // NewPacket hands out a zeroed packet from the pool of the host's engine. A
 // transport that takes a packet here gives it back with Recycle where the
-// packet ends; one that never does merely leaves it to the GC.
+// packet ends; one that never does merely leaves it to the GC, though the
+// packet's chunk stays alive while any packet of it does.
 //
 //greenvet:hotpath
 func (h *Host) NewPacket() *Packet {
@@ -32,7 +53,32 @@ func (h *Host) NewPacket() *Packet {
 		p.free = false
 		return p
 	}
-	return &Packet{pooled: true} //greenvet:allow hotpathalloc pool refill: one allocation per packet of the engine's peak in-flight population, then recycled
+	if len(pool.fresh) == 0 {
+		// Appending to nil sizes the chunk up to its size class.
+		chunk := append([]Packet(nil), make([]Packet, packetChunk)...) //greenvet:allow hotpathalloc pool refill: one chunk per packetChunk packets of the engine's peak in-flight population, then recycled
+		pool.fresh = chunk[:cap(chunk)]
+	}
+	p := &pool.fresh[0]
+	pool.fresh = pool.fresh[1:]
+	p.pooled = true
+	return p
+}
+
+// NewSACK hands out an empty SACK array with room for n blocks, for an ACK
+// the host is about to send. Arrays are carved from a chunk shared by the
+// hosts of the pool, and Recycle keeps a packet's array for its next ACK,
+// so a pooled packet takes one at most once.
+//
+//greenvet:hotpath
+func (h *Host) NewSACK(n int) []SACKBlock {
+	pool := h.pool
+	if len(pool.sacks) < n {
+		chunk := append([]SACKBlock(nil), make([]SACKBlock, max(n, sackChunk))...) //greenvet:allow hotpathalloc SACK refill: one chunk per sackChunk/n ACKs of the engine's pooled packet population, then kept across recycling
+		pool.sacks = chunk[:cap(chunk)]
+	}
+	s := pool.sacks[:0:n]
+	pool.sacks = pool.sacks[n:]
+	return s
 }
 
 // Recycle returns a packet that ended at this host to the host's pool. Only

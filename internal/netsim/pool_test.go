@@ -69,6 +69,55 @@ func TestRecycleIgnoresHandBuiltPackets(t *testing.T) {
 	}
 }
 
+// TestChunkedPacketsAreDistinctAndZeroed: packets cut from chunks are
+// separate, zeroed packets, and the free list holds only recycled ones.
+func TestChunkedPacketsAreDistinctAndZeroed(t *testing.T) {
+	h := NewHost(0, "h")
+	seen := map[*Packet]bool{}
+	for i := 0; i < 3*packetChunk; i++ {
+		p := h.NewPacket()
+		if seen[p] {
+			t.Fatalf("packet %d handed out twice", i)
+		}
+		seen[p] = true
+		if !reflect.DeepEqual(*p, Packet{pooled: true}) {
+			t.Fatalf("packet %d not zeroed: %+v", i, *p)
+		}
+		p.Seq, p.WireSize = uint64(i), 1500
+	}
+	if n := len(h.pool.free); n != 0 {
+		t.Fatalf("free list holds %d packets before any recycling", n)
+	}
+}
+
+// TestNewSACKCarvesDisjointArrays: SACK arrays taken from one chunk are
+// empty, exactly as large as asked, and never overlap, so filling one ACK's
+// blocks, or appending past them, leaves every other ACK's alone.
+func TestNewSACKCarvesDisjointArrays(t *testing.T) {
+	h := NewHost(0, "h")
+	var arrays [][]SACKBlock
+	for i := 0; i < 3*sackChunk; i++ {
+		s := h.NewSACK(4)
+		if len(s) != 0 || cap(s) != 4 {
+			t.Fatalf("array %d: len %d cap %d, want 0 and 4", i, len(s), cap(s))
+		}
+		s = append(s, SACKBlock{uint64(i), uint64(i)}, SACKBlock{uint64(i), uint64(i)},
+			SACKBlock{uint64(i), uint64(i)}, SACKBlock{uint64(i), uint64(i)})
+		arrays = append(arrays, s)
+	}
+	arrays[0] = append(arrays[0], SACKBlock{99, 99}) // past its capacity: must move
+	for i, s := range arrays {
+		for _, b := range s[:4] {
+			if b.Start != uint64(i) {
+				t.Fatalf("array %d holds block %v of another ACK", i, b)
+			}
+		}
+	}
+	if big := h.NewSACK(2 * sackChunk); cap(big) != 2*sackChunk {
+		t.Fatalf("NewSACK(%d) has room for %d blocks", 2*sackChunk, cap(big))
+	}
+}
+
 func TestPacketPoolCap(t *testing.T) {
 	h := NewHost(0, "h")
 	fresh := make([]*Packet, maxFreePackets+10)

@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"greenenvy/internal/sim"
 )
@@ -22,7 +22,8 @@ type Switch struct {
 
 	engine *sim.Engine
 	// exact maps a destination node to its output port; it wins over any
-	// range route (a /32 in longest-prefix terms).
+	// range route (a /32 in longest-prefix terms). It is made by the first
+	// Connect: fabric cores and aggregations never hold an exact route.
 	exact map[NodeID]Handler
 	// ranges holds interval routes sorted by width then lower bound, so a
 	// linear scan returns the narrowest covering range first — the
@@ -39,7 +40,7 @@ type Switch struct {
 	ecmpSalt uint64
 	// pipe is the forwarding pipeline: the delay is fixed, so in-flight
 	// packets form a FIFO and one standing event serves them all.
-	pipe *sim.DelayLine[switchDelivery]
+	pipe sim.DelayLine[switchDelivery]
 	// RxPackets counts packets received for forwarding.
 	RxPackets uint64
 	// DroppedNoRoute counts packets discarded because no route matched the
@@ -74,15 +75,25 @@ type switchDelivery struct {
 
 // NewSwitch creates an empty switch with the legacy 32-hop TTL.
 func NewSwitch(engine *sim.Engine, name string, pipelineDelay sim.Duration) *Switch {
-	s := &Switch{Name: name, PipelineDelay: pipelineDelay, engine: engine, exact: make(map[NodeID]Handler), maxHops: 32}
-	s.pipe = sim.NewDelayLine(engine, func(d switchDelivery) { d.out.HandlePacket(d.p) })
+	s := new(Switch)
+	s.init(engine, name, pipelineDelay)
 	return s
+}
+
+// init builds the switch in place, for NewSwitch and for topology builders
+// that take their switches from a slab.
+func (s *Switch) init(engine *sim.Engine, name string, pipelineDelay sim.Duration) {
+	*s = Switch{Name: name, PipelineDelay: pipelineDelay, engine: engine, maxHops: 32}
+	s.pipe.Init(engine, func(d switchDelivery) { d.out.HandlePacket(d.p) })
 }
 
 // Connect installs the exact-match output port used to reach dst. Typically
 // out is a *Link whose far end is the destination host. Exact routes win
 // over any range route.
 func (s *Switch) Connect(dst NodeID, out Handler) {
+	if s.exact == nil {
+		s.exact = make(map[NodeID]Handler)
+	}
 	s.exact[dst] = out
 }
 
@@ -91,7 +102,7 @@ func (s *Switch) Connect(dst NodeID, out Handler) {
 // pinned to one port by a deterministic hash of (salt, flow, src, dst), so
 // a flow's packets never reorder across paths and the same seed yields the
 // same spreading for any worker count. Narrower ranges win over wider ones;
-// exact routes win over all ranges.
+// exact routes win over all ranges. The switch keeps ports as given.
 func (s *Switch) ConnectRange(lo, hi NodeID, ports ...Handler) {
 	if hi < lo {
 		panic(fmt.Sprintf("netsim: switch %q: ConnectRange [%d, %d] is empty", s.Name, lo, hi))
@@ -99,15 +110,24 @@ func (s *Switch) ConnectRange(lo, hi NodeID, ports ...Handler) {
 	if len(ports) == 0 {
 		panic(fmt.Sprintf("netsim: switch %q: ConnectRange [%d, %d] needs at least one port", s.Name, lo, hi))
 	}
-	s.ranges = append(s.ranges, rangeRoute{lo: lo, hi: hi, ports: ports})
-	sort.SliceStable(s.ranges, func(i, j int) bool {
-		wi := s.ranges[i].hi - s.ranges[i].lo
-		wj := s.ranges[j].hi - s.ranges[j].lo
-		if wi != wj {
-			return wi < wj
-		}
-		return s.ranges[i].lo < s.ranges[j].lo
-	})
+	// The table stays sorted by (width, lo), so inserting after every
+	// entry that does not sort after the new one is a stable sort's result:
+	// equal (width, lo) routes keep their call order.
+	r := rangeRoute{lo: lo, hi: hi, ports: ports}
+	i := len(s.ranges)
+	for i > 0 && r.before(&s.ranges[i-1]) {
+		i--
+	}
+	s.ranges = slices.Insert(s.ranges, i, r)
+}
+
+// before reports whether r sorts ahead of o in a switch's range table:
+// narrower first, then by lower bound.
+func (r *rangeRoute) before(o *rangeRoute) bool {
+	if wr, wo := r.hi-r.lo, o.hi-o.lo; wr != wo {
+		return wr < wo
+	}
+	return r.lo < o.lo
 }
 
 // SetTTL sets the maximum forwarding hop count. Topology builders call it
@@ -226,19 +246,29 @@ type Host struct {
 // with SetEgress before sending. The topology builders instead share one
 // pool among all hosts on an engine.
 func NewHost(id NodeID, name string) *Host {
-	return newHost(id, name, new(packetPool))
+	h := new(Host)
+	h.init(id, name, new(packetPool))
+	return h
 }
 
-func newHost(id NodeID, name string, pool *packetPool) *Host {
-	return &Host{Name: name, ID: id, flows: make(map[FlowID]Handler), pool: pool}
+// init builds the host in place on the given pool, for NewHost and for
+// topology builders that take their hosts from a slab.
+func (h *Host) init(id NodeID, name string, pool *packetPool) {
+	*h = Host{Name: name, ID: id, pool: pool}
 }
 
 // SetEgress installs the first-hop handler (a Link or Bond).
 func (h *Host) SetEgress(e Handler) { h.egress = e }
 
 // Attach registers the handler that receives packets for the given flow at
-// this host.
-func (h *Host) Attach(id FlowID, fh Handler) { h.flows[id] = fh }
+// this host. The flow table is made by the first Attach: most hosts of a
+// large fabric never carry a flow.
+func (h *Host) Attach(id FlowID, fh Handler) {
+	if h.flows == nil {
+		h.flows = make(map[FlowID]Handler)
+	}
+	h.flows[id] = fh
+}
 
 // Detach removes a flow handler.
 func (h *Host) Detach(id FlowID) { delete(h.flows, id) }

@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,6 +29,55 @@ func TestSwitchRangeRoutesNarrowestWins(t *testing.T) {
 	e.Run()
 	if want := []string{"wide", "narrow", "exact"}; fmt.Sprint(via) != fmt.Sprint(want) {
 		t.Fatalf("routes taken = %v, want %v", via, want)
+	}
+}
+
+// routeTag is a comparable port, so a test can tell routes apart by the
+// call that installed them.
+type routeTag int
+
+func (routeTag) HandlePacket(*Packet) {}
+
+// TestConnectRangeKeepsStableOrder: inserting each route at its place must
+// build the table a stable sort of the same calls builds — narrowest first,
+// then by lower bound, and routes with equal (width, lo) in call order —
+// whatever order the calls come in.
+func TestConnectRangeKeepsStableOrder(t *testing.T) {
+	calls := []rangeRoute{
+		{lo: 0, hi: 1023}, {lo: 0, hi: 99}, {lo: 10, hi: 19}, {lo: 0, hi: 9},
+		{lo: 10, hi: 19}, {lo: 50, hi: 59}, {lo: 0, hi: 0}, {lo: 5, hi: 5},
+		{lo: 0, hi: 99}, {lo: 20, hi: 119}, {lo: 0, hi: 9}, {lo: 7, hi: 7},
+		{lo: 10, hi: 19}, {lo: 100, hi: 199},
+	}
+	byWidthThenLo := func(a, b rangeRoute) int {
+		if c := cmp.Compare(a.hi-a.lo, b.hi-b.lo); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.lo, b.lo)
+	}
+	rng := sim.NewRNG(1)
+	for trial := 0; trial < 200; trial++ {
+		for i := len(calls) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			calls[i], calls[j] = calls[j], calls[i]
+		}
+		sw := NewSwitch(sim.NewEngine(), "sw", 0)
+		want := make([]rangeRoute, len(calls))
+		for i, c := range calls {
+			c.ports = []Handler{routeTag(i)}
+			sw.ConnectRange(c.lo, c.hi, c.ports...)
+			want[i] = c
+		}
+		slices.SortStableFunc(want, byWidthThenLo)
+		if len(sw.ranges) != len(want) {
+			t.Fatalf("trial %d: table holds %d routes, want %d", trial, len(sw.ranges), len(want))
+		}
+		for i, r := range sw.ranges {
+			if r.lo != want[i].lo || r.hi != want[i].hi || r.ports[0] != want[i].ports[0] {
+				t.Fatalf("trial %d: route %d is [%d, %d] from call %v, want [%d, %d] from call %v",
+					trial, i, r.lo, r.hi, r.ports[0], want[i].lo, want[i].hi, want[i].ports[0])
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package netsim
 
 import (
-	"fmt"
+	"strconv"
 
 	"greenenvy/internal/sim"
 )
@@ -97,13 +97,34 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 		bufBytes = 1 << 20
 	}
 
-	d := &Dumbbell{Engine: engine}
+	// Every element comes from a slab sized for the topology: each sender
+	// has its bonded uplinks and a downlink, the receiver the bottleneck
+	// and its uplink, and every link but a supplied bottleneck a default
+	// drop-tail queue.
+	bond := cfg.BondedSenderLinks
+	numLinks := 2 + cfg.Senders*(bond+1)
+	hosts := make(slab[Host], 0, cfg.Senders+1)
+	links := make(slab[Link], 0, numLinks)
+	drops := make(slab[DropTail], 0, numLinks)
+	newLink := func(name string, rateBps int64, delay sim.Duration, q Queue, dst Handler) *Link {
+		l := links.one()
+		l.init(engine, name, rateBps, delay, q, dst)
+		return l
+	}
+	newDropTail := func(capBytes, markBytes int) *DropTail {
+		q := drops.one()
+		*q = DropTail{CapBytes: capBytes, MarkBytes: markBytes}
+		return q
+	}
+
+	d := &Dumbbell{Engine: engine, Senders: make([]*Host, 0, cfg.Senders)}
 	// Senders allocate the data packets the receiver frees, and the
 	// receiver allocates the ACKs the senders free, so every host shares
 	// one pool.
 	pool := new(packetPool)
 	recvID := NodeID(cfg.Senders)
-	d.Receiver = newHost(recvID, "receiver", pool)
+	d.Receiver = hosts.one()
+	d.Receiver.init(recvID, "receiver", pool)
 	d.Switch = NewSwitch(engine, "tofino", cfg.SwitchDelay)
 	// Every path crosses the single switch exactly once; TTL 2 (diameter
 	// plus one hop of margin) catches a reflected packet immediately.
@@ -112,30 +133,35 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	// Bottleneck port: switch -> receiver.
 	bq := cfg.BottleneckQueue
 	if bq == nil {
-		bq = NewDropTail(bufBytes, cfg.MarkBytes)
+		bq = newDropTail(bufBytes, cfg.MarkBytes)
 	}
-	d.Bottleneck = NewLink(engine, "bottleneck", cfg.BottleneckBps, cfg.LinkDelay, bq, d.Receiver)
+	d.Bottleneck = newLink("bottleneck", cfg.BottleneckBps, cfg.LinkDelay, bq, d.Receiver)
 	d.Switch.Connect(recvID, d.Bottleneck)
 
 	// Receiver's egress goes back through the switch (for ACKs).
-	revAccess := NewLink(engine, "receiver-uplink", cfg.AccessBps, cfg.LinkDelay, NewDropTail(0, 0), d.Switch)
+	revAccess := newLink("receiver-uplink", cfg.AccessBps, cfg.LinkDelay, newDropTail(0, 0), d.Switch)
 	d.Receiver.SetEgress(revAccess)
 
+	var members slab[*Link]
+	if bond > 1 {
+		members = make(slab[*Link], 0, cfg.Senders*bond)
+	}
 	for i := 0; i < cfg.Senders; i++ {
-		h := newHost(NodeID(i), fmt.Sprintf("sender%d", i), pool)
+		h := hosts.one()
+		h.init(NodeID(i), "sender"+strconv.Itoa(i), pool)
 		delay := cfg.accessDelay(i)
 		// Uplink(s): host -> switch, optionally bonded.
-		if cfg.BondedSenderLinks > 1 {
-			links := make([]*Link, cfg.BondedSenderLinks)
-			for j := range links {
-				links[j] = NewLink(engine, fmt.Sprintf("%s-uplink%d", h.Name, j), cfg.AccessBps, delay, NewDropTail(0, 0), d.Switch)
+		if bond > 1 {
+			up := members.next(bond)
+			for j := range up {
+				up[j] = newLink(h.Name+"-uplink"+strconv.Itoa(j), cfg.AccessBps, delay, newDropTail(0, 0), d.Switch)
 			}
-			h.SetEgress(NewBond(links...))
+			h.SetEgress(NewBond(up...))
 		} else {
-			h.SetEgress(NewLink(engine, h.Name+"-uplink", cfg.AccessBps, delay, NewDropTail(0, 0), d.Switch))
+			h.SetEgress(newLink(h.Name+"-uplink", cfg.AccessBps, delay, newDropTail(0, 0), d.Switch))
 		}
 		// Downlink: switch -> host (carries ACKs; never congested).
-		down := NewLink(engine, h.Name+"-downlink", cfg.AccessBps, delay, NewDropTail(0, 0), h)
+		down := newLink(h.Name+"-downlink", cfg.AccessBps, delay, newDropTail(0, 0), h)
 		d.Switch.Connect(h.ID, down)
 		d.Senders = append(d.Senders, h)
 	}

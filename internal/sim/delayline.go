@@ -36,16 +36,28 @@ type delayItem[T any] struct {
 
 // NewDelayLine creates an empty delay line delivering through fn.
 func NewDelayLine[T any](e *Engine, fn func(T)) *DelayLine[T] {
+	d := new(DelayLine[T])
+	d.Init(e, fn)
+	return d
+}
+
+// Init readies d in place as an empty delay line on e delivering through
+// fn, exactly as NewDelayLine does, so an owner can embed the line rather
+// than point at a separate allocation. d must hold no deliveries, and once
+// it does it must not be copied: the engine's heap points at its event.
+func (d *DelayLine[T]) Init(e *Engine, fn func(T)) {
 	if fn == nil {
-		panic("sim: NewDelayLine with nil deliver callback")
+		panic("sim: delay line with nil deliver callback")
 	}
-	d := &DelayLine[T]{eng: e, deliver: fn}
+	if d.n > 0 {
+		panic("sim: Init of a delay line with deliveries in flight")
+	}
+	*d = DelayLine[T]{eng: e, deliver: fn}
 	d.ev.eng = e
 	d.ev.idx = -1
 	d.ev.band = bandLocal
 	d.ev.pinned = true
 	d.ev.fn = d.fire
-	return d
 }
 
 // Len reports the number of deliveries in flight.

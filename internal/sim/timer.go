@@ -10,7 +10,9 @@ import "fmt"
 // closure on nearly every packet and litter the queue with dead events.
 //
 // A Timer is not safe for concurrent use; like the Engine itself it belongs
-// to a single simulation goroutine.
+// to a single simulation goroutine. Owners may embed one by value and Init
+// it in place; once armed it must not be copied, since the engine's heap
+// points at its event.
 type Timer struct {
 	eng *Engine
 	ev  Event
@@ -20,16 +22,27 @@ type Timer struct {
 // callback is fixed for the timer's lifetime; per-firing state belongs in
 // the fields fn reads.
 func (e *Engine) NewTimer(fn func()) *Timer {
+	t := new(Timer)
+	t.Init(e, fn)
+	return t
+}
+
+// Init readies t in place as a stopped timer on e running fn, exactly as
+// NewTimer does, so an owner can embed the timer rather than point at a
+// separate allocation. t must not be armed.
+func (t *Timer) Init(e *Engine, fn func()) {
 	if fn == nil {
-		panic("sim: NewTimer with nil callback")
+		panic("sim: timer with nil callback")
 	}
-	t := &Timer{eng: e}
+	if t.eng != nil && t.Armed() {
+		panic("sim: Init of an armed timer")
+	}
+	*t = Timer{eng: e}
 	t.ev.eng = e
 	t.ev.idx = -1
 	t.ev.band = bandLocal
 	t.ev.pinned = true
 	t.ev.fn = fn
-	return t
 }
 
 // Armed reports whether the timer is pending. A timer disarms itself when

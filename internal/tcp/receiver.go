@@ -22,8 +22,9 @@ type Receiver struct {
 	unacked int // full segments received since last ACK
 	// delack is the delayed-ACK timer (rearmed in place, never
 	// reallocated); delackEcho is the timestamp echo captured when it was
-	// armed.
-	delack     *sim.Timer
+	// armed. It and rxq live inside the receiver, which therefore must not
+	// be copied.
+	delack     sim.Timer
 	delackEcho sim.Time
 	ceState    bool // DCTCP: CE value of the most recent segment
 	ecePend    bool // whether the next ACK should carry ECE
@@ -51,7 +52,7 @@ type Receiver struct {
 	// drains. Completion times are nondecreasing (rxFreeAt only moves
 	// forward), so the backlog is FIFO: one standing event plus a ring
 	// replaces an event and closure per deferred packet.
-	rxq *sim.DelayLine[*netsim.Packet]
+	rxq sim.DelayLine[*netsim.Packet]
 	// lastINT is the most recent data packet's telemetry, echoed on the
 	// next ACK (HPCC). rxBytes counts wire bytes processed, exposed as
 	// the NIC hop's transmit counter.
@@ -77,8 +78,8 @@ type Receiver struct {
 // account may be nil.
 func NewReceiver(engine *sim.Engine, host *netsim.Host, flow netsim.FlowID, src netsim.NodeID, cfg Config, preciseCE bool, account *energy.Account) *Receiver {
 	r := &Receiver{engine: engine}
-	r.delack = engine.NewTimer(r.onDelAck)
-	r.rxq = sim.NewDelayLine(engine, r.process)
+	r.delack.Init(engine, r.onDelAck)
+	r.rxq.Init(engine, r.process)
 	r.dataHandler = netsim.HandlerFunc(r.handleData)
 	r.Reset(host, flow, src, cfg, preciseCE, account)
 	return r
@@ -367,7 +368,7 @@ func (r *Receiver) sendAck(echo sim.Time) {
 	ack.EchoTS = echo
 	blocks := r.sackBlocks()
 	if cap(ack.SACK) < len(blocks) {
-		ack.SACK = make([]netsim.SACKBlock, 0, maxSACKBlocks) //greenvet:allow hotpathalloc a pooled packet's SACK array is made once, at full size; recycling keeps it
+		ack.SACK = r.host.NewSACK(maxSACKBlocks)
 	}
 	ack.SACK = ack.SACK[:len(blocks)]
 	for i, b := range blocks {

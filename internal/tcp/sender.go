@@ -90,13 +90,14 @@ type Sender struct {
 
 	// The three sender timers cancel-and-rearm on nearly every ACK, so
 	// they are rearmable Timers (one pinned event each, pre-bound
-	// callbacks) rather than fresh Event+closure pairs per arm.
-	rtoTimer   *sim.Timer
+	// callbacks) rather than fresh Event+closure pairs per arm. They live
+	// inside the sender, which therefore must not be copied.
+	rtoTimer   sim.Timer
 	rtoBackoff uint
-	tlpTimer   *sim.Timer
+	tlpTimer   sim.Timer
 	tlpArmedAt uint64 // delivered count when the probe was armed
 
-	sendTimer  *sim.Timer
+	sendTimer  sim.Timer
 	nextSendAt sim.Time
 
 	// ackHandler is the host-attachment handler, bound once at
@@ -123,9 +124,9 @@ type Sender struct {
 // owned by the sender; the energy account may be nil.
 func NewSender(engine *sim.Engine, host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID, totalBytes uint64, cc cca.CongestionControl, cfg Config, account *energy.Account) *Sender {
 	s := &Sender{engine: engine}
-	s.rtoTimer = engine.NewTimer(s.onRTO)
-	s.tlpTimer = engine.NewTimer(s.onTLP)
-	s.sendTimer = engine.NewTimer(s.trySend)
+	s.rtoTimer.Init(engine, s.onRTO)
+	s.tlpTimer.Init(engine, s.onTLP)
+	s.sendTimer.Init(engine, s.trySend)
 	s.ackHandler = netsim.HandlerFunc(s.handleAck)
 	s.Reset(host, flow, dst, totalBytes, cc, cfg, account)
 	return s
