@@ -70,7 +70,6 @@ type Client struct {
 	spec     Spec
 	sender   *tcp.Sender
 	receiver *tcp.Receiver
-	engine   *sim.Engine
 
 	done bool
 	// split marks a sender and receiver living on different partition
@@ -78,15 +77,11 @@ type Client struct {
 	split      bool
 	after      *Client
 	startRelay func(fire func())
-	// stopEv is the pending Duration time-limit event; cancelled when the
-	// transfer completes first (and cleared on Reset, so a pooled client
-	// never inherits a stale stop).
-	stopEv *sim.Event
-	// startFn and stopFn are the start and Duration-stop callbacks, bound
-	// once at construction so a pooled client's Start does not re-create
-	// the method values.
-	startFn, stopFn func()
-	onDone          []func()
+	// starter fires the client's start; stopper is its Duration time
+	// limit, stopped when the transfer completes first (and on Reset, so a
+	// pooled client never inherits a stale stop).
+	starter, stopper sim.Timer[Client]
+	onDone           []func()
 	// OnComplete fires when the transfer finishes.
 	OnComplete func(Report)
 }
@@ -122,8 +117,9 @@ func NewClientOn(srcEngine, dstEngine *sim.Engine, spec Spec, srcHost, dstHost *
 	}
 	spec.Config = cfg
 
-	c := &Client{spec: spec, engine: srcEngine, split: srcEngine != dstEngine}
-	c.startFn, c.stopFn = c.startNow, c.stop
+	c := &Client{spec: spec, split: srcEngine != dstEngine}
+	c.starter.Init(srcEngine, c, (*Client).startNow)
+	c.stopper.Init(srcEngine, c, (*Client).stop)
 	c.receiver = tcp.NewReceiver(dstEngine, dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), dstAccount)
 	c.sender = tcp.NewSender(srcEngine, srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, srcAccount)
 	c.sender.OnComplete = c.finish
@@ -175,10 +171,7 @@ func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dst
 	c.done = false
 	c.after = nil
 	c.startRelay = nil
-	if c.stopEv != nil {
-		c.stopEv.Cancel()
-		c.stopEv = nil
-	}
+	c.stopper.Stop()
 	c.onDone = c.onDone[:0]
 	return nil
 }
@@ -249,34 +242,31 @@ func (c *Client) Start() {
 		relay := c.startRelay
 		c.after.onDone = append(c.after.onDone, func() {
 			if relay != nil {
-				relay(func() { c.engine.After(c.spec.StartAt, c.startFn) })
+				relay(c.armStart)
 			} else {
-				c.engine.After(c.spec.StartAt, c.startFn)
+				c.armStart()
 			}
 		})
 		return
 	}
-	c.engine.After(c.spec.StartAt, c.startFn)
+	c.armStart()
 }
+
+// armStart schedules the start StartAt from now.
+func (c *Client) armStart() { c.starter.Reset(c.spec.StartAt) }
 
 func (c *Client) startNow() {
 	c.sender.Start()
 	if c.spec.Duration > 0 {
-		c.stopEv = c.engine.After(c.spec.Duration, c.stopFn)
+		c.stopper.Reset(c.spec.Duration)
 	}
 }
 
 // stop ends the transfer at its Duration limit.
-func (c *Client) stop() {
-	c.stopEv = nil
-	c.sender.Finish()
-}
+func (c *Client) stop() { c.sender.Finish() }
 
 func (c *Client) finish() {
-	if c.stopEv != nil {
-		c.stopEv.Cancel()
-		c.stopEv = nil
-	}
+	c.stopper.Stop()
 	c.done = true
 	if c.OnComplete != nil {
 		c.OnComplete(c.Report())

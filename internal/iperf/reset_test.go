@@ -19,6 +19,28 @@ func newResetFixture(t *testing.T) (*Client, *netsim.Dumbbell) {
 	return c, d
 }
 
+// TestNewClientAllocs pins what one client costs to build: the client, its
+// TCP sender and receiver, the congestion controller, and the sender's
+// completion callback. The client's and endpoints' timers bind by owner and
+// method expression, and the endpoints attach to their hosts as named
+// pointer types, so none of them adds a closure; binding method values
+// instead cost 15 objects per client.
+func TestNewClientAllocs(t *testing.T) {
+	const limit = 5
+	eng := sim.NewEngine()
+	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbell(1))
+	spec := Spec{Flow: 1, Bytes: 10_000, CCA: "cubic"}
+	build := func() {
+		if _, err := NewClient(eng, spec, d.Senders[0], d.Receiver, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build() // warm: the hosts' demux maps now hold the flow
+	if got := testing.AllocsPerRun(100, build); got > limit {
+		t.Fatalf("NewClient allocates %.0f objects, want at most %d", got, limit)
+	}
+}
+
 // TestClientResetNoAllocs pins the pooled flow-setup path: once a client
 // exists, rebinding it to a new transfer — fresh flow ID, restarted
 // congestion controller, re-attached host handlers, recycled scoreboard

@@ -27,11 +27,11 @@ type Link struct {
 	// standing serialization-completion timer (rearmed per packet, never
 	// reallocated).
 	txPkt  *Packet
-	txDone sim.Timer
+	txDone sim.Timer[Link]
 	// wire is the propagation stage: delay is constant per link, so
 	// deliveries are FIFO and one standing event plus a ring of in-flight
 	// packets replaces a heap event and closure per packet.
-	wire sim.DelayLine[*Packet]
+	wire sim.DelayLine[Link, *Packet]
 	// remote, when set, replaces wire: the far end lives on another
 	// partition's engine and the propagation delay is spent crossing the
 	// conduit (it doubles as the partition's lookahead guarantee). The
@@ -67,8 +67,8 @@ func (l *Link) init(engine *sim.Engine, name string, rateBps int64, delay sim.Du
 		b.BindEngine(engine)
 	}
 	*l = Link{Name: name, RateBps: rateBps, Delay: delay, engine: engine, queue: queue, dst: dst}
-	l.txDone.Init(engine, l.onTxDone)
-	l.wire.Init(engine, dst.HandlePacket)
+	l.txDone.Init(engine, l, (*Link).onTxDone)
+	l.wire.Init(engine, l, (*Link).arrive)
 }
 
 // SetRemote diverts the link's propagation stage through an inter-shard
@@ -155,6 +155,11 @@ func (l *Link) onTxDone() {
 	}
 	l.transmitNext()
 }
+
+// arrive hands a packet that has crossed the wire to the far end.
+//
+//greenvet:hotpath
+func (l *Link) arrive(p *Packet) { l.dst.HandlePacket(p) }
 
 // Busy reports whether the link is currently serializing a packet.
 func (l *Link) Busy() bool { return l.busy }

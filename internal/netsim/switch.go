@@ -40,7 +40,7 @@ type Switch struct {
 	ecmpSalt uint64
 	// pipe is the forwarding pipeline: the delay is fixed, so in-flight
 	// packets form a FIFO and one standing event serves them all.
-	pipe sim.DelayLine[switchDelivery]
+	pipe sim.DelayLine[Switch, switchDelivery]
 	// RxPackets counts packets received for forwarding.
 	RxPackets uint64
 	// DroppedNoRoute counts packets discarded because no route matched the
@@ -84,8 +84,13 @@ func NewSwitch(engine *sim.Engine, name string, pipelineDelay sim.Duration) *Swi
 // that take their switches from a slab.
 func (s *Switch) init(engine *sim.Engine, name string, pipelineDelay sim.Duration) {
 	*s = Switch{Name: name, PipelineDelay: pipelineDelay, engine: engine, maxHops: 32}
-	s.pipe.Init(engine, func(d switchDelivery) { d.out.HandlePacket(d.p) })
+	s.pipe.Init(engine, s, (*Switch).deliver)
 }
+
+// deliver hands a packet leaving the pipeline to its resolved output port.
+//
+//greenvet:hotpath
+func (s *Switch) deliver(d switchDelivery) { d.out.HandlePacket(d.p) }
 
 // Connect installs the exact-match output port used to reach dst. Typically
 // out is a *Link whose far end is the destination host. Exact routes win

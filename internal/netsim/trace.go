@@ -19,6 +19,7 @@ type ThroughputSample struct {
 type ThroughputMonitor struct {
 	engine   *sim.Engine
 	interval sim.Duration
+	ticker   sim.Timer[ThroughputMonitor]
 	counts   map[FlowID]uint64
 	last     map[FlowID]uint64
 	series   map[FlowID][]ThroughputSample
@@ -32,13 +33,15 @@ func NewThroughputMonitor(engine *sim.Engine, interval sim.Duration) *Throughput
 	if interval <= 0 {
 		panic("netsim: monitor interval must be positive")
 	}
-	return &ThroughputMonitor{
+	m := &ThroughputMonitor{
 		engine:   engine,
 		interval: interval,
 		counts:   make(map[FlowID]uint64),
 		last:     make(map[FlowID]uint64),
 		series:   make(map[FlowID][]ThroughputSample),
 	}
+	m.ticker.Init(engine, m, (*ThroughputMonitor).tick)
+	return m
 }
 
 // Observe records payload bytes delivered for a flow.
@@ -49,9 +52,7 @@ func (m *ThroughputMonitor) Observe(flow FlowID, payloadBytes int) {
 }
 
 // Start begins periodic sampling.
-func (m *ThroughputMonitor) Start() {
-	m.engine.After(m.interval, m.tick)
-}
+func (m *ThroughputMonitor) Start() { m.ticker.Reset(m.interval) }
 
 // Stop ends sampling after the current interval.
 func (m *ThroughputMonitor) Stop() { m.stopped = true }
@@ -67,7 +68,7 @@ func (m *ThroughputMonitor) tick() {
 		bps := float64(delta) * 8 / m.interval.Seconds()
 		m.series[flow] = append(m.series[flow], ThroughputSample{At: now, Bps: bps, Flow: flow})
 	}
-	m.engine.After(m.interval, m.tick)
+	m.ticker.Reset(m.interval)
 }
 
 // Series returns the sampled throughput series for a flow.

@@ -16,10 +16,14 @@ import "fmt"
 // re-armed with that stored rank. Event interleaving is therefore
 // bit-identical to scheduling one heap event per item, as the pre-pooling
 // engine did.
-type DelayLine[T any] struct {
+//
+// Like Timer, a line delivers to a method of its owner given as a method
+// expression, such as (*Receiver).process, so binding allocates nothing.
+type DelayLine[O, T any] struct {
 	eng     *Engine
-	deliver func(T)
-	ev      Event
+	owner   *O
+	deliver func(*O, T)
+	ev      event
 	// ring is a power-of-two circular buffer of pending deliveries.
 	ring []delayItem[T]
 	head int
@@ -34,34 +38,21 @@ type delayItem[T any] struct {
 	seq  uint64
 }
 
-// NewDelayLine creates an empty delay line delivering through fn.
-func NewDelayLine[T any](e *Engine, fn func(T)) *DelayLine[T] {
-	d := new(DelayLine[T])
-	d.Init(e, fn)
-	return d
-}
-
-// Init readies d in place as an empty delay line on e delivering through
-// fn, exactly as NewDelayLine does, so an owner can embed the line rather
-// than point at a separate allocation. d must hold no deliveries, and once
-// it does it must not be copied: the engine's heap points at its event.
-func (d *DelayLine[T]) Init(e *Engine, fn func(T)) {
-	if fn == nil {
-		panic("sim: delay line with nil deliver callback")
+// Init readies d in place as an empty delay line on e delivering each item
+// through fn(owner, item). d must hold no deliveries, and once initialized
+// it must not be copied: its event points back at it.
+func (d *DelayLine[O, T]) Init(e *Engine, owner *O, fn func(*O, T)) {
+	if owner == nil || fn == nil {
+		panic("sim: delay line with nil owner or deliver callback")
 	}
 	if d.n > 0 {
 		panic("sim: Init of a delay line with deliveries in flight")
 	}
-	*d = DelayLine[T]{eng: e, deliver: fn}
-	d.ev.eng = e
-	d.ev.idx = -1
-	d.ev.band = bandLocal
-	d.ev.pinned = true
-	d.ev.fn = d.fire
+	*d = DelayLine[O, T]{eng: e, owner: owner, deliver: fn, ev: event{fn: d, idx: -1, band: bandLocal, pinned: true}}
 }
 
 // Len reports the number of deliveries in flight.
-func (d *DelayLine[T]) Len() int { return d.n }
+func (d *DelayLine[O, T]) Len() int { return d.n }
 
 // Schedule enqueues item for delivery at absolute time at. Due times must
 // be nondecreasing across calls while the line is non-empty; violating that
@@ -69,7 +60,7 @@ func (d *DelayLine[T]) Len() int { return d.n }
 // silently reordering deliveries.
 //
 //greenvet:hotpath
-func (d *DelayLine[T]) Schedule(item T, at Time) {
+func (d *DelayLine[O, T]) Schedule(item T, at Time) {
 	e := d.eng
 	if at < e.now {
 		panic(fmt.Sprintf("sim: delay line delivery at %v before now %v", at, e.now))
@@ -91,16 +82,16 @@ func (d *DelayLine[T]) Schedule(item T, at Time) {
 // fire delivers the head item and re-arms for the next one.
 //
 //greenvet:hotpath
-func (d *DelayLine[T]) fire() {
+func (d *DelayLine[O, T]) fire() {
 	it := d.popRing()
-	d.deliver(it.item)
+	d.deliver(d.owner, it.item)
 	if d.ev.idx < 0 && d.n > 0 {
 		h := &d.ring[d.head]
 		d.eng.pushAt(&d.ev, h.at, h.seq)
 	}
 }
 
-func (d *DelayLine[T]) pushRing(it delayItem[T]) {
+func (d *DelayLine[O, T]) pushRing(it delayItem[T]) {
 	if d.n == len(d.ring) {
 		d.grow()
 	}
@@ -108,7 +99,7 @@ func (d *DelayLine[T]) pushRing(it delayItem[T]) {
 	d.n++
 }
 
-func (d *DelayLine[T]) popRing() delayItem[T] {
+func (d *DelayLine[O, T]) popRing() delayItem[T] {
 	it := d.ring[d.head]
 	var zero delayItem[T]
 	d.ring[d.head] = zero // drop the item reference for the GC
@@ -118,7 +109,7 @@ func (d *DelayLine[T]) popRing() delayItem[T] {
 }
 
 // grow doubles the ring (power-of-two capacity keeps indexing a mask).
-func (d *DelayLine[T]) grow() {
+func (d *DelayLine[O, T]) grow() {
 	newCap := 2 * len(d.ring)
 	if newCap == 0 {
 		newCap = 16

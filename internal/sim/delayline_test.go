@@ -3,29 +3,40 @@ package sim
 import "testing"
 
 // lineOwner embeds a DelayLine by value between other fields, the way a
-// netsim.Link holds its wire and a tcp.Receiver its receive line.
+// netsim.Link holds its wire and a tcp.Receiver its receive line. The line
+// delivers through arrive, which calls the test's hook.
 type lineOwner[T any] struct {
 	before int
-	line   DelayLine[T]
+	line   DelayLine[lineOwner[T], T]
 	after  int
+	onItem func(T)
 }
 
-// forEachDelayLine runs test over both ways an owner can build a delay
-// line: NewDelayLine's separate allocation, and Init in place inside an
-// owning struct. The two must behave identically.
-func forEachDelayLine[T any](t *testing.T, test func(t *testing.T, newLine func(e *Engine, fn func(T)) *DelayLine[T])) {
-	t.Run("NewDelayLine", func(t *testing.T) { test(t, NewDelayLine[T]) })
+func (o *lineOwner[T]) arrive(v T) { o.onItem(v) }
+
+// forEachDelayLine runs test over both ways an owner can hold a delay
+// line: as a separate allocation the owner points at (subtest
+// NewDelayLine) and embedded by value (subtest Init), each readied with
+// Init. The two must behave identically.
+func forEachDelayLine[T any](t *testing.T, test func(t *testing.T, newLine func(e *Engine, fn func(T)) *DelayLine[lineOwner[T], T])) {
+	t.Run("NewDelayLine", func(t *testing.T) {
+		test(t, func(e *Engine, fn func(T)) *DelayLine[lineOwner[T], T] {
+			d := new(DelayLine[lineOwner[T], T])
+			d.Init(e, &lineOwner[T]{onItem: fn}, (*lineOwner[T]).arrive)
+			return d
+		})
+	})
 	t.Run("Init", func(t *testing.T) {
-		test(t, func(e *Engine, fn func(T)) *DelayLine[T] {
-			o := new(lineOwner[T])
-			o.line.Init(e, fn)
+		test(t, func(e *Engine, fn func(T)) *DelayLine[lineOwner[T], T] {
+			o := &lineOwner[T]{onItem: fn}
+			o.line.Init(e, o, (*lineOwner[T]).arrive)
 			return &o.line
 		})
 	})
 }
 
 func TestDelayLineDeliversInOrder(t *testing.T) {
-	forEachDelayLine(t, func(t *testing.T, newLine func(*Engine, func(int)) *DelayLine[int]) {
+	forEachDelayLine(t, func(t *testing.T, newLine func(*Engine, func(int)) *DelayLine[lineOwner[int], int]) {
 		e := NewEngine()
 		var got []int
 		var when []Time
@@ -44,10 +55,10 @@ func TestDelayLineDeliversInOrder(t *testing.T) {
 }
 
 func TestDelayLineScheduleDuringDelivery(t *testing.T) {
-	forEachDelayLine(t, func(t *testing.T, newLine func(*Engine, func(int)) *DelayLine[int]) {
+	forEachDelayLine(t, func(t *testing.T, newLine func(*Engine, func(int)) *DelayLine[lineOwner[int], int]) {
 		e := NewEngine()
 		var got []int
-		var d *DelayLine[int]
+		var d *DelayLine[lineOwner[int], int]
 		d = newLine(e, func(v int) {
 			got = append(got, v)
 			if v < 3 {
@@ -66,7 +77,7 @@ func TestDelayLineScheduleDuringDelivery(t *testing.T) {
 }
 
 func TestDelayLineNonmonotonicPanics(t *testing.T) {
-	forEachDelayLine(t, func(t *testing.T, newLine func(*Engine, func(int)) *DelayLine[int]) {
+	forEachDelayLine(t, func(t *testing.T, newLine func(*Engine, func(int)) *DelayLine[lineOwner[int], int]) {
 		e := NewEngine()
 		d := newLine(e, func(int) {})
 		d.Schedule(1, 20)
@@ -83,7 +94,7 @@ func TestDelayLineNonmonotonicPanics(t *testing.T) {
 // exactly as if each item had its own heap event — the property the sweep
 // golden digest depends on.
 func TestDelayLineFIFOWithEvents(t *testing.T) {
-	forEachDelayLine(t, func(t *testing.T, newLine func(*Engine, func(string)) *DelayLine[string]) {
+	forEachDelayLine(t, func(t *testing.T, newLine func(*Engine, func(string)) *DelayLine[lineOwner[string], string]) {
 		e := NewEngine()
 		var order []string
 		d := newLine(e, func(s string) { order = append(order, s) })
@@ -102,7 +113,7 @@ func TestDelayLineFIFOWithEvents(t *testing.T) {
 }
 
 func TestDelayLineSteadyStateAllocFree(t *testing.T) {
-	forEachDelayLine(t, func(t *testing.T, newLine func(*Engine, func(int)) *DelayLine[int]) {
+	forEachDelayLine(t, func(t *testing.T, newLine func(*Engine, func(int)) *DelayLine[lineOwner[int], int]) {
 		e := NewEngine()
 		n := 0
 		d := newLine(e, func(int) { n++ })
@@ -127,13 +138,23 @@ func TestDelayLineSteadyStateAllocFree(t *testing.T) {
 // in flight would orphan them and its standing event.
 func TestDelayLineInitRejectsBusyLine(t *testing.T) {
 	e := NewEngine()
-	var d DelayLine[int]
-	d.Init(e, func(int) {})
-	d.Schedule(1, 10)
+	o := &lineOwner[int]{onItem: func(int) {}}
+	o.line.Init(e, o, (*lineOwner[int]).arrive)
+	o.line.Schedule(1, 10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Init of a busy delay line did not panic")
 		}
 	}()
-	d.Init(e, func(int) {})
+	o.line.Init(e, o, (*lineOwner[int]).arrive)
+}
+
+// TestDelayLineInitAllocsZero pins that binding a line to its owner's
+// method expression allocates nothing.
+func TestDelayLineInitAllocsZero(t *testing.T) {
+	e := NewEngine()
+	o := &lineOwner[int]{onItem: func(int) {}}
+	if avg := testing.AllocsPerRun(100, func() { o.line.Init(e, o, (*lineOwner[int]).arrive) }); avg != 0 {
+		t.Fatalf("Init allocated %.1f objects, want 0", avg)
+	}
 }

@@ -447,7 +447,7 @@ type Conduit[T any] struct {
 	head, n        int
 	msgIdx         uint64
 	lastAt         Time
-	ev             Event
+	ev             event
 }
 
 type conduitMsg[T any] struct {
@@ -495,11 +495,7 @@ func NewConduit[T any](g *ShardGroup, src, dst int, delay Duration, fn func(T)) 
 		srcEng: g.shards[src].eng,
 		dstEng: g.shards[dst].eng,
 	}
-	c.ev.eng = c.dstEng
-	c.ev.idx = -1
-	c.ev.band = bandPortal
-	c.ev.pinned = true
-	c.ev.fn = c.fire
+	c.ev = event{fn: c, idx: -1, band: bandPortal, pinned: true}
 	g.conduits = append(g.conduits, c)
 	g.shards[src].out = append(g.shards[src].out, c)
 	g.shards[dst].in = append(g.shards[dst].in, c)

@@ -8,12 +8,12 @@
 // driven from a single Engine, so a run is fully deterministic given its
 // seed: no wall-clock time ever enters the simulation.
 //
-// The event queue is an inlined 4-ary min-heap over pooled Event structs
+// The event queue is an inlined 4-ary min-heap over pooled event structs
 // rather than container/heap (whose Push/Pop box every element through
 // `any`): scheduling on the steady-state hot path performs zero heap
-// allocations. Fired and cancelled events are recycled through a free list,
-// and lazily-cancelled events are compacted out of the queue when they
-// outnumber live ones.
+// allocations. Fired events are recycled through a free list, and a Timer
+// that stops removes its event from the heap at once, so every queued event
+// will fire.
 package sim
 
 import (
@@ -48,20 +48,21 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // FromSeconds converts floating-point seconds to a Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
-// Event is a unit of scheduled work. Events are ordered by time; events at
+// event is a unit of scheduled work. Events are ordered by time; events at
 // the same time fire in the order they were scheduled (FIFO), which keeps
 // runs deterministic.
 //
-// Ownership: an Event returned by At/After belongs to the caller only while
-// it is pending. Once it fires or a cancellation is collected, the engine
-// recycles the struct for a future At/After, so callers must not retain
-// Event pointers past their firing time. Code that needs to cancel and
-// rearm long-lived timers should use Timer, which owns its Event forever.
-type Event struct {
+// An At/After event is pooled: the engine recycles it once it fires. A
+// pinned event belongs to a Timer, DelayLine or Conduit for its whole life
+// and never enters the free list.
+type event struct {
 	at  Time
 	seq uint64
-	fn  func()
-	eng *Engine
+	// fn runs the event. A pinned event's fn is its owner (the Timer,
+	// DelayLine or Conduit holding it), so firing dispatches to the owner
+	// with no bound closure; an At/After event holds its func() as a
+	// callback, which is pointer-shaped and so boxes without allocating.
+	fn firer
 	// idx is the position in the engine's heap array, -1 when not queued.
 	idx int32
 	// band is the ordering tier among same-time events: bandPortal events
@@ -70,12 +71,19 @@ type Event struct {
 	// shard's own events and handoffs from its peers. Within a band, seq
 	// orders as before.
 	band uint8
-	// dead marks a lazily-cancelled event awaiting collection.
-	dead bool
-	// pinned events are owned by a Timer or DelayLine and are never
-	// returned to the engine's free list.
+	// pinned events are owned by a Timer, DelayLine or Conduit and are
+	// never returned to the engine's free list.
 	pinned bool
 }
+
+// firer is what an event runs when it fires. Timer, DelayLine and Conduit
+// implement it on their own pointers.
+type firer interface{ fire() }
+
+// callback adapts an At/After func to firer.
+type callback func()
+
+func (f callback) fire() { f() }
 
 // Event ordering bands. Portal events carry sequence numbers from their
 // conduit's own deterministic counter, not the engine's, so the two spaces
@@ -85,26 +93,6 @@ const (
 	bandLocal
 )
 
-// Time returns the simulated time at which the event fires (or was to fire).
-func (e *Event) Time() Time { return e.at }
-
-// Cancel prevents a pending event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op (but see the ownership note on
-// Event: do not retain pointers past firing). Cancel is O(1): the event is
-// lazily marked dead and stays in the queue until its time comes — or until
-// dead events outnumber live ones, when the engine compacts them out in one
-// pass. Dead events do not count toward Pending.
-//
-//greenvet:hotpath
-func (e *Event) Cancel() {
-	if e.idx < 0 || e.dead {
-		return
-	}
-	e.dead = true
-	e.eng.dead++
-	e.eng.maybeCompact()
-}
-
 // Engine is the discrete-event scheduler. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
@@ -113,11 +101,9 @@ type Engine struct {
 	// events is a 4-ary min-heap on (at, seq). A 4-ary layout halves the
 	// tree depth of a binary heap and keeps children in one cache line,
 	// which measurably speeds up the sift loops that dominate scheduling.
-	events []*Event
-	// dead counts cancelled events still occupying heap slots.
-	dead int
-	// free recycles fired/cancelled Event structs.
-	free  []*Event
+	events []*event
+	// free recycles fired At/After events.
+	free  []*event
 	fired uint64
 	// Stop aborts Run when set; checked between events.
 	stopped bool
@@ -131,9 +117,8 @@ func NewEngine() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of live events still queued. Cancelled events
-// awaiting collection are not counted.
-func (e *Engine) Pending() int { return len(e.events) - e.dead }
+// Pending reports the number of events still queued.
+func (e *Engine) Pending() int { return len(e.events) }
 
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -146,22 +131,21 @@ func (e *Engine) nextSeq() uint64 {
 	return s
 }
 
-// alloc takes an Event from the free list, or allocates one.
-func (e *Engine) alloc() *Event {
+// alloc takes an event from the free list, or allocates one.
+func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &Event{eng: e, idx: -1} //greenvet:allow hotpathalloc pool refill: one allocation per peak concurrent event, then recycled forever
+	return &event{idx: -1} //greenvet:allow hotpathalloc pool refill: one allocation per peak concurrent event, then recycled forever
 }
 
-// release returns a fired or collected event to the free list, dropping its
-// closure so the engine does not pin caller memory.
-func (e *Engine) release(ev *Event) {
+// release returns a fired event to the free list, dropping its callback so
+// the engine does not pin caller memory.
+func (e *Engine) release(ev *event) {
 	ev.fn = nil
-	ev.dead = false
 	e.free = append(e.free, ev) //greenvet:allow hotpathalloc free list grows to the peak live-event count, then growth stops
 }
 
@@ -170,7 +154,7 @@ func (e *Engine) release(ev *Event) {
 // bug in the caller.
 //
 //greenvet:hotpath
-func (e *Engine) At(t Time, fn func()) *Event {
+func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -178,53 +162,43 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	ev.at = t
 	ev.seq = e.nextSeq()
 	ev.band = bandLocal
-	ev.fn = fn
+	ev.fn = callback(fn)
 	e.push(ev)
-	return ev
 }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Duration, fn func()) *Event {
+func (e *Engine) After(d Duration, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	return e.At(e.now+d, fn)
+	e.At(e.now+d, fn)
 }
 
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step executes the next live event. It reports false when the queue is
+// step executes the next event. It reports false when the queue is
 // exhausted.
 //
 //greenvet:hotpath
 func (e *Engine) step() bool {
-	for len(e.events) > 0 {
-		ev := e.popMin()
-		if ev.dead {
-			e.dead--
-			if !ev.pinned {
-				e.release(ev)
-			} else {
-				ev.dead = false
-			}
-			continue
-		}
-		if ev.at < e.now {
-			panic("sim: event heap produced an event in the past")
-		}
-		e.now = ev.at
-		e.fired++
-		fn := ev.fn
-		// Recycle before running fn so self-rescheduling callbacks (ticks,
-		// retransmission chains) reuse the very Event that fired.
-		if !ev.pinned {
-			e.release(ev)
-		}
-		fn()
-		return true
+	if len(e.events) == 0 {
+		return false
 	}
-	return false
+	ev := e.popMin()
+	if ev.at < e.now {
+		panic("sim: event heap produced an event in the past")
+	}
+	e.now = ev.at
+	e.fired++
+	fn := ev.fn
+	// Recycle before running fn so self-rescheduling callbacks (ticks,
+	// retransmission chains) reuse the very event that fired.
+	if !ev.pinned {
+		e.release(ev)
+	}
+	fn.fire()
+	return true
 }
 
 // Run executes events until the queue is empty or Stop is called. It returns
@@ -240,16 +214,7 @@ func (e *Engine) Run() Time {
 // clock to the deadline if it is beyond the last event executed.
 func (e *Engine) RunUntil(deadline Time) Time {
 	e.stopped = false
-	for !e.stopped {
-		if len(e.events) == 0 {
-			break
-		}
-		// Peek: the heap root is the earliest event. A dead root is fine:
-		// every event, dead or live, fires no earlier than the root.
-		if e.events[0].at > deadline {
-			break
-		}
-		e.step()
+	for !e.stopped && e.next() <= deadline && e.step() {
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -260,51 +225,30 @@ func (e *Engine) RunUntil(deadline Time) Time {
 // RunFor executes events for d nanoseconds of simulated time from now.
 func (e *Engine) RunFor(d Duration) Time { return e.RunUntil(e.now + d) }
 
-// peekLive discards dead events at the heap root and returns the earliest
-// live event without executing it, or nil when the queue is empty.
-func (e *Engine) peekLive() *Event {
-	for len(e.events) > 0 {
-		root := e.events[0]
-		if !root.dead {
-			return root
-		}
-		e.popMin()
-		e.dead--
-		if root.pinned {
-			root.dead = false
-		} else {
-			e.release(root)
-		}
+// next returns the firing time of the earliest queued event, or MaxTime
+// when the queue is empty.
+func (e *Engine) next() Time {
+	if len(e.events) == 0 {
+		return MaxTime
 	}
-	return nil
+	return e.events[0].at
 }
 
 // RunBelow executes events with firing time strictly below limit and
-// returns the firing time of the earliest remaining live event (MaxTime
-// when the queue is empty). Unlike RunUntil it neither advances the clock
-// to the limit nor executes an event at it: the sharded scheduler calls it
+// returns the firing time of the earliest remaining event (MaxTime when the
+// queue is empty). Unlike RunUntil it neither advances the clock to the
+// limit nor executes an event at it: the sharded scheduler calls it
 // repeatedly as the shard's lower-bound timestamp grows, and the clock must
 // never pass a point that a cross-shard arrival could still precede. The
-// returned time is exact (dead events are collected, not reported), so the
-// caller can publish it as a bound to downstream shards.
+// caller can publish the returned time as a bound to downstream shards.
 //
 //greenvet:hotpath
 func (e *Engine) RunBelow(limit Time) Time {
 	e.stopped = false
-	for !e.stopped {
-		root := e.peekLive()
-		if root == nil {
-			return MaxTime
-		}
-		if root.at >= limit {
-			return root.at
-		}
+	for !e.stopped && e.next() < limit {
 		e.step()
 	}
-	if root := e.peekLive(); root != nil {
-		return root.at
-	}
-	return MaxTime
+	return e.next()
 }
 
 // --- 4-ary heap over (at, seq) ---
@@ -312,7 +256,7 @@ func (e *Engine) RunBelow(limit Time) Time {
 // before reports whether a fires strictly before b: by time, then band
 // (portal arrivals ahead of local events), then sequence number within the
 // band.
-func before(a, b *Event) bool {
+func before(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -323,7 +267,7 @@ func before(a, b *Event) bool {
 }
 
 // push inserts ev (whose at/seq are already set) into the heap.
-func (e *Engine) push(ev *Event) {
+func (e *Engine) push(ev *event) {
 	ev.idx = int32(len(e.events))
 	e.events = append(e.events, ev) //greenvet:allow hotpathalloc heap storage is amortized to the peak pending-event count
 	e.siftUp(len(e.events) - 1)
@@ -332,7 +276,7 @@ func (e *Engine) push(ev *Event) {
 // pushAt inserts a pinned event with an explicit (at, seq), used by
 // DelayLine to re-insert deferred deliveries with the ordering rank they
 // were assigned when originally scheduled.
-func (e *Engine) pushAt(ev *Event, at Time, seq uint64) {
+func (e *Engine) pushAt(ev *event, at Time, seq uint64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
@@ -342,7 +286,7 @@ func (e *Engine) pushAt(ev *Event, at Time, seq uint64) {
 }
 
 // popMin removes and returns the earliest event.
-func (e *Engine) popMin() *Event {
+func (e *Engine) popMin() *event {
 	h := e.events
 	root := h[0]
 	n := len(h) - 1
@@ -431,39 +375,4 @@ func (e *Engine) siftDown(i int) {
 	}
 	h[i] = ev
 	ev.idx = int32(i)
-}
-
-// maybeCompact rebuilds the heap without its dead events once they hold the
-// majority of the slots. Timers that cancel-and-rearm on every ACK would
-// otherwise inflate every sift with corpses.
-func (e *Engine) maybeCompact() {
-	if e.dead*2 <= len(e.events) || e.dead < 64 {
-		return
-	}
-	h := e.events
-	live := h[:0]
-	for _, ev := range h {
-		if ev.dead {
-			ev.idx = -1
-			if ev.pinned {
-				ev.dead = false
-			} else {
-				e.release(ev)
-			}
-			continue
-		}
-		ev.idx = int32(len(live))
-		live = append(live, ev) //greenvet:allow hotpathalloc appends into h[:0]: reuses the existing backing array, never grows
-	}
-	for i := len(live); i < len(h); i++ {
-		h[i] = nil
-	}
-	e.events = live
-	e.dead = 0
-	// Heapify: sift interior nodes down, deepest first. Ordering of pops
-	// is unaffected — (at, seq) is a total order, so any valid heap
-	// arrangement yields the same pop sequence.
-	for i := (len(live) - 2) >> 2; i >= 0; i-- {
-		e.siftDown(i)
-	}
 }

@@ -83,28 +83,6 @@ func TestEngineNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.At(10, func() { fired = true })
-	ev.Cancel()
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if e.Fired() != 0 {
-		t.Fatalf("Fired = %d, want 0", e.Fired())
-	}
-}
-
-func TestCancelIsIdempotent(t *testing.T) {
-	e := NewEngine()
-	ev := e.At(10, func() {})
-	ev.Cancel()
-	ev.Cancel()
-	e.Run()
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(10, func() {
@@ -149,6 +127,22 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// RunUntil(MaxTime) can never pass its deadline, so only a drained queue
+// ends it; it must return both when the queue starts empty and once the
+// events it runs stop scheduling more.
+func TestRunUntilMaxTimeReturns(t *testing.T) {
+	e := NewEngine()
+	if got := e.RunUntil(MaxTime); got != MaxTime {
+		t.Fatalf("empty queue: RunUntil(MaxTime) = %v, want MaxTime", got)
+	}
+	e = NewEngine()
+	n := 0
+	e.At(10, func() { n++; e.After(5, func() { n++ }) })
+	if got := e.RunUntil(MaxTime); got != MaxTime || n != 2 {
+		t.Fatalf("RunUntil(MaxTime) = %v after %d events, want MaxTime after 2", got, n)
+	}
+}
+
 func TestRunForAdvancesRelative(t *testing.T) {
 	e := NewEngine()
 	e.RunFor(Second)
@@ -182,57 +176,6 @@ func TestPendingCount(t *testing.T) {
 	e.Run()
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after Run, want 0", e.Pending())
-	}
-}
-
-// Pending counts live events only: a cancelled event may linger in the heap
-// until compaction, but it must not be reported as pending work.
-func TestPendingExcludesCancelled(t *testing.T) {
-	e := NewEngine()
-	ev := e.At(1, func() {})
-	e.At(2, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	ev.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after Cancel, want 1", e.Pending())
-	}
-	ev.Cancel() // idempotent: must not double-count
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d after second Cancel, want 1", e.Pending())
-	}
-	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after Run, want 0", e.Pending())
-	}
-}
-
-// Cancelling a large batch of events must trigger dead-event compaction, and
-// the surviving events must still fire in exactly (time, FIFO) order.
-func TestCompactionPreservesOrder(t *testing.T) {
-	e := NewEngine()
-	var cancelled []*Event
-	var fired []int
-	for i := 0; i < 500; i++ {
-		i := i
-		ev := e.At(Time(1000+i/5), func() { fired = append(fired, i) })
-		if i%2 == 1 {
-			cancelled = append(cancelled, ev)
-		}
-	}
-	for _, ev := range cancelled {
-		ev.Cancel()
-	}
-	if e.Pending() != 250 {
-		t.Fatalf("Pending = %d after mass cancel, want 250", e.Pending())
-	}
-	e.Run()
-	if len(fired) != 250 {
-		t.Fatalf("fired %d events, want 250", len(fired))
-	}
-	if !sort.IntsAreSorted(fired) {
-		t.Fatalf("compaction broke FIFO order among equal-time events: %v", fired[:20])
 	}
 }
 

@@ -3,36 +3,45 @@ package sim
 import "testing"
 
 // timerOwner embeds a Timer by value between other fields, the way a
-// netsim.Link or a tcp.Sender holds its timers.
+// netsim.Link or a tcp.Sender holds its timers. The timer runs expire,
+// which calls the test's hook.
 type timerOwner struct {
 	before int
-	tm     Timer
+	tm     Timer[timerOwner]
 	after  int
+	onFire func()
 }
 
-// timerConstructors builds a timer both ways an owner can: NewTimer's
-// separate allocation, and Init in place inside an owning struct. Every
-// timer test runs over both, so the two must behave identically.
+func (o *timerOwner) expire() { o.onFire() }
+
+// timerConstructors builds a timer both ways an owner can hold one: as a
+// separate allocation the owner points at (subtest NewTimer) and embedded
+// by value (subtest Init), each readied with Init. Every timer test runs
+// over both, so the two must behave identically.
 var timerConstructors = []struct {
 	name string
-	new  func(e *Engine, fn func()) *Timer
+	new  func(e *Engine, fn func()) *Timer[timerOwner]
 }{
-	{"NewTimer", func(e *Engine, fn func()) *Timer { return e.NewTimer(fn) }},
-	{"Init", func(e *Engine, fn func()) *Timer {
-		o := new(timerOwner)
-		o.tm.Init(e, fn)
+	{"NewTimer", func(e *Engine, fn func()) *Timer[timerOwner] {
+		tm := new(Timer[timerOwner])
+		tm.Init(e, &timerOwner{onFire: fn}, (*timerOwner).expire)
+		return tm
+	}},
+	{"Init", func(e *Engine, fn func()) *Timer[timerOwner] {
+		o := &timerOwner{onFire: fn}
+		o.tm.Init(e, o, (*timerOwner).expire)
 		return &o.tm
 	}},
 }
 
-func forEachTimer(t *testing.T, test func(t *testing.T, newTimer func(e *Engine, fn func()) *Timer)) {
+func forEachTimer(t *testing.T, test func(t *testing.T, newTimer func(e *Engine, fn func()) *Timer[timerOwner])) {
 	for _, c := range timerConstructors {
 		t.Run(c.name, func(t *testing.T) { test(t, c.new) })
 	}
 }
 
 func TestTimerFires(t *testing.T) {
-	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer) {
+	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer[timerOwner]) {
 		e := NewEngine()
 		var at Time
 		tm := newTimer(e, func() { at = e.Now() })
@@ -54,7 +63,7 @@ func TestTimerFires(t *testing.T) {
 }
 
 func TestTimerResetRearmsInPlace(t *testing.T) {
-	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer) {
+	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer[timerOwner]) {
 		e := NewEngine()
 		count := 0
 		tm := newTimer(e, func() { count++ })
@@ -72,7 +81,7 @@ func TestTimerResetRearmsInPlace(t *testing.T) {
 }
 
 func TestTimerStop(t *testing.T) {
-	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer) {
+	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer[timerOwner]) {
 		e := NewEngine()
 		fired := false
 		tm := newTimer(e, func() { fired = true })
@@ -93,10 +102,10 @@ func TestTimerStop(t *testing.T) {
 }
 
 func TestTimerRestartAfterFire(t *testing.T) {
-	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer) {
+	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer[timerOwner]) {
 		e := NewEngine()
 		var fires []Time
-		var tm *Timer
+		var tm *Timer[timerOwner]
 		tm = newTimer(e, func() {
 			fires = append(fires, e.Now())
 			if len(fires) < 3 {
@@ -115,7 +124,7 @@ func TestTimerRestartAfterFire(t *testing.T) {
 // Timer firings obey the engine's FIFO tie-break exactly like plain events:
 // among equal deadlines, whoever armed first fires first.
 func TestTimerFIFOWithEvents(t *testing.T) {
-	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer) {
+	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer[timerOwner]) {
 		e := NewEngine()
 		var order []string
 		tm := newTimer(e, func() { order = append(order, "timer") })
@@ -133,7 +142,7 @@ func TestTimerFIFOWithEvents(t *testing.T) {
 // events scheduled for the same instant after its original arming — the
 // same ordering the old cancel-and-reschedule pattern produced.
 func TestTimerResetTakesFreshSeq(t *testing.T) {
-	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer) {
+	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer[timerOwner]) {
 		e := NewEngine()
 		var order []string
 		tm := newTimer(e, func() { order = append(order, "timer") })
@@ -148,7 +157,7 @@ func TestTimerResetTakesFreshSeq(t *testing.T) {
 }
 
 func TestTimerAllocFree(t *testing.T) {
-	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer) {
+	forEachTimer(t, func(t *testing.T, newTimer func(*Engine, func()) *Timer[timerOwner]) {
 		e := NewEngine()
 		tm := newTimer(e, func() {})
 		tm.Reset(10)
@@ -167,13 +176,24 @@ func TestTimerAllocFree(t *testing.T) {
 // orphan its event in the heap.
 func TestTimerInitRejectsArmedTimer(t *testing.T) {
 	e := NewEngine()
-	var tm Timer
-	tm.Init(e, func() {})
-	tm.Reset(10)
+	o := &timerOwner{onFire: func() {}}
+	o.tm.Init(e, o, (*timerOwner).expire)
+	o.tm.Reset(10)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Init of an armed timer did not panic")
 		}
 	}()
-	tm.Init(e, func() {})
+	o.tm.Init(e, o, (*timerOwner).expire)
+}
+
+// TestTimerBindAllocs pins the cost of binding a timer to its owner. A
+// method expression is a static function value, so Init in place allocates
+// nothing; binding a method value instead would add a closure.
+func TestTimerBindAllocs(t *testing.T) {
+	e := NewEngine()
+	o := &timerOwner{onFire: func() {}}
+	if avg := testing.AllocsPerRun(100, func() { o.tm.Init(e, o, (*timerOwner).expire) }); avg != 0 {
+		t.Errorf("Init allocated %.1f objects, want 0", avg)
+	}
 }

@@ -24,7 +24,7 @@ type Receiver struct {
 	// reallocated); delackEcho is the timestamp echo captured when it was
 	// armed. It and rxq live inside the receiver, which therefore must not
 	// be copied.
-	delack     sim.Timer
+	delack     sim.Timer[Receiver]
 	delackEcho sim.Time
 	ceState    bool // DCTCP: CE value of the most recent segment
 	ecePend    bool // whether the next ACK should carry ECE
@@ -52,16 +52,12 @@ type Receiver struct {
 	// drains. Completion times are nondecreasing (rxFreeAt only moves
 	// forward), so the backlog is FIFO: one standing event plus a ring
 	// replaces an event and closure per deferred packet.
-	rxq sim.DelayLine[*netsim.Packet]
+	rxq sim.DelayLine[Receiver, *netsim.Packet]
 	// lastINT is the most recent data packet's telemetry, echoed on the
 	// next ACK (HPCC). rxBytes counts wire bytes processed, exposed as
 	// the NIC hop's transmit counter.
 	lastINT []netsim.INTHop
 	rxBytes uint64
-
-	// dataHandler is the host-attachment handler, bound once at
-	// construction so pooled reuse does not re-create the method value.
-	dataHandler netsim.Handler
 
 	// Counters.
 	TotalReceived  uint64 // in-order bytes delivered
@@ -78,9 +74,8 @@ type Receiver struct {
 // account may be nil.
 func NewReceiver(engine *sim.Engine, host *netsim.Host, flow netsim.FlowID, src netsim.NodeID, cfg Config, preciseCE bool, account *energy.Account) *Receiver {
 	r := &Receiver{engine: engine}
-	r.delack.Init(engine, r.onDelAck)
-	r.rxq.Init(engine, r.process)
-	r.dataHandler = netsim.HandlerFunc(r.handleData)
+	r.delack.Init(engine, r, (*Receiver).onDelAck)
+	r.rxq.Init(engine, r, (*Receiver).process)
 	r.Reset(host, flow, src, cfg, preciseCE, account)
 	return r
 }
@@ -141,8 +136,18 @@ func (r *Receiver) Reset(host *netsim.Host, flow netsim.FlowID, src netsim.NodeI
 	r.RxDropped = 0
 	r.OutOfOrderHigh = 0
 
-	host.Attach(flow, r.dataHandler)
+	host.Attach(flow, (*dataPort)(r))
 }
+
+// dataPort is the receiver as its host sees it: the handler for the flow's
+// data packets. Converting the receiver's pointer to it allocates nothing,
+// unlike wrapping the method value r.handleData.
+type dataPort Receiver
+
+// HandlePacket implements netsim.Handler.
+//
+//greenvet:hotpath
+func (p *dataPort) HandlePacket(pkt *netsim.Packet) { (*Receiver)(p).handleData(pkt) }
 
 // RcvNxt returns the next expected sequence number (in-order bytes
 // delivered so far).

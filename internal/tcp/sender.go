@@ -89,20 +89,16 @@ type Sender struct {
 	fastRetxPending bool
 
 	// The three sender timers cancel-and-rearm on nearly every ACK, so
-	// they are rearmable Timers (one pinned event each, pre-bound
-	// callbacks) rather than fresh Event+closure pairs per arm. They live
+	// they are rearmable Timers (one pinned event each, bound to the
+	// sender's methods) rather than a fresh event per arm. They live
 	// inside the sender, which therefore must not be copied.
-	rtoTimer   sim.Timer
+	rtoTimer   sim.Timer[Sender]
 	rtoBackoff uint
-	tlpTimer   sim.Timer
+	tlpTimer   sim.Timer[Sender]
 	tlpArmedAt uint64 // delivered count when the probe was armed
 
-	sendTimer  sim.Timer
+	sendTimer  sim.Timer[Sender]
 	nextSendAt sim.Time
-
-	// ackHandler is the host-attachment handler, bound once at
-	// construction so pooled reuse does not re-create the method value.
-	ackHandler netsim.Handler
 
 	started bool
 	done    bool
@@ -124,19 +120,18 @@ type Sender struct {
 // owned by the sender; the energy account may be nil.
 func NewSender(engine *sim.Engine, host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID, totalBytes uint64, cc cca.CongestionControl, cfg Config, account *energy.Account) *Sender {
 	s := &Sender{engine: engine}
-	s.rtoTimer.Init(engine, s.onRTO)
-	s.tlpTimer.Init(engine, s.onTLP)
-	s.sendTimer.Init(engine, s.trySend)
-	s.ackHandler = netsim.HandlerFunc(s.handleAck)
+	s.rtoTimer.Init(engine, s, (*Sender).onRTO)
+	s.tlpTimer.Init(engine, s, (*Sender).onTLP)
+	s.sendTimer.Init(engine, s, (*Sender).trySend)
 	s.Reset(host, flow, dst, totalBytes, cc, cfg, account)
 	return s
 }
 
-// Reset rebinds a sender to a new transfer, reusing its timers, its ACK
-// handler, and the segment/retransmission backing arrays of previous
-// flows — the pooled-churn path's allocation-free flow setup. The previous
-// transfer must have completed (or never started); OnComplete is left
-// untouched so a pooled client keeps its one bound callback.
+// Reset rebinds a sender to a new transfer, reusing its timers and the
+// segment/retransmission backing arrays of previous flows — the
+// pooled-churn path's allocation-free flow setup. The previous transfer
+// must have completed (or never started); OnComplete is left untouched so
+// a pooled client keeps its one bound callback.
 //
 //greenvet:hotpath
 func (s *Sender) Reset(host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID, totalBytes uint64, cc cca.CongestionControl, cfg Config, account *energy.Account) {
@@ -194,8 +189,18 @@ func (s *Sender) Reset(host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID,
 	s.StartedAt = 0
 	s.CompletedAt = 0
 
-	host.Attach(flow, s.ackHandler)
+	host.Attach(flow, (*ackPort)(s))
 }
+
+// ackPort is the sender as its host sees it: the handler for the flow's
+// ACKs. Converting the sender's pointer to it allocates nothing, unlike
+// wrapping the method value s.handleAck.
+type ackPort Sender
+
+// HandlePacket implements netsim.Handler.
+//
+//greenvet:hotpath
+func (p *ackPort) HandlePacket(pkt *netsim.Packet) { (*Sender)(p).handleAck(pkt) }
 
 // Start begins the transfer at the current simulated time.
 func (s *Sender) Start() {

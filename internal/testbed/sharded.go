@@ -158,3 +158,13 @@ func (tb *Testbed) runSharded(deadline sim.Duration) (RunResult, error) {
 	res.EventsFired = tb.group.Fired()
 	return res, nil
 }
+
+// allDone reports whether every flow has completed.
+func (tb *Testbed) allDone() bool {
+	for _, c := range tb.clients {
+		if !c.Done() {
+			return false
+		}
+	}
+	return true
+}

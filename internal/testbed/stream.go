@@ -187,7 +187,7 @@ type streamRun struct {
 	pending  []FlowArrival
 	pendHead int
 
-	arrival     *sim.Timer
+	arrival     sim.Timer[streamRun]
 	nextArrival FlowArrival
 	exhausted   bool
 
@@ -234,7 +234,7 @@ func (tb *Testbed) RunStream(stream FlowStream, ccaName string, adm Admission, d
 		nextFlow: 1,
 		fct:      *stats.NewQuantileSketch(0.99),
 	}
-	sr.arrival = tb.Engine.NewTimer(sr.onArrival)
+	sr.arrival.Init(tb.Engine, sr, (*streamRun).onArrival)
 
 	// Bracket the measurement exactly as Run does, pulling the first
 	// arrival to arm the clock. Meters a fat-tree stream first touches

@@ -484,28 +484,27 @@ func (tb *Testbed) Run(deadline sim.Duration) (RunResult, error) {
 
 	var res RunResult
 	finished := false
+	// Collect at the exact completion instant: the sampler alone would
+	// quantize the measurement window to SyncEvery. Every client shares
+	// one callback that counts flows down.
+	remaining := len(tb.clients)
+	flowDone := func() {
+		if remaining--; remaining == 0 {
+			finished = true
+			res = tb.collect()
+		}
+	}
 	tb.measure(deadline, func() {
 		for _, c := range tb.clients {
 			c.Start()
 		}
-		// Collect at the exact completion instant: the sampler alone would
-		// quantize the measurement window to SyncEvery.
 		for _, c := range tb.clients {
-			c.OnDone(func() {
-				if !finished && tb.allDone() {
-					finished = true
-					res = tb.collect()
-				}
-			})
+			c.OnDone(flowDone)
 		}
 	}, func() bool { return finished })
 
 	if !finished {
-		if !tb.allDone() {
-			return RunResult{}, fmt.Errorf("testbed: flows incomplete at deadline %v", deadline)
-		}
-		// Flows finished between the last sample and the deadline.
-		res = tb.collect()
+		return RunResult{}, fmt.Errorf("testbed: flows incomplete at deadline %v", deadline)
 	}
 
 	for _, c := range tb.clients {
@@ -578,12 +577,3 @@ func (tb *Testbed) collect() RunResult {
 
 // noise draws one RAPL reading's relative measurement error.
 func (tb *Testbed) noise() float64 { return 1 + tb.rng.Normal(0, tb.opts.MeasureNoise) }
-
-func (tb *Testbed) allDone() bool {
-	for _, c := range tb.clients {
-		if !c.Done() {
-			return false
-		}
-	}
-	return true
-}
