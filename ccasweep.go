@@ -22,21 +22,25 @@ func init() {
 	Register(Experiment{
 		Name: "fig5", Aliases: []string{"5"}, Order: 50, Section: "§4.3",
 		Description: "energy to transmit 50 GB per CCA × MTU (shared sweep)",
+		CacheID:     "sweep",
 		Run:         func(o Options) (Result, error) { return RunFig5(o) },
 	})
 	Register(Experiment{
 		Name: "fig6", Aliases: []string{"6"}, Order: 60, Section: "§4.3",
 		Description: "average sender power per CCA × MTU (shared sweep)",
+		CacheID:     "sweep",
 		Run:         func(o Options) (Result, error) { return RunFig6(o) },
 	})
 	Register(Experiment{
 		Name: "fig7", Aliases: []string{"7"}, Order: 70, Section: "§4.3",
 		Description: "energy vs flow completion time scatter (shared sweep)",
+		CacheID:     "sweep",
 		Run:         func(o Options) (Result, error) { return RunFig7(o) },
 	})
 	Register(Experiment{
 		Name: "fig8", Aliases: []string{"8"}, Order: 80, Section: "§4.3",
 		Description: "energy vs retransmissions scatter (shared sweep)",
+		CacheID:     "sweep",
 		Run:         func(o Options) (Result, error) { return RunFig8(o) },
 	})
 }

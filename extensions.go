@@ -28,11 +28,13 @@ func init() {
 	Register(Experiment{
 		Name: "incast", Order: 110, Section: "§5",
 		Description: "fair-vs-serial savings as synchronized fan-in grows",
+		CacheID:     "incast/",
 		Run:         func(o Options) (Result, error) { return RunIncast(o) },
 	})
 	Register(Experiment{
 		Name: "samesender", Order: 120, Section: "§5",
 		Description: "both flows on one host: the savings (mostly) vanish",
+		CacheID:     "samesender/",
 		Run:         func(o Options) (Result, error) { return RunSameSender(o) },
 	})
 	Register(Experiment{

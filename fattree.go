@@ -28,11 +28,13 @@ func init() {
 	Register(Experiment{
 		Name: "fattree-incast", Order: 113, Section: "§5",
 		Description: "fair-vs-serial savings for cross-rack fan-in on a fat-tree fabric",
+		CacheID:     "fattree-incast/",
 		Run:         func(o Options) (Result, error) { return RunFatTreeIncast(o) },
 	})
 	Register(Experiment{
 		Name: "crossrack", Order: 116, Section: "§5",
 		Description: "energy vs fairness when the shared bottleneck is a fat-tree core link",
+		CacheID:     "crossrack/",
 		Run:         func(o Options) (Result, error) { return RunCrossRack(o) },
 	})
 }

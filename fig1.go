@@ -14,6 +14,7 @@ func init() {
 	Register(Experiment{
 		Name: "fig1", Aliases: []string{"1"}, Order: 10, Section: "§4.1",
 		Description: "energy savings vs bandwidth fraction for two competing flows",
+		CacheID:     "fig1/",
 		Run:         func(o Options) (Result, error) { return RunFig1(o) },
 	})
 }

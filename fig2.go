@@ -15,6 +15,7 @@ func init() {
 	Register(Experiment{
 		Name: "fig2", Aliases: []string{"2"}, Order: 20, Section: "§4.1",
 		Description: "sender power vs throughput: the concave curve and its tangent",
+		CacheID:     "fig2/",
 		Run:         func(o Options) (Result, error) { return RunFig2(o) },
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"greenenvy/internal/cache"
 	"greenenvy/internal/iperf"
 	"greenenvy/internal/netsim"
 	"greenenvy/internal/registry"
@@ -32,6 +31,7 @@ func init() {
 	Register(Experiment{
 		Name: "fig3", Aliases: []string{"3"}, Order: 30, Section: "§4.1",
 		Description: "throughput-over-time traces: fair split vs full speed then idle",
+		CacheID:     "fig3/",
 		Run:         func(o Options) (Result, error) { return RunFig3(o) },
 	})
 }
@@ -50,7 +50,10 @@ func RunFig3(o Options) (Fig3Result, error) {
 	trace := func(serial bool) ([]Fig3Sample, error) {
 		// Traces are not RunResults, so they get their own cached value
 		// type; the key carries the scenario, size, and seed.
-		key := cache.NewKey("fig3/trace", serial, bytes, o.Seed)
+		key, err := o.CacheKey("fig3/trace", serial, bytes, o.Seed)
+		if err != nil {
+			return nil, err
+		}
 		var cached []Fig3Sample
 		if store.Get(key, &cached) {
 			return cached, nil

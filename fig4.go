@@ -13,6 +13,7 @@ func init() {
 	Register(Experiment{
 		Name: "fig4", Aliases: []string{"4"}, Order: 40, Section: "§4.2",
 		Description: "sender power vs bitrate under background load, plus loaded savings",
+		CacheID:     "fig4/",
 		Run:         func(o Options) (Result, error) { return RunFig4(o) },
 	})
 }

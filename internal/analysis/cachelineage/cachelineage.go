@@ -7,7 +7,7 @@
 // execution knob present in the key splits the cache and duplicates work.
 // The dynamic audits (TestSweepKeyAuditsOptionsFields, the scenario digest
 // tests) enforce this at test time; this analyzer moves the same fact
-// table to build time, in the style of registryhygiene.
+// table to build time.
 //
 // Each Audit classifies every field of one struct:
 //

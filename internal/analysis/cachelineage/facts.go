@@ -8,8 +8,9 @@ package cachelineage
 //   - registry.Options (aliased as the root package's Options): Reps,
 //     Scale, and Seed are the result-affecting sweep inputs and form
 //     sweepKey; Workers, CacheDir, and Verbose change wall-clock,
-//     persistence, and logging only and must never reach a simulation
-//     input.
+//     persistence, and logging only, and the unexported cacheID only
+//     names the namespace CacheKey checks keys against, so none of them
+//     may reach a simulation input.
 //   - scenario.Spec: Preset, Topology, Flows, Loads, and Sweep are the
 //     physics a spec digest is computed over (digestPayload); Name,
 //     Description, Section, and Order are presentation — retitling an
@@ -30,6 +31,7 @@ var Audits = []Audit{
 			"Workers":  Exempt,
 			"CacheDir": Exempt,
 			"Verbose":  Exempt,
+			"cacheID":  Exempt,
 		},
 		Carriers: []string{"testbed.Options", "netsim.DumbbellConfig", "netsim.FatTreeConfig", "iperf.Spec"},
 	},

@@ -17,9 +17,10 @@
 //     real thing: the engine itself, the partitioned topology, and the
 //     harness that drives per-shard runs;
 //   - cachelineage applies where Options/Spec fields are declared,
-//     canonicalized, and compiled into simulation inputs;
-//   - registryhygiene applies only to the root package, where Register
-//     calls and the experiment catalogue live.
+//     canonicalized, and compiled into simulation inputs.
+//
+// Cache namespaces are not checked here: internal/registry checks them
+// where keys are built (Register and Options.CacheKey).
 package suite
 
 import (
@@ -28,7 +29,6 @@ import (
 	"greenenvy/internal/analysis/floatorder"
 	"greenenvy/internal/analysis/hotpathalloc"
 	"greenenvy/internal/analysis/nodeterminism"
-	"greenenvy/internal/analysis/registryhygiene"
 	"greenenvy/internal/analysis/shardsafety"
 )
 
@@ -109,6 +109,5 @@ func Suite() []Scoped {
 		{Analyzer: hotpathalloc.Analyzer, Paths: hotPath},
 		{Analyzer: shardsafety.Analyzer, Paths: shardSafe},
 		{Analyzer: cachelineage.Analyzer, Paths: cacheLineage},
-		{Analyzer: registryhygiene.Analyzer, Paths: []string{"greenenvy"}},
 	}
 }

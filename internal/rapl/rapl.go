@@ -16,8 +16,6 @@
 package rapl
 
 import (
-	"fmt"
-
 	"greenenvy/internal/energy"
 	"greenenvy/internal/sim"
 )
@@ -29,74 +27,40 @@ const DefaultEnergyUnitJoules = 1.0 / 65536
 // counterBits is the width of the hardware energy-status counter.
 const counterBits = 32
 
-// Domain identifies a RAPL power domain.
-type Domain int
-
-// Power domains exposed by server RAPL. The emulation meters everything
-// under Package; PP0 and DRAM are derived fractions so tooling that sums
-// domains keeps working.
-const (
-	Package Domain = iota
-	PP0            // cores
-	DRAM
-)
-
-// String returns the conventional sysfs-style domain name.
-func (d Domain) String() string {
-	switch d {
-	case Package:
-		return "package-0"
-	case PP0:
-		return "core"
-	case DRAM:
-		return "dram"
-	default:
-		return fmt.Sprintf("domain-%d", int(d))
-	}
-}
-
-// Sensor exposes a host's energy.Meter through the RAPL counter interface.
+// Sensor exposes a host's energy.Meter through the RAPL package-domain
+// counter (MSR_PKG_ENERGY_STATUS), which meters everything the host draws.
 type Sensor struct {
 	meter *energy.Meter
 	unit  float64
-	// fractions of package energy attributed to derived domains.
-	pp0Frac, dramFrac float64
 }
 
 // NewSensor wraps a meter with the default energy unit.
 func NewSensor(m *energy.Meter) *Sensor {
-	return &Sensor{meter: m, unit: DefaultEnergyUnitJoules, pp0Frac: 0.70, dramFrac: 0.12}
+	return &Sensor{meter: m, unit: DefaultEnergyUnitJoules}
 }
 
 // EnergyUnitJoules returns the joules-per-count unit, as a real driver would
 // decode from MSR_RAPL_POWER_UNIT.
 func (s *Sensor) EnergyUnitJoules() float64 { return s.unit }
 
-// ReadCounter returns the current raw 32-bit energy-status counter for the
-// domain. It syncs the underlying meter first, mirroring that hardware
+// ReadCounter returns the current raw 32-bit package energy-status
+// counter. It syncs the underlying meter first, mirroring that hardware
 // counters are always current.
-func (s *Sensor) ReadCounter(d Domain) uint32 {
+func (s *Sensor) ReadCounter() uint32 {
 	s.meter.Sync()
-	return s.counter(d)
+	return s.counter()
 }
 
 // ReadCounterAt is ReadCounter with the meter integrated to the explicit
 // instant t rather than its engine clock — the sharded testbed's way of
 // reading every partition's counters at one common completion time.
-func (s *Sensor) ReadCounterAt(d Domain, t sim.Time) uint32 {
+func (s *Sensor) ReadCounterAt(t sim.Time) uint32 {
 	s.meter.SyncAt(t)
-	return s.counter(d)
+	return s.counter()
 }
 
-func (s *Sensor) counter(d Domain) uint32 {
-	j := s.meter.Joules()
-	switch d {
-	case PP0:
-		j *= s.pp0Frac
-	case DRAM:
-		j *= s.dramFrac
-	}
-	counts := uint64(j / s.unit)
+func (s *Sensor) counter() uint32 {
+	counts := uint64(s.meter.Joules() / s.unit)
 	return uint32(counts & (1<<counterBits - 1))
 }
 
@@ -109,43 +73,25 @@ func (s *Sensor) CounterDelta(before, after uint32) float64 {
 	return float64(delta) * s.unit
 }
 
-// Measurement reads a set of domains before and after an interval, the way
-// the paper's scripts bracket each iperf3 run.
+// Measurement brackets an interval with two counter reads, the way the
+// paper's scripts bracket each iperf3 run.
 type Measurement struct {
-	sensor  *Sensor
-	domains []Domain
-	before  map[Domain]uint32
+	sensor *Sensor
+	before uint32
 }
 
-// Begin snapshots the counters for the given domains (Package if none
-// specified).
-func (s *Sensor) Begin(domains ...Domain) *Measurement {
-	if len(domains) == 0 {
-		domains = []Domain{Package}
-	}
-	m := &Measurement{sensor: s, domains: domains, before: make(map[Domain]uint32)}
-	for _, d := range domains {
-		m.before[d] = s.ReadCounter(d)
-	}
-	return m
+// Begin snapshots the counter.
+func (s *Sensor) Begin() Measurement {
+	return Measurement{sensor: s, before: s.ReadCounter()}
 }
 
-// End reads the counters again and returns joules per domain since Begin.
-func (m *Measurement) End() map[Domain]float64 {
-	out := make(map[Domain]float64, len(m.domains))
-	for _, d := range m.domains {
-		out[d] = m.sensor.CounterDelta(m.before[d], m.sensor.ReadCounter(d))
-	}
-	return out
+// End reads the counter again and returns the joules since Begin.
+func (m Measurement) End() float64 {
+	return m.sensor.CounterDelta(m.before, m.sensor.ReadCounter())
 }
 
-// EndPackage is a convenience for the common single-domain measurement.
-func (m *Measurement) EndPackage() float64 {
-	return m.End()[Package]
-}
-
-// EndPackageAt ends the package-domain measurement at the explicit instant
-// t (see Sensor.ReadCounterAt).
-func (m *Measurement) EndPackageAt(t sim.Time) float64 {
-	return m.sensor.CounterDelta(m.before[Package], m.sensor.ReadCounterAt(Package, t))
+// EndAt ends the measurement at the explicit instant t (see
+// Sensor.ReadCounterAt).
+func (m Measurement) EndAt(t sim.Time) float64 {
+	return m.sensor.CounterDelta(m.before, m.sensor.ReadCounterAt(t))
 }

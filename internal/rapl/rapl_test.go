@@ -25,9 +25,9 @@ func TestEnergyUnit(t *testing.T) {
 
 func TestCounterTracksMeter(t *testing.T) {
 	e, m, s := newSensor(t)
-	before := s.ReadCounter(Package)
+	before := s.ReadCounter()
 	e.RunUntil(10 * sim.Second)
-	after := s.ReadCounter(Package)
+	after := s.ReadCounter()
 	got := s.CounterDelta(before, after)
 	m.Sync()
 	if math.Abs(got-m.Joules()) > s.EnergyUnitJoules()*2 {
@@ -41,10 +41,10 @@ func TestCounterTracksMeter(t *testing.T) {
 
 func TestCounterMonotoneModuloWrap(t *testing.T) {
 	e, _, s := newSensor(t)
-	prev := s.ReadCounter(Package)
+	prev := s.ReadCounter()
 	for i := 0; i < 20; i++ {
 		e.RunFor(sim.Second)
-		cur := s.ReadCounter(Package)
+		cur := s.ReadCounter()
 		if delta := s.CounterDelta(prev, cur); delta < 0 {
 			t.Fatalf("negative delta at step %d", i)
 		}
@@ -57,10 +57,10 @@ func TestCounterWraparound(t *testing.T) {
 	// (21.49 W) that is ~3050 s; run past it and verify modular
 	// subtraction recovers the true energy.
 	e, m, s := newSensor(t)
-	before := s.ReadCounter(Package)
+	before := s.ReadCounter()
 	const seconds = 4000
 	e.RunUntil(seconds * sim.Second)
-	after := s.ReadCounter(Package)
+	after := s.ReadCounter()
 	m.Sync()
 	if m.Joules() <= 65536 {
 		t.Fatalf("run too short to wrap: %v J", m.Joules())
@@ -87,49 +87,13 @@ func TestCounterDeltaWrapProperty(t *testing.T) {
 	}
 }
 
-func TestDerivedDomainsAreFractions(t *testing.T) {
-	e, _, s := newSensor(t)
-	e.RunUntil(100 * sim.Second)
-	pkg := s.CounterDelta(0, s.ReadCounter(Package))
-	pp0 := s.CounterDelta(0, s.ReadCounter(PP0))
-	dram := s.CounterDelta(0, s.ReadCounter(DRAM))
-	if pp0 >= pkg || dram >= pkg {
-		t.Fatalf("derived domains exceed package: pkg=%v pp0=%v dram=%v", pkg, pp0, dram)
-	}
-	if pp0 <= 0 || dram <= 0 {
-		t.Fatal("derived domains empty")
-	}
-}
-
 func TestMeasurementBracketsInterval(t *testing.T) {
 	e, _, s := newSensor(t)
 	e.RunUntil(5 * sim.Second) // pre-experiment energy must be excluded
 	meas := s.Begin()
 	e.RunUntil(15 * sim.Second)
-	j := meas.EndPackage()
+	j := meas.End()
 	if math.Abs(j-21.49*10) > 0.01 {
 		t.Fatalf("measured %v J, want %v (10 s only)", j, 21.49*10)
-	}
-}
-
-func TestMeasurementMultipleDomains(t *testing.T) {
-	e, _, s := newSensor(t)
-	meas := s.Begin(Package, PP0, DRAM)
-	e.RunUntil(sim.Second)
-	out := meas.End()
-	if len(out) != 3 {
-		t.Fatalf("domains = %v", out)
-	}
-	if out[Package] <= out[PP0] || out[Package] <= out[DRAM] {
-		t.Fatalf("package should dominate: %v", out)
-	}
-}
-
-func TestDomainString(t *testing.T) {
-	if Package.String() != "package-0" || PP0.String() != "core" || DRAM.String() != "dram" {
-		t.Fatal("unexpected domain names")
-	}
-	if Domain(9).String() != "domain-9" {
-		t.Fatalf("unknown domain name = %q", Domain(9).String())
 	}
 }

@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"greenenvy/internal/cache"
@@ -82,6 +84,27 @@ func (o Options) CacheStore() *cache.Store {
 		return nil
 	}
 	return s
+}
+
+// CacheKey derives the persistent-cache key of parts. It is the one
+// builder of experiment cache keys: Run keys every cell through it, and so
+// does fig3 for its traces. The key's id part, the part after a "run" or
+// "stream" kind tag and otherwise the first part, must begin with the
+// CacheID of the registered experiment running under o, or CacheKey
+// returns an error naming the id. The check does not depend on CacheDir,
+// so uncached runs are checked too.
+func (o Options) CacheKey(parts ...any) (cache.Key, error) {
+	var id string
+	switch {
+	case len(parts) > 1 && (parts[0] == "run" || parts[0] == "stream"):
+		id, _ = parts[1].(string)
+	case len(parts) > 0:
+		id, _ = parts[0].(string)
+	}
+	if !strings.HasPrefix(id, o.cacheID) {
+		return cache.Key{}, fmt.Errorf("greenenvy: cache id %q lies outside the experiment's %q", id, o.cacheID)
+	}
+	return cache.NewKey(parts...), nil
 }
 
 // CacheStats is this process's accumulated accounting for one persistent

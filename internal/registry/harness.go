@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"greenenvy/internal/cache"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/stats"
 	"greenenvy/internal/testbed"
@@ -27,8 +26,9 @@ type Cell[R any] struct {
 	// capture (transfer bytes, rates, loads, topology, CCA, MTU, ...). Its
 	// first part is the key kind: "run" (TestbedCell), "stream" (so the
 	// StreamResult gob shape evolves independently of RunResult's) or
-	// "sweep". cache.NewKey tags each part by type: an int and a uint64 of
-	// the same value are different keys.
+	// "sweep". Its id part must begin with the running experiment's
+	// CacheID (see Options.CacheKey). cache.NewKey tags each part by type:
+	// an int and a uint64 of the same value are different keys.
 	Key []any
 	// Run executes one repetition. It must build its own engine and must
 	// not capture state shared across repetitions; two cells with the same
@@ -60,11 +60,12 @@ func TestbedCell(id string, deadline sim.Duration, build BuildFunc) Cell[testbed
 // another's slowest repetition. Repetition rep runs at seed
 // sim.NewRNG(Seed).Split(rep) in every cell, so results are byte-identical
 // for any worker count. With a persistent cache each task is served from,
-// or stored under, cache.NewKey(Key..., seed), so raising Reps against a
+// or stored under, o.CacheKey(Key..., seed), so raising Reps against a
 // warm cache computes only the new repetitions.
 //
-// If a task fails, outstanding tasks are cancelled and the error names the
-// cell and repetition; when several fail, the lowest (cell, rep) wins.
+// A cell keyed outside the running experiment's CacheID fails before it
+// runs. If a task fails, outstanding tasks are cancelled and the error
+// names the cell; when several fail, the lowest (cell, rep) wins.
 func Run[R any](o Options, cells []Cell[R]) ([][]R, error) {
 	root := sim.NewRNG(o.Seed)
 	seeds := make([]uint64, o.Reps)
@@ -81,7 +82,10 @@ func Run[R any](o Options, cells []Cell[R]) ([][]R, error) {
 		c := &cells[ci]
 		// The full slice expression makes append copy: repetitions of one
 		// cell must not share a backing array for their seed slot.
-		key := cache.NewKey(append(c.Key[:len(c.Key):len(c.Key)], seeds[rep])...)
+		key, err := o.CacheKey(append(c.Key[:len(c.Key):len(c.Key)], seeds[rep])...)
+		if err != nil {
+			return err
+		}
 		var cached R
 		if store.Get(key, &cached) {
 			runs[ci][rep] = cached

@@ -37,6 +37,11 @@ type Options struct {
 	CacheDir string
 	// Verbose, when set, makes runners print progress lines.
 	Verbose bool
+	// cacheID is the CacheID of the registered experiment running under
+	// these options, stamped by the Run that Register stores. Options
+	// that no registered experiment stamped carry none, and CacheKey
+	// checks nothing for them.
+	cacheID string
 }
 
 // WithDefaults fills unset fields and validates the rest. Every Run* entry

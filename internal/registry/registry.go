@@ -1,9 +1,9 @@
 // Package registry is the experiment catalogue and shared run harness the
 // root package and the scenario compiler both target. An experiment
-// registers once — name, aliases, description, paper section, run function —
-// and the shared tooling (cmd/greenbench, the registry tests, the scenario
-// compiler, future sweep drivers) discovers it from here instead of
-// hard-coding a dispatch switch per figure.
+// registers once — name, aliases, description, paper section, cache
+// namespace, run function — and the shared tooling (cmd/greenbench, the
+// registry tests, the scenario compiler, future sweep drivers) discovers it
+// from here instead of hard-coding a dispatch switch per figure.
 //
 // The package also owns Options (the uniform runner configuration), the
 // run harness (an experiment declares its Cells and one Run call puts every
@@ -15,6 +15,7 @@ package registry
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Result is the uniform product of every registered experiment: the rows
@@ -48,6 +49,13 @@ type Experiment struct {
 	// Order positions the experiment in Experiments() — and so in
 	// greenbench -fig all — lower first; ties keep registration order.
 	Order int
+	// CacheID is the prefix of every persistent-cache id the experiment
+	// stores results under ("fig1/"), or empty for a closed-form
+	// experiment that stores none. Register rejects a CacheID that equals
+	// or nests inside another experiment's, and the Run it stores rejects
+	// every cache key outside it (see Options.CacheKey), so no experiment
+	// can replay another's results as its own.
+	CacheID string
 	// Run executes the experiment. It must validate its Options (returning
 	// an error, never panicking, on bad input) and honor Reps, Scale,
 	// Seed, Workers, CacheDir, and Verbose as applicable.
@@ -59,9 +67,18 @@ var (
 	experimentIndex = map[string]int{} // canonical name and aliases → index
 )
 
+// sharedCacheIDs are the namespaces several experiments may declare.
+// Figures 5–8 are four views of the one cached CCA sweep, and every
+// scenario-compiled experiment keys its cells under its own spec digest
+// inside scenario.CachePrefix.
+var sharedCacheIDs = map[string]bool{"sweep": true, "scenario/": true}
+
 // Register adds an experiment to the registry. It panics on a missing name
-// or run function and on name/alias collisions: registration happens at
-// init time, so a conflict is a programmer error, not a runtime condition.
+// or run function, on name/alias collisions and on a CacheID that equals or
+// nests inside another experiment's (unless both declare the same shared
+// namespace): registration happens at init time, so a conflict is a
+// programmer error, not a runtime condition. The stored Run stamps the
+// experiment's CacheID into its Options before running it.
 func Register(e Experiment) {
 	if e.Name == "" || e.Run == nil {
 		panic("greenenvy: Register: experiment needs a Name and a Run function")
@@ -70,6 +87,20 @@ func Register(e Experiment) {
 		if _, dup := experimentIndex[key]; dup {
 			panic(fmt.Sprintf("greenenvy: Register: %q already registered", key))
 		}
+	}
+	for _, other := range experimentList {
+		a, b := e.CacheID, other.CacheID
+		if a == "" || b == "" || (a == b && sharedCacheIDs[a]) {
+			continue
+		}
+		if strings.HasPrefix(a, b) || strings.HasPrefix(b, a) {
+			panic(fmt.Sprintf("greenenvy: Register: %s's CacheID %q overlaps %s's %q", e.Name, a, other.Name, b))
+		}
+	}
+	run, id := e.Run, e.CacheID
+	e.Run = func(o Options) (Result, error) {
+		o.cacheID = id
+		return run(o)
 	}
 	experimentList = append(experimentList, e)
 	idx := len(experimentList) - 1

@@ -34,6 +34,7 @@ func Compile(spec Spec) (registry.Experiment, error) {
 		Description: c.Description,
 		Section:     c.Section,
 		Order:       c.Order,
+		CacheID:     CachePrefix,
 		Run:         run,
 	}, nil
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // CachePrefix namespaces every scenario-compiled experiment's persistent
-// cache ids: "scenario/<digest12>/<cell>". The registryhygiene fact table
-// pins the same constant (ScenarioCacheIDPrefix) so the static audit and
-// the compiler cannot drift apart; the root package cross-checks the two at
-// init time.
+// cache ids: "scenario/<digest12>/<cell>". It is each compiled experiment's
+// registry CacheID, a namespace the registry lets every compiled spec
+// share: the digest part keeps distinct specs' cells apart.
 const CachePrefix = "scenario/"
 
 // digestPayload is the physics of a spec — everything that can change a

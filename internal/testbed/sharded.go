@@ -33,7 +33,7 @@ import (
 //
 //   - Collection happens on the main goroutine after the group quiesces.
 //     The completion instant is the latest sender CompletedAt; every
-//     meter is integrated exactly to that instant with EndPackageAt, and
+//     meter is integrated exactly to that instant with EndAt, and
 //     measurement noise is drawn in the same sender-then-receiver order as
 //     the monolithic path so the draw sequence stays a function of the
 //     testbed's construction order alone.
@@ -103,7 +103,7 @@ func (tb *Testbed) runSharded(deadline sim.Duration) (RunResult, error) {
 		sample = func() {
 			// The quiet check must precede the sync: once the shard is
 			// quiet, syncing again could push a meter's integration point
-			// past the global completion instant, and EndPackageAt cannot
+			// past the global completion instant, and EndAt cannot
 			// integrate backwards.
 			if quiet() {
 				return
@@ -135,12 +135,12 @@ func (tb *Testbed) runSharded(deadline sim.Duration) (RunResult, error) {
 	noise := func() float64 { return 1 + tb.rng.Normal(0, tb.opts.MeasureNoise) }
 	res := RunResult{Duration: done}
 	for _, i := range tb.senderIdx {
-		j := tb.measures[i].EndPackageAt(done) * noise()
+		j := tb.measures[i].EndAt(done) * noise()
 		res.SenderEnergyJ = append(res.SenderEnergyJ, j)
 		res.TotalSenderJ += j
 	}
 	for _, i := range tb.recvIdx {
-		res.ReceiverEnergyJ += tb.measures[i].EndPackageAt(done) * noise()
+		res.ReceiverEnergyJ += tb.measures[i].EndAt(done) * noise()
 	}
 	for _, c := range tb.clients {
 		res.Reports = append(res.Reports, c.Report())

@@ -103,7 +103,7 @@ type Testbed struct {
 	rng      *sim.RNG
 	clients  []*iperf.Client
 	loads    []*stress.Load
-	measures []*rapl.Measurement
+	measures []rapl.Measurement
 	ran      bool
 	// senderIdx/recvIdx index Meters by measurement role, in registration
 	// order. collect draws noise for senders first, then receivers — the
@@ -562,12 +562,12 @@ func (tb *Testbed) collect() RunResult {
 	}
 	res := RunResult{Duration: tb.Engine.Now()}
 	for _, i := range tb.senderIdx {
-		j := tb.measures[i].EndPackage() * tb.noise()
+		j := tb.measures[i].End() * tb.noise()
 		res.SenderEnergyJ = append(res.SenderEnergyJ, j) //greenvet:allow hotpathalloc the measurement window closes once per run
 		res.TotalSenderJ += j
 	}
 	for _, i := range tb.recvIdx {
-		res.ReceiverEnergyJ += tb.measures[i].EndPackage() * tb.noise()
+		res.ReceiverEnergyJ += tb.measures[i].End() * tb.noise()
 	}
 	if s := res.Duration.Seconds(); s > 0 {
 		res.AvgSenderPowerW = res.TotalSenderJ / s

@@ -16,6 +16,7 @@ func init() {
 	Register(Experiment{
 		Name: "production", Order: 150, Section: "§5",
 		Description: "extended benchmark: Swift, DCQCN, HPCC vs CUBIC and DCTCP",
+		CacheID:     "production/",
 		Run:         func(o Options) (Result, error) { return RunProduction(o) },
 	})
 }

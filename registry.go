@@ -26,13 +26,9 @@ type Result = registry.Result
 type Experiment = registry.Experiment
 
 // Register adds an experiment to the registry. It panics on a missing name
-// or run function and on name/alias collisions: registration happens at
-// init time, so a conflict is a programmer error, not a runtime condition.
-//
-// This wrapper (rather than a re-exported var) keeps the call sites in this
-// package resolving to a function whose package is "greenenvy", which is the
-// shape greenvet's registryhygiene analyzer statically audits against its
-// cache-id fact table.
+// or run function, on name/alias collisions and on overlapping CacheIDs:
+// registration happens at init time, so a conflict is a programmer error,
+// not a runtime condition. See registry.Register.
 func Register(e Experiment) { registry.Register(e) }
 
 // Experiments returns every registered experiment sorted by Order (ties

@@ -81,6 +81,7 @@ func TestRegisterRejectsBadExperiments(t *testing.T) {
 	expectPanic("a runless experiment", Experiment{Name: "x"})
 	expectPanic("a duplicate name", Experiment{Name: "fig1", Run: run})
 	expectPanic("an alias shadowing a name", Experiment{Name: "x", Aliases: []string{"5"}, Run: run})
+	expectPanic("a CacheID nested in fig1's", Experiment{Name: "x", CacheID: "fig1/x/", Run: run})
 }
 
 // TestEveryExperimentRunsAtTinyScale drives each registered experiment
@@ -89,7 +90,9 @@ func TestRegisterRejectsBadExperiments(t *testing.T) {
 // cold pass and a warm second pass share one cache directory and each
 // starts from an empty in-process sweep cache, like two `greenbench -fig
 // all` processes. The cold pass must read no entry, so no experiment hits
-// another experiment's keys; the warm pass must replay every experiment
+// another experiment's keys; a closed-form experiment (no CacheID) must
+// not touch the cache at all, and each declared CacheID must be written by
+// an experiment declaring it. The warm pass must replay every experiment
 // with zero misses and a byte-identical table.
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
@@ -98,6 +101,7 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	o := digestOpts()
 	o.CacheDir = t.TempDir()
 	cold := map[string]string{}
+	puts := map[string]uint64{} // cold-pass entries written per declared CacheID
 	resetSweepCache()
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
@@ -106,8 +110,16 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if hits := CacheStatsFor(o.CacheDir).Hits - before.Hits; hits != 0 {
+			after := CacheStatsFor(o.CacheDir)
+			if hits := after.Hits - before.Hits; hits != 0 {
 				t.Fatalf("cold run read %d cache entries another experiment wrote", hits)
+			}
+			if e.CacheID == "" {
+				if n := after.Misses + after.Puts - before.Misses - before.Puts; n != 0 {
+					t.Fatalf("closed-form experiment looked up or wrote %d cache entries: declare its CacheID", n)
+				}
+			} else {
+				puts[e.CacheID] += after.Puts - before.Puts
 			}
 			tbl := res.Table()
 			if strings.TrimSpace(tbl) == "" {
@@ -122,6 +134,11 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 			}
 			cold[e.Name] = tbl
 		})
+	}
+	for id, n := range puts {
+		if n == 0 {
+			t.Errorf("no experiment declaring CacheID %q wrote a cache entry", id)
+		}
 	}
 
 	resetSweepCache() // a fresh process: only the disk cache survives

@@ -1,6 +1,10 @@
 package greenenvy
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"greenenvy/internal/scenario"
@@ -76,5 +80,40 @@ func TestScenarioCacheIDsPinned(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: cache id %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// TestRegisterScenarioFileRejectsBadFiles drives the one entry point
+// through which runtime input (greenbench -scenario) reaches the registry.
+// Each bad file must come back as an error naming what is wrong, never a
+// panic, and leave the registry as it was. No valid file is registered
+// here: TestRegistryMetadata pins the registry's exact contents.
+func TestRegisterScenarioFileRejectsBadFiles(t *testing.T) {
+	spec := func(name, cca string) string {
+		return "name = \"" + name + "\"\n[topology]\nkind = \"dumbbell\"\n[[flows]]\nsender = 0\ncca = \"" + cca + "\"\ngbit = 1\n"
+	}
+	dir := t.TempDir()
+	for _, c := range []struct{ file, content, want string }{
+		{"fig1.toml", spec("fig1", "cubic"), "collides"},
+		{"five.toml", spec("5", "cubic"), "collides"},
+		{"srpt.toml", spec("srpt", "cubic"), "collides"},
+		{"garbled.toml", "name = \n[[flows", "parse toml"},
+		{"spec.yaml", spec("yaml-spec", "cubic"), "unsupported extension"},
+		{"bad-cca.toml", spec("bad-cca", "no-such-cca"), `unknown cca "no-such-cca"`},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			path := filepath.Join(dir, c.file)
+			if err := os.WriteFile(path, []byte(c.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := ExperimentNames()
+			name, err := RegisterScenarioFile(path)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("RegisterScenarioFile = %q, %v; want an error mentioning %q", name, err, c.want)
+			}
+			if after := ExperimentNames(); !slices.Equal(after, before) {
+				t.Errorf("registry changed from %v to %v", before, after)
+			}
+		})
 	}
 }

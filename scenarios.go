@@ -9,21 +9,9 @@ import (
 // The scenario language (internal/scenario) compiles declarative
 // topology/AQM/CCA/flow specs into registry experiments. Built-in specs
 // register here at init through RegisterScenario; user spec files enter
-// through RegisterScenarioFile (greenbench -scenario). Both funnel into
-// Register, which is the shape greenvet's registryhygiene analyzer audits:
-// RegisterScenario calls need a literal name whose fact-table entry is the
-// "scenario/" namespace, and RegisterScenarioFile is documented-exempt —
-// runtime-loaded specs are digest-namespaced under that same prefix by
-// construction, so they cannot collide with any audited cache lineage.
+// through RegisterScenarioFile (greenbench -scenario).
 
 func init() {
-	// Cross-check the compiler's cache namespace against the literal the
-	// static fact table pins (registryhygiene.ScenarioCacheIDPrefix). A
-	// drift would silently move every scenario experiment's cache lineage
-	// out from under the audit.
-	if scenario.CachePrefix != "scenario/" {
-		panic("greenenvy: scenario.CachePrefix diverged from the audited \"scenario/\" namespace")
-	}
 	RegisterScenario("aqm-matrix")
 }
 

@@ -44,6 +44,7 @@ func init() {
 	Register(Experiment{
 		Name: "workload", Order: 160, Section: "§5",
 		Description: "datacenter workloads: energy per byte vs offered load",
+		CacheID:     "workload/",
 		Run:         func(o Options) (Result, error) { return RunWorkload(o) },
 	})
 }

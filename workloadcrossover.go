@@ -50,6 +50,7 @@ func init() {
 	Register(Experiment{
 		Name: "workload-crossover", Order: 166, Section: "§5",
 		Description: "flow-size sweep locating where envy admission turns energy-positive",
+		CacheID:     "workload-crossover/",
 		Run:         func(o Options) (Result, error) { return RunWorkloadCrossover(o) },
 	})
 }

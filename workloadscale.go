@@ -59,6 +59,7 @@ func init() {
 	Register(Experiment{
 		Name: "workload-scale", Order: 165, Section: "§5",
 		Description: "streaming replay: online envy admission vs fair sharing at scale",
+		CacheID:     "workload-scale/",
 		Run:         func(o Options) (Result, error) { return RunWorkloadScale(o) },
 	})
 }
