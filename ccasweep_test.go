@@ -102,9 +102,8 @@ func TestSweepKeyAuditsOptionsFields(t *testing.T) {
 		"Verbose":  func(o *Options) { o.Verbose = !o.Verbose },
 		"CacheDir": func(o *Options) { o.CacheDir += "/elsewhere" },
 		// The registry's unexported stamp of the running experiment's
-		// CacheID. This package cannot set it, so it has no mutator;
-		// sweepKey cannot read it either, which cachelineage's canon
-		// check proves statically.
+		// CacheID. This package can neither set nor read it, so it has no
+		// mutator and sweepKey cannot select it.
 		"cacheID": nil,
 	}
 

@@ -1,7 +1,7 @@
 // Command greenvet is the determinism and hot-path vet driver for this
 // module: it runs the internal/analysis suite (nodeterminism, floatorder,
-// hotpathalloc, shardsafety, cachelineage) over the packages each analyzer
-// guards and exits non-zero on any finding.
+// hotpathalloc, shardsafety) over the packages each analyzer guards and
+// exits non-zero on any finding.
 //
 // Every run also audits the //greenvet:allow directives themselves: an
 // allow that no longer suppresses any diagnostic — because the code it

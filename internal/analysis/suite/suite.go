@@ -15,17 +15,17 @@
 //     packages;
 //   - shardsafety applies where the sharded engine's vocabulary means the
 //     real thing: the engine itself, the partitioned topology, and the
-//     harness that drives per-shard runs;
-//   - cachelineage applies where Options/Spec fields are declared,
-//     canonicalized, and compiled into simulation inputs.
+//     harness that drives per-shard runs.
 //
-// Cache namespaces are not checked here: internal/registry checks them
-// where keys are built (Register and Options.CacheKey).
+// Cache keys are not checked here: internal/registry checks namespaces
+// where keys are built (Register and Options.CacheKey), and tests check
+// lineage by running the code (TestSweepKeyAuditsOptionsFields,
+// TestDigestAuditsSpecFields, TestScenarioRetitleKeepsPhysics and the
+// exempt pass of TestEveryExperimentRunsAtTinyScale).
 package suite
 
 import (
 	"greenenvy/internal/analysis"
-	"greenenvy/internal/analysis/cachelineage"
 	"greenenvy/internal/analysis/floatorder"
 	"greenenvy/internal/analysis/hotpathalloc"
 	"greenenvy/internal/analysis/nodeterminism"
@@ -93,14 +93,6 @@ var shardSafe = []string{
 	"greenenvy/internal/testbed",
 }
 
-// cacheLineage are the packages declaring, canonicalizing, or compiling
-// the audited option/spec structs.
-var cacheLineage = []string{
-	"greenenvy",
-	"greenenvy/internal/registry",
-	"greenenvy/internal/scenario",
-}
-
 // Suite returns every analyzer with its package scope.
 func Suite() []Scoped {
 	return []Scoped{
@@ -108,6 +100,5 @@ func Suite() []Scoped {
 		{Analyzer: floatorder.Analyzer, Paths: resultAffecting},
 		{Analyzer: hotpathalloc.Analyzer, Paths: hotPath},
 		{Analyzer: shardsafety.Analyzer, Paths: shardSafe},
-		{Analyzer: cachelineage.Analyzer, Paths: cacheLineage},
 	}
 }

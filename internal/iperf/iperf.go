@@ -82,8 +82,6 @@ type Client struct {
 	// pooled client never inherits a stale stop).
 	starter, stopper sim.Timer[Client]
 	onDone           []func()
-	// OnComplete fires when the transfer finishes.
-	OnComplete func(Report)
 }
 
 // NewClient wires a client on srcHost sending to dstHost. Energy accounts
@@ -139,8 +137,7 @@ var (
 // restarting the congestion controller in place instead of constructing a
 // fresh one. This is the pooled flow lifecycle's setup path: after pool
 // warm-up it performs no allocations. Split-engine clients (sharded runs)
-// cannot be pooled. OnComplete survives the reset; OnDone callbacks are
-// cleared.
+// cannot be pooled. OnDone callbacks are cleared.
 //
 //greenvet:hotpath
 func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dstAccount *energy.Account) error {
@@ -230,9 +227,8 @@ func (c *Client) ChainedAfter() *Client { return c.after }
 // Start.
 func (c *Client) SetStartRelay(relay func(fire func())) { c.startRelay = relay }
 
-// OnDone registers a callback invoked when the transfer completes, in
-// addition to (and after) OnComplete. Multiple callbacks run in
-// registration order.
+// OnDone registers a callback invoked when the transfer completes.
+// Multiple callbacks run in registration order.
 func (c *Client) OnDone(f func()) { c.onDone = append(c.onDone, f) }
 
 // Start schedules the client: at its StartAt offset from now, or — if
@@ -268,9 +264,6 @@ func (c *Client) stop() { c.sender.Finish() }
 func (c *Client) finish() {
 	c.stopper.Stop()
 	c.done = true
-	if c.OnComplete != nil {
-		c.OnComplete(c.Report())
-	}
 	for _, f := range c.onDone {
 		f()
 	}

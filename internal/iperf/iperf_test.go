@@ -31,7 +31,7 @@ func TestClientTransfersAndReports(t *testing.T) {
 	e, d := newNet(t)
 	c := newClient(t, e, d, Spec{Flow: 1, Bytes: 100 << 20, CCA: "cubic"})
 	var final Report
-	c.OnComplete = func(r Report) { final = r }
+	c.OnDone(func() { final = c.Report() })
 	c.Start()
 	e.RunUntil(30 * sim.Second)
 	if !c.Done() {
@@ -96,12 +96,11 @@ func TestClientOnDoneHooks(t *testing.T) {
 	e, d := newNet(t)
 	c := newClient(t, e, d, Spec{Flow: 1, Bytes: 1 << 20, CCA: "reno"})
 	order := []int{}
-	c.OnComplete = func(Report) { order = append(order, 1) }
+	c.OnDone(func() { order = append(order, 1) })
 	c.OnDone(func() { order = append(order, 2) })
-	c.OnDone(func() { order = append(order, 3) })
 	c.Start()
 	e.RunUntil(10 * sim.Second)
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("hook order = %v", order)
 	}
 }

@@ -9,9 +9,9 @@
 //
 //   - energy is reported in units of 2^-16 J (the Sandy Bridge+ default
 //     Energy Status Unit, MSR_RAPL_POWER_UNIT[12:8] = 16);
-//   - the MSR_PKG_ENERGY_STATUS counter is 32 bits wide and wraps around
-//     (on a loaded server roughly hourly), so long measurements must apply
-//     modular subtraction;
+//   - the MSR_PKG_ENERGY_STATUS counter is 32 bits wide and wraps every
+//     65,536 J (about every 30–50 minutes at the modeled server's power),
+//     so long measurements must apply modular subtraction;
 //   - reads are monotone non-decreasing modulo wraparound.
 package rapl
 
@@ -66,8 +66,9 @@ func (s *Sensor) counter() uint32 {
 
 // CounterDelta returns the energy in joules between two raw counter reads,
 // handling a single wraparound with modular arithmetic. Measurements longer
-// than one full wrap (~18.2 hours at 1 kJ/s... in practice ~1 h at server
-// power) are out of scope, as on real hardware.
+// than one full wrap (2^32 × 2^-16 J = 65,536 J: 65.5 s at 1 kJ/s, about
+// 51 min at the 21.49 W idle floor, about 30 min at the 35.82 W 10 Gb/s
+// anchor) are out of scope, as on real hardware.
 func (s *Sensor) CounterDelta(before, after uint32) float64 {
 	delta := uint64(after-before) & (1<<counterBits - 1)
 	return float64(delta) * s.unit

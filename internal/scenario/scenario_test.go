@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -85,39 +86,98 @@ func TestDigestStability(t *testing.T) {
 	}
 }
 
-// TestDigestExcludesPresentation: retitling must keep the cache lineage;
-// any physics edit must move it.
-func TestDigestExcludesPresentation(t *testing.T) {
-	base := mustParseJSON(t, minimalMatrix)
-	d0 := digestOf(t, base)
+// literalFlows is a literal-flows spec with one flow and one load, so the
+// digest audit has a Flows and a Loads entry to edit.
+const literalFlows = `{
+  "name": "t",
+  "topology": {"kind": "dumbbell"},
+  "flows": [{"cca": "cubic", "gbit": 1}],
+  "loads": [{"fraction": 0.5}]
+}`
 
-	renamed := base
-	renamed.Name = "a-completely-different-title"
-	renamed.Description = "new words"
-	renamed.Section = "§9"
-	renamed.Order = 999
-	if d := digestOf(t, renamed); d != d0 {
-		t.Errorf("presentation metadata changed the digest: %s -> %s", d0, d)
+// TestDigestAuditsSpecFields is the spec digest's key audit, built like the
+// root package's TestSweepKeyAuditsOptionsFields: every Spec field must be
+// classified as physics (it can change a simulated result, so it MUST move
+// Digest) or presentation (it only names and lists the experiment, so it
+// must NOT move Digest: retitling keeps the cached repetitions). A field
+// added to Spec without a classification here fails the test, and so does
+// a physics field that digestPayload leaves out.
+func TestDigestAuditsSpecFields(t *testing.T) {
+	bases := map[string]string{"matrix": minimalMatrix, "flows": literalFlows}
+	type edit struct {
+		base string
+		mut  func(*Spec)
+	}
+	// Each edit turns a valid base into another valid spec. Preset cannot
+	// change alone: switching it swaps the literal flows for a sweep.
+	physics := map[string][]edit{
+		"Preset": {{"flows", func(s *Spec) {
+			s.Preset, s.Flows = PresetAQMMatrix, nil
+			s.Sweep = &Sweep{GbitPerFlow: 1, CCAs: []string{"cubic"}, Queues: []QueueSpec{{Kind: "droptail"}}}
+		}}},
+		"Topology": {
+			{"matrix", func(s *Spec) { s.Topology.BottleneckBps = 1_000_000_000 }},
+			{"matrix", func(s *Spec) { s.Topology.LinkDelayUs = 100 }},
+			{"matrix", func(s *Spec) { s.Topology.AccessDelaysUs = []float64{5, 250} }},
+			{"flows", func(s *Spec) { s.Topology.Queue = QueueSpec{Kind: "codel"} }},
+		},
+		"Flows": {
+			{"flows", func(s *Spec) { s.Flows[0].CCA = "reno" }},
+			{"flows", func(s *Spec) { s.Flows[0].Gbit = 2 }},
+			{"flows", func(s *Spec) { s.Flows = append(s.Flows, Flow{Sender: 1, Gbit: 1}) }},
+		},
+		"Loads": {
+			{"flows", func(s *Spec) { s.Loads[0].Fraction = 0.25 }},
+			{"flows", func(s *Spec) { s.Loads = nil }},
+		},
+		"Sweep": {
+			{"matrix", func(s *Spec) { s.Sweep.GbitPerFlow = 20 }},
+			{"matrix", func(s *Spec) { s.Sweep.CCAs = []string{"cubic", "bbr"} }},
+			{"matrix", func(s *Spec) { s.Sweep.Queues = []QueueSpec{{Kind: "droptail"}} }},
+			{"matrix", func(s *Spec) { s.Sweep.Queues = []QueueSpec{{Kind: "droptail"}, {Kind: "codel", TargetUs: 100}} }},
+		},
+	}
+	presentation := map[string]func(*Spec){
+		"Name":        func(s *Spec) { s.Name = "a-completely-different-title" },
+		"Description": func(s *Spec) { s.Description = "new words" },
+		"Section":     func(s *Spec) { s.Section = "§9" },
+		"Order":       func(s *Spec) { s.Order = 999 },
 	}
 
-	for _, edit := range []struct {
-		name string
-		mut  func(*Spec)
-	}{
-		{"transfer size", func(s *Spec) { s.Sweep.GbitPerFlow = 20 }},
-		{"cca axis", func(s *Spec) { s.Sweep.CCAs = []string{"cubic", "bbr"} }},
-		{"queue axis", func(s *Spec) { s.Sweep.Queues = []QueueSpec{{Kind: "droptail"}} }},
-		{"queue parameter", func(s *Spec) { s.Sweep.Queues = []QueueSpec{{Kind: "droptail"}, {Kind: "codel", TargetUs: 100}} }},
-		{"bottleneck rate", func(s *Spec) { s.Topology.BottleneckBps = 1_000_000_000 }},
-		{"link delay", func(s *Spec) { s.Topology.LinkDelayUs = 100 }},
-		{"access delays", func(s *Spec) { s.Topology.AccessDelaysUs = []float64{5, 250} }},
-	} {
-		mutated := mustParseJSON(t, minimalMatrix)
-		sw := *mutated.Sweep
-		mutated.Sweep = &sw
-		edit.mut(&mutated)
-		if d := digestOf(t, mutated); d == d0 {
-			t.Errorf("%s edit did not change the digest", edit.name)
+	rt := reflect.TypeOf(Spec{})
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		_, ph := physics[name]
+		_, pr := presentation[name]
+		if ph == pr {
+			t.Fatalf("Spec.%s is not classified (or doubly classified) in the digest audit: "+
+				"decide whether it can change a result and add it to exactly one map", name)
+		}
+	}
+	if rt.NumField() != len(physics)+len(presentation) {
+		t.Fatalf("audit lists %d fields, Spec has %d", len(physics)+len(presentation), rt.NumField())
+	}
+
+	want := map[string]string{}
+	for base, src := range bases {
+		want[base] = digestOf(t, mustParseJSON(t, src))
+	}
+	for name, edits := range physics {
+		for i, e := range edits {
+			s := mustParseJSON(t, bases[e.base])
+			e.mut(&s)
+			if digestOf(t, s) == want[e.base] {
+				t.Errorf("physics field %s: edit %d of the %s spec does not move the digest", name, i, e.base)
+			}
+		}
+	}
+	for name, mutate := range presentation {
+		for base, src := range bases {
+			s := mustParseJSON(t, src)
+			mutate(&s)
+			if digestOf(t, s) != want[base] {
+				t.Errorf("presentation field %s moves the %s spec's digest (retitling would orphan its cache)", name, base)
+			}
 		}
 	}
 }

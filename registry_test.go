@@ -1,7 +1,11 @@
 package greenenvy
 
 import (
+	"bytes"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -87,13 +91,18 @@ func TestRegisterRejectsBadExperiments(t *testing.T) {
 // TestEveryExperimentRunsAtTinyScale drives each registered experiment
 // through its registry Run at digestOpts' tiny scale and checks the uniform
 // Result contract: a non-empty table and a well-formed SVG document. The
-// cold pass and a warm second pass share one cache directory and each
+// cold pass and a warm third pass share one cache directory and each
 // starts from an empty in-process sweep cache, like two `greenbench -fig
 // all` processes. The cold pass must read no entry, so no experiment hits
 // another experiment's keys; a closed-form experiment (no CacheID) must
 // not touch the cache at all, and each declared CacheID must be written by
-// an experiment declaring it. The warm pass must replay every experiment
-// with zero misses and a byte-identical table.
+// an experiment declaring it. The exempt pass between them reruns every
+// experiment from an empty in-process sweep cache with Verbose on and a
+// fresh CacheDir. It must print the cold tables and write the cold cache
+// entries byte for byte, so neither option reaches a simulation input,
+// even below table precision. Workers keeps its default so the pass runs
+// in parallel; worker counts have tests of their own. The warm pass must
+// replay every experiment with zero misses and a byte-identical table.
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every registered experiment")
@@ -141,6 +150,42 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 		}
 	}
 
+	resetSweepCache()
+	t.Run("exempt", func(t *testing.T) {
+		x := o
+		x.Verbose = true
+		x.CacheDir = t.TempDir()
+		want := cacheFiles(t, o.CacheDir)
+		seen := map[string]bool{}
+		for _, e := range Experiments() {
+			tbl, ok := cold[e.Name]
+			if !ok {
+				continue
+			}
+			t.Run(e.Name, func(t *testing.T) {
+				res, err := e.Run(x)
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if got := res.Table(); got != tbl {
+					t.Errorf("table differs from the cold one:\n got:\n%s\nwant:\n%s", got, tbl)
+				}
+				for path, b := range cacheFiles(t, x.CacheDir) {
+					if seen[path] {
+						continue
+					}
+					seen[path] = true
+					if !bytes.Equal(b, want[path]) {
+						t.Errorf("cache entry %s is not the cold pass's, byte for byte", path)
+					}
+				}
+			})
+		}
+		if len(seen) != len(want) {
+			t.Errorf("exempt pass wrote %d cache entries, the cold pass %d", len(seen), len(want))
+		}
+	})
+
 	resetSweepCache() // a fresh process: only the disk cache survives
 	t.Run("warm", func(t *testing.T) {
 		for _, e := range Experiments() {
@@ -163,6 +208,29 @@ func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 			})
 		}
 	})
+}
+
+// cacheFiles reads every file under a cache directory, keyed by its path
+// relative to dir.
+func cacheFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestEveryExperimentRejectsBadScale feeds every experiment options that

@@ -1,6 +1,7 @@
 package greenenvy
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"slices"
@@ -80,6 +81,50 @@ func TestScenarioCacheIDsPinned(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: cache id %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// TestScenarioRetitleKeepsPhysics runs each shipped spec cold beside a
+// twin with a new Name, Description, Section and Order. The two must
+// write byte-identical cache directories: presentation renames and lists
+// an experiment, and must never reach a simulation input.
+func TestScenarioRetitleKeepsPhysics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the simulator")
+	}
+	aqm, ok := scenario.Builtin("aqm-matrix")
+	if !ok {
+		t.Fatal("no aqm-matrix builtin")
+	}
+	for _, c := range []struct {
+		name string
+		spec scenario.Spec
+	}{
+		{"aqm-matrix", aqm},
+		{"unequal-rtt.toml", loadSpec(t, "examples/scenarios/unequal-rtt.toml")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			twin := c.spec
+			twin.Name = c.spec.Name + "-retitled"
+			twin.Description = "a new description"
+			twin.Section = "§0"
+			twin.Order = c.spec.Order + 1000
+			specDir, twinDir := t.TempDir(), t.TempDir()
+			runCompiled(t, c.spec, Options{Reps: 1, Scale: 0.001, Seed: 1, CacheDir: specDir})
+			runCompiled(t, twin, Options{Reps: 1, Scale: 0.001, Seed: 1, CacheDir: twinDir})
+			want, got := cacheFiles(t, specDir), cacheFiles(t, twinDir)
+			if len(want) == 0 {
+				t.Fatal("the spec wrote no cache entry")
+			}
+			if len(got) != len(want) {
+				t.Errorf("the retitled twin wrote %d cache entries, the spec %d", len(got), len(want))
+			}
+			for path, b := range want {
+				if !bytes.Equal(got[path], b) {
+					t.Errorf("cache entry %s differs between the spec and its retitled twin", path)
+				}
+			}
+		})
 	}
 }
 
