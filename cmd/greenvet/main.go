@@ -1,7 +1,8 @@
-// Command greenvet is the determinism and hot-path vet driver for this
-// module: it runs the internal/analysis suite (nodeterminism, floatorder,
-// hotpathalloc, shardsafety) over the packages each analyzer guards and
-// exits non-zero on any finding.
+// Command greenvet enforces this module's determinism contract: it runs
+// the internal/analysis suite (nodeterminism, floatorder, shardsafety) over
+// the packages each analyzer guards and exits non-zero on any finding.
+// Hot-path allocations are not its business: the allocation tests count
+// them by running the code (go test -run Alloc ./internal/...).
 //
 // Every run also audits the //greenvet:allow directives themselves: an
 // allow that no longer suppresses any diagnostic — because the code it
@@ -54,6 +55,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", s.Analyzer.Name, s.Analyzer.Doc)
 		}
 		fmt.Fprintf(os.Stderr, "  %-16s %s\n", "staleallow", "report //greenvet:allow directives that no longer suppress any diagnostic (always on)")
+		fmt.Fprintf(os.Stderr, "\nHot-path allocations are counted by tests: go test -run Alloc ./internal/...\n")
 	}
 	flag.Parse()
 

@@ -2,30 +2,26 @@
 // golang.org/x/tools/go/analysis vocabulary: an Analyzer inspects one
 // type-checked package through a Pass and reports Diagnostics.
 //
-// It exists because this module's determinism and hot-path guarantees —
-// byte-identical same-seed sweeps, replayable cache entries, a
-// zero-allocation event loop — are contracts worth enforcing at build time,
-// and the module deliberately has no third-party dependencies. The kernel
-// mirrors the upstream API shape closely enough that the analyzers under
-// internal/analysis/... would port to x/tools mechanically.
+// It exists because this module's determinism guarantees — byte-identical
+// same-seed sweeps, replayable cache entries — are contracts worth
+// enforcing at build time, and the module deliberately has no third-party
+// dependencies. The kernel mirrors the upstream API shape closely enough
+// that the analyzers under internal/analysis/... would port to x/tools
+// mechanically. The allocation-free packet path is not checked here: tests
+// that run the code count its allocations exactly.
 //
-// Three source directives interact with the kernel:
+// Two source directives interact with the kernel:
 //
 //	//greenvet:allow <analyzer>[,<analyzer>...] <reason>
 //
 // on the flagged line (or the line immediately above it) suppresses the
 // named analyzers' diagnostics there. The reason is mandatory by
 // convention: an allow is a reviewed claim that the construct is safe
-// (e.g. an amortized allocation on a pool refill path). Every allow is a
+// (e.g. a map range whose order cannot reach a result). Every allow is a
 // standing liability, so the kernel also does suppression accounting:
 // RunWithUsage records which directives actually swallowed a diagnostic,
 // and Allows enumerates every directive in a package, letting the greenvet
 // driver report stale allows that no longer suppress anything.
-//
-//	//greenvet:hotpath
-//
-// in a function's doc comment marks it as a hot-path root for the
-// hotpathalloc analyzer (see that package).
 //
 //	//greenvet:shardboundary
 //
@@ -202,7 +198,7 @@ func allowDirectives(fset *token.FileSet, files []*ast.File) allowSet {
 }
 
 // HasDirective reports whether doc contains the directive as a line of its
-// own (the shared shape of //greenvet:hotpath and //greenvet:shardboundary).
+// own (the shape of //greenvet:shardboundary).
 func HasDirective(doc *ast.CommentGroup, directive string) bool {
 	if doc == nil {
 		return false

@@ -8,11 +8,7 @@
 //     whose output reaches an experiment result — the simulator core, the
 //     protocol stack, the harness/registry root package, stats, plotting —
 //     but not to cmd/ (bench timing legitimately reads the wall clock) or
-//     to rapl/stress (they measure real hardware, which is the point);
-//   - hotpathalloc applies where //greenvet:hotpath roots live: the event
-//     engine, the per-packet path, and (since the PR 8/9 subsystems grew
-//     hot loops of their own) the streaming-replay and measurement
-//     packages;
+//     to rapl (it models real hardware counters, which is the point);
 //   - shardsafety applies where the sharded engine's vocabulary means the
 //     real thing: the engine itself, the partitioned topology, and the
 //     harness that drives per-shard runs.
@@ -21,13 +17,15 @@
 // where keys are built (Register and Options.CacheKey), and tests check
 // lineage by running the code (TestSweepKeyAuditsOptionsFields,
 // TestDigestAuditsSpecFields, TestScenarioRetitleKeepsPhysics and the
-// exempt pass of TestEveryExperimentRunsAtTinyScale).
+// exempt pass of TestEveryExperimentRunsAtTinyScale). Allocations are not
+// checked here either: a map-order or wall-clock dependence may not show in
+// any one run, but an allocation count always does, so the simulator
+// packages' allocation gates count them on the paths they run.
 package suite
 
 import (
 	"greenenvy/internal/analysis"
 	"greenenvy/internal/analysis/floatorder"
-	"greenenvy/internal/analysis/hotpathalloc"
 	"greenenvy/internal/analysis/nodeterminism"
 	"greenenvy/internal/analysis/shardsafety"
 )
@@ -69,22 +67,6 @@ var resultAffecting = []string{
 	"greenenvy/internal/cache",
 }
 
-// hotPath are the packages containing //greenvet:hotpath roots: the event
-// engine, everything on the per-packet path, and the PR 8/9 hot loops —
-// the pooled churn driver (testbed/iperf), the open-loop arrival process
-// (workload), and the online P² aggregation (stats).
-var hotPath = []string{
-	"greenenvy/internal/sim",
-	"greenenvy/internal/netsim",
-	"greenenvy/internal/tcp",
-	"greenenvy/internal/cca",
-	"greenenvy/internal/energy",
-	"greenenvy/internal/iperf",
-	"greenenvy/internal/testbed",
-	"greenenvy/internal/workload",
-	"greenenvy/internal/stats",
-}
-
 // shardSafe are the packages where shardsafety's type vocabulary
 // (ShardGroup, Conduit, Link, Testbed) means the real sharded engine.
 var shardSafe = []string{
@@ -98,7 +80,6 @@ func Suite() []Scoped {
 	return []Scoped{
 		{Analyzer: nodeterminism.Analyzer, Paths: resultAffecting},
 		{Analyzer: floatorder.Analyzer, Paths: resultAffecting},
-		{Analyzer: hotpathalloc.Analyzer, Paths: hotPath},
 		{Analyzer: shardsafety.Analyzer, Paths: shardSafe},
 	}
 }

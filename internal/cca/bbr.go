@@ -130,8 +130,6 @@ func (b *BBR) Init(c Conn) {
 }
 
 // OnAck implements CongestionControl.
-//
-//greenvet:hotpath
 func (b *BBR) OnAck(c Conn, info AckInfo) {
 	now := c.Now()
 
@@ -262,8 +260,6 @@ func (b *BBR) setPacingAndCwnd(c Conn) {
 // OnLoss implements CongestionControl. v1 ignores loss; the v2 alpha caps
 // inflight at lossResponse × the inflight level where loss occurred, at
 // most once per round.
-//
-//greenvet:hotpath
 func (b *BBR) OnLoss(c Conn) {
 	if b.params.lossResponse == 0 || b.round == b.lastLossRound {
 		return
@@ -278,8 +274,6 @@ func (b *BBR) OnLoss(c Conn) {
 
 // OnRTO implements CongestionControl: collapse the window but keep the
 // model (as Linux BBR does, modulo conservation details).
-//
-//greenvet:hotpath
 func (b *BBR) OnRTO(c Conn) {
 	b.cwnd = float64(c.MSS())
 }

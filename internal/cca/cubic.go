@@ -53,8 +53,6 @@ func (cu *Cubic) Init(c Conn) {
 }
 
 // OnAck implements CongestionControl.
-//
-//greenvet:hotpath
 func (cu *Cubic) OnAck(c Conn, info AckInfo) {
 	if info.InRecovery {
 		return
@@ -144,8 +142,6 @@ func (cu *Cubic) hystart(c Conn, info AckInfo) {
 
 // OnLoss implements CongestionControl: multiplicative decrease by beta with
 // fast convergence (RFC 8312 §4.6).
-//
-//greenvet:hotpath
 func (cu *Cubic) OnLoss(c Conn) {
 	mss := float64(c.MSS())
 	seg := cu.cwnd / mss
@@ -166,8 +162,6 @@ func (cu *Cubic) OnLoss(c Conn) {
 }
 
 // OnRTO implements CongestionControl.
-//
-//greenvet:hotpath
 func (cu *Cubic) OnRTO(c Conn) {
 	cu.epochStart = 0
 	cu.wMax = cu.cwnd / float64(c.MSS())

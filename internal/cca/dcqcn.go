@@ -53,8 +53,6 @@ func (d *DCQCN) Init(c Conn) {
 
 // OnAck implements CongestionControl. An ECE-marked ACK plays the role of
 // a CNP.
-//
-//greenvet:hotpath
 func (d *DCQCN) OnAck(c Conn, info AckInfo) {
 	now := c.Now()
 	if info.ECE {
@@ -99,8 +97,6 @@ func (d *DCQCN) OnAck(c Conn, info AckInfo) {
 // drop must cut harder than a CNP would (α decays toward zero between
 // CNPs, so the CNP formula alone barely reacts). We halve, the
 // conventional fallback.
-//
-//greenvet:hotpath
 func (d *DCQCN) OnLoss(c Conn) {
 	d.targetBps = d.rateBps
 	d.rateBps /= 2
@@ -112,8 +108,6 @@ func (d *DCQCN) OnLoss(c Conn) {
 }
 
 // OnRTO implements CongestionControl.
-//
-//greenvet:hotpath
 func (d *DCQCN) OnRTO(c Conn) {
 	d.rateBps = dcqcnMinRate
 	d.targetBps = dcqcnMinRate

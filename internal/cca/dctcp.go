@@ -31,8 +31,6 @@ func (d *DCTCP) Name() string { return "dctcp" }
 func (d *DCTCP) ECNCapable() bool { return true }
 
 // OnAck implements CongestionControl.
-//
-//greenvet:hotpath
 func (d *DCTCP) OnAck(c Conn, info AckInfo) {
 	d.ackedBytes += float64(info.AckedBytes)
 	if info.ECE {

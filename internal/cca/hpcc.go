@@ -55,7 +55,7 @@ func (h *HPCC) Init(c Conn) {
 // snapshots.
 func (h *HPCC) utilization(hops []netsim.INTHop) (float64, bool) {
 	if len(h.prev) != len(hops) {
-		h.prev = append([]netsim.INTHop(nil), hops...) //greenvet:allow hotpathalloc snapshot reallocated only when the INT path length changes
+		h.prev = append([]netsim.INTHop(nil), hops...)
 		return 0, false
 	}
 	if h.baseRTT == 0 {
@@ -76,13 +76,11 @@ func (h *HPCC) utilization(hops []netsim.INTHop) (float64, bool) {
 			maxU = u
 		}
 	}
-	h.prev = append(h.prev[:0], hops...) //greenvet:allow hotpathalloc appends into prev[:0] of equal length: reuses the backing array
+	h.prev = append(h.prev[:0], hops...)
 	return maxU, maxU > 0
 }
 
 // OnAck implements CongestionControl.
-//
-//greenvet:hotpath
 func (h *HPCC) OnAck(c Conn, info AckInfo) {
 	if info.RTT > 0 && (h.baseRTT == 0 || info.RTT < h.baseRTT) {
 		h.baseRTT = info.RTT
@@ -118,8 +116,6 @@ func (h *HPCC) OnAck(c Conn, info AckInfo) {
 
 // OnLoss implements CongestionControl (rare under HPCC: the 95% target
 // keeps queues near empty).
-//
-//greenvet:hotpath
 func (h *HPCC) OnLoss(c Conn) {
 	h.cwnd /= 2
 	if min := 2 * h.mss; h.cwnd < min {
@@ -129,8 +125,6 @@ func (h *HPCC) OnLoss(c Conn) {
 }
 
 // OnRTO implements CongestionControl.
-//
-//greenvet:hotpath
 func (h *HPCC) OnRTO(c Conn) {
 	h.cwnd = h.mss
 	h.refCwnd = h.cwnd

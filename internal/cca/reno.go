@@ -31,8 +31,6 @@ func (r *Reno) Init(c Conn) {
 func (r *Reno) InSlowStart() bool { return r.cwnd < r.ssthresh }
 
 // OnAck implements CongestionControl.
-//
-//greenvet:hotpath
 func (r *Reno) OnAck(c Conn, info AckInfo) {
 	if info.InRecovery {
 		return // window frozen during fast recovery
@@ -55,8 +53,6 @@ func (r *Reno) OnAck(c Conn, info AckInfo) {
 }
 
 // OnLoss implements CongestionControl: halve the window.
-//
-//greenvet:hotpath
 func (r *Reno) OnLoss(c Conn) {
 	r.ssthresh = r.cwnd / 2
 	if min := float64(2 * c.MSS()); r.ssthresh < min {
@@ -67,8 +63,6 @@ func (r *Reno) OnLoss(c Conn) {
 }
 
 // OnRTO implements CongestionControl: collapse to one segment.
-//
-//greenvet:hotpath
 func (r *Reno) OnRTO(c Conn) {
 	r.ssthresh = r.cwnd / 2
 	if min := float64(2 * c.MSS()); r.ssthresh < min {

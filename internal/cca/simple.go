@@ -19,8 +19,6 @@ func init() { Register("scalable", func() CongestionControl { return &Scalable{}
 func (s *Scalable) Name() string { return "scalable" }
 
 // OnAck implements CongestionControl.
-//
-//greenvet:hotpath
 func (s *Scalable) OnAck(c Conn, info AckInfo) {
 	if info.InRecovery {
 		return
@@ -34,8 +32,6 @@ func (s *Scalable) OnAck(c Conn, info AckInfo) {
 }
 
 // OnLoss implements CongestionControl: b = 0.125.
-//
-//greenvet:hotpath
 func (s *Scalable) OnLoss(c Conn) {
 	s.cwnd *= 1 - 0.125
 	if min := float64(2 * c.MSS()); s.cwnd < min {
@@ -88,8 +84,6 @@ func hsA(w float64) float64 {
 }
 
 // OnAck implements CongestionControl.
-//
-//greenvet:hotpath
 func (h *HighSpeed) OnAck(c Conn, info AckInfo) {
 	if info.InRecovery {
 		return
@@ -108,8 +102,6 @@ func (h *HighSpeed) OnAck(c Conn, info AckInfo) {
 }
 
 // OnLoss implements CongestionControl.
-//
-//greenvet:hotpath
 func (h *HighSpeed) OnLoss(c Conn) {
 	w := h.cwnd / float64(c.MSS())
 	h.cwnd *= 1 - hsB(w)
@@ -137,8 +129,6 @@ func init() { Register("westwood", func() CongestionControl { return &Westwood{}
 func (w *Westwood) Name() string { return "westwood" }
 
 // OnAck implements CongestionControl.
-//
-//greenvet:hotpath
 func (w *Westwood) OnAck(c Conn, info AckInfo) {
 	now := c.Now().Seconds()
 	w.ackedAcc += float64(info.AckedBytes)
@@ -158,8 +148,6 @@ func (w *Westwood) OnAck(c Conn, info AckInfo) {
 }
 
 // OnLoss implements CongestionControl: cwnd = BWE × RTTmin.
-//
-//greenvet:hotpath
 func (w *Westwood) OnLoss(c Conn) {
 	bdp := w.bwEst * c.MinRTT().Seconds()
 	if min := float64(2 * c.MSS()); bdp < min {
@@ -173,8 +161,6 @@ func (w *Westwood) OnLoss(c Conn) {
 }
 
 // OnRTO implements CongestionControl.
-//
-//greenvet:hotpath
 func (w *Westwood) OnRTO(c Conn) {
 	bdp := w.bwEst * c.MinRTT().Seconds()
 	if min := float64(2 * c.MSS()); bdp < min {
@@ -211,18 +197,12 @@ func (b *Baseline) Name() string { return "baseline" }
 func (b *Baseline) Init(c Conn) { b.cwnd = BaselineCwndBytes }
 
 // OnAck implements CongestionControl (no computation, by design).
-//
-//greenvet:hotpath
 func (b *Baseline) OnAck(c Conn, info AckInfo) {}
 
 // OnLoss implements CongestionControl (ignores loss, by design).
-//
-//greenvet:hotpath
 func (b *Baseline) OnLoss(c Conn) {}
 
 // OnRTO implements CongestionControl (even timeouts do not move the window).
-//
-//greenvet:hotpath
 func (b *Baseline) OnRTO(c Conn) {}
 
 // CWnd implements CongestionControl.

@@ -50,8 +50,6 @@ func (s *Swift) target() sim.Duration {
 }
 
 // OnAck implements CongestionControl.
-//
-//greenvet:hotpath
 func (s *Swift) OnAck(c Conn, info AckInfo) {
 	if info.RTT <= 0 {
 		return
@@ -89,8 +87,6 @@ func (s *Swift) OnAck(c Conn, info AckInfo) {
 // OnLoss implements CongestionControl: loss is a severe congestion signal;
 // apply the maximum decrease (once per RTT via the sender's recovery
 // gating).
-//
-//greenvet:hotpath
 func (s *Swift) OnLoss(c Conn) {
 	s.cwnd *= 1 - swiftMaxMDF
 	if min := 2 * s.mss; s.cwnd < min {
@@ -99,8 +95,6 @@ func (s *Swift) OnLoss(c Conn) {
 }
 
 // OnRTO implements CongestionControl.
-//
-//greenvet:hotpath
 func (s *Swift) OnRTO(c Conn) {
 	s.cwnd = s.mss
 }

@@ -38,8 +38,6 @@ func (v *Vegas) Init(c Conn) {
 }
 
 // OnAck implements CongestionControl.
-//
-//greenvet:hotpath
 func (v *Vegas) OnAck(c Conn, info AckInfo) {
 	if info.RTT > 0 {
 		if v.baseRTT == 0 || info.RTT < v.baseRTT {
@@ -94,8 +92,6 @@ func (v *Vegas) OnAck(c Conn, info AckInfo) {
 
 // OnLoss implements CongestionControl: Vegas falls back to Reno-style
 // halving on packet loss.
-//
-//greenvet:hotpath
 func (v *Vegas) OnLoss(c Conn) {
 	v.cwnd /= 2
 	if min := float64(2 * c.MSS()); v.cwnd < min {
@@ -105,8 +101,6 @@ func (v *Vegas) OnLoss(c Conn) {
 }
 
 // OnRTO implements CongestionControl.
-//
-//greenvet:hotpath
 func (v *Vegas) OnRTO(c Conn) {
 	v.ssthresh = v.cwnd / 2
 	v.cwnd = float64(c.MSS())

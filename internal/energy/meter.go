@@ -53,8 +53,6 @@ func (m *Meter) SetBaseLoad(frac float64) {
 func (m *Meter) BaseLoad() float64 { return m.baseUtil }
 
 // AddWork reports coreSeconds of CPU work performed "now".
-//
-//greenvet:hotpath
 func (m *Meter) AddWork(coreSeconds float64) {
 	if coreSeconds < 0 {
 		panic("energy: negative work")
@@ -67,8 +65,6 @@ func (m *Meter) AddWork(coreSeconds float64) {
 // time. It must be called often enough that utilization is roughly constant
 // within each interval; the testbed calls it every millisecond and at every
 // phase boundary.
-//
-//greenvet:hotpath
 func (m *Meter) Sync() { m.SyncAt(m.engine.Now()) }
 
 // SyncAt integrates energy up to the explicit instant t instead of the
@@ -76,8 +72,6 @@ func (m *Meter) Sync() { m.SyncAt(m.engine.Now()) }
 // different local times once their flows finish, but the final measurement
 // must integrate every meter to the same global completion instant. t
 // before the last sync point panics — that would erase energy.
-//
-//greenvet:hotpath
 func (m *Meter) SyncAt(t sim.Time) {
 	dt := t - m.last
 	if dt <= 0 {
@@ -117,8 +111,6 @@ func NewAccount(m *Meter, ccaName string) *Account {
 // SentData reports transmission of a data segment. outstandingBytes is the
 // sender's unacknowledged window at transmit time, which scales the
 // memory-pressure component of the cost model.
-//
-//greenvet:hotpath
 func (a *Account) SentData(retransmit bool, outstandingBytes int) {
 	if a == nil {
 		return
@@ -134,8 +126,6 @@ func (a *Account) SentData(retransmit bool, outstandingBytes int) {
 }
 
 // SentAck reports transmission of a pure ACK.
-//
-//greenvet:hotpath
 func (a *Account) SentAck() {
 	if a == nil {
 		return
@@ -144,8 +134,6 @@ func (a *Account) SentAck() {
 }
 
 // ReceivedData reports receipt of a data segment.
-//
-//greenvet:hotpath
 func (a *Account) ReceivedData() {
 	if a == nil {
 		return
@@ -154,8 +142,6 @@ func (a *Account) ReceivedData() {
 }
 
 // ReceivedAck reports receipt and congestion-control processing of an ACK.
-//
-//greenvet:hotpath
 func (a *Account) ReceivedAck() {
 	if a == nil {
 		return

@@ -138,8 +138,6 @@ var (
 // fresh one. This is the pooled flow lifecycle's setup path: after pool
 // warm-up it performs no allocations. Split-engine clients (sharded runs)
 // cannot be pooled. OnDone callbacks are cleared.
-//
-//greenvet:hotpath
 func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dstAccount *energy.Account) error {
 	if c.split {
 		return errResetSplit

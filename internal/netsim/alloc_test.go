@@ -78,6 +78,50 @@ func TestSwitchPipelinePathAllocFree(t *testing.T) {
 	}
 }
 
+// TestSwitchECMPPathAllocFree pins range-route forwarding with four
+// equal-cost next hops, the fat-tree's upward path: resolving a flow's port
+// by the ECMP hash and passing the packet through the pipeline allocate
+// nothing.
+func TestSwitchECMPPathAllocFree(t *testing.T) {
+	e := sim.NewEngine()
+	sw := NewSwitch(e, "ecmp", sim.Microsecond)
+	sw.SetECMPSalt(7)
+	var counts [4]int
+	ports := make([]Handler, len(counts))
+	for i := range ports {
+		ports[i] = HandlerFunc(func(*Packet) { counts[i]++ })
+	}
+	sw.ConnectRange(100, 199, ports...)
+	p := &Packet{Src: 1, Dst: 150, WireSize: 1500, DataLen: 1460}
+	traverse := func() {
+		p.Flow++
+		p.hops = 0
+		sw.HandlePacket(p)
+		e.Run()
+	}
+	for i := 0; i < 128; i++ {
+		traverse()
+	}
+	if got := testing.AllocsPerRun(200, traverse); got != 0 {
+		t.Fatalf("ECMP forwarding allocates %.1f objects/packet, want 0", got)
+	}
+	for i, c := range counts {
+		if c == 0 {
+			t.Fatalf("ECMP never picked port %d: %v", i, counts)
+		}
+	}
+}
+
+// TestThroughputMonitorObserveAllocFree: counting a delivered segment for a
+// flow the monitor already tracks allocates nothing.
+func TestThroughputMonitorObserveAllocFree(t *testing.T) {
+	m := NewThroughputMonitor(sim.NewEngine(), sim.Millisecond)
+	m.Observe(1, 1460)
+	if got := testing.AllocsPerRun(200, func() { m.Observe(1, 1460) }); got != 0 {
+		t.Fatalf("Observe allocates %.1f objects/call, want 0", got)
+	}
+}
+
 // TestDropTailSteadyStateAllocFree pins the ring-buffer queue: enqueue plus
 // dequeue with a standing backlog must not touch the heap.
 func TestDropTailSteadyStateAllocFree(t *testing.T) {
@@ -177,5 +221,24 @@ func TestNewPacketAllocatesByChunk(t *testing.T) {
 	})
 	if got > limit {
 		t.Fatalf("1000 NewPacket calls on a fresh host allocate %.0f objects, want at most %d", got, limit)
+	}
+}
+
+// TestNewSACKAllocatesByChunk: SACK arrays come from chunks of sackChunk
+// blocks, so a fresh host's first 1,000 four-block arrays cost one
+// allocation per chunk (64 in all), not one per ACK. Under -race each chunk
+// takes two allocations (127 in all), so the limit allows two per chunk
+// plus two for the host and its pool.
+func TestNewSACKAllocatesByChunk(t *testing.T) {
+	const calls, blocks = 1000, 4
+	const limit = 2*((calls*blocks+sackChunk-1)/sackChunk) + 2
+	got := testing.AllocsPerRun(5, func() {
+		h := NewHost(0, "h")
+		for i := 0; i < calls; i++ {
+			h.NewSACK(blocks)
+		}
+	})
+	if got > limit {
+		t.Fatalf("%d NewSACK(%d) calls on a fresh host allocate %.0f objects, want at most %d", calls, blocks, got, limit)
 	}
 }

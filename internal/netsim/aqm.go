@@ -80,8 +80,6 @@ func (c *codelCtl) doDequeue(now sim.Time, fifo *ring[qEntry], qbytes, fbytes *i
 // dequeue runs one full RFC 8289 dequeue: pop, update the drop state, and
 // return the packet to transmit (nil when the ring is empty or every
 // backlogged packet was dropped by the law).
-//
-//greenvet:hotpath
 func (c *codelCtl) dequeue(now sim.Time, fifo *ring[qEntry], qbytes, fbytes *int, minBytes int, stats *QueueStats) *Packet {
 	p, okToDrop := c.doDequeue(now, fifo, qbytes, fbytes, minBytes)
 	if p == nil {
@@ -203,8 +201,6 @@ func (q *CoDel) BindEngine(e *sim.Engine) { q.engine = e }
 
 // Enqueue implements Queue: admission is plain tail-drop against CapBytes;
 // the control law acts at dequeue time on the recorded arrival stamp.
-//
-//greenvet:hotpath
 func (q *CoDel) Enqueue(p *Packet) bool {
 	if q.CapBytes > 0 && q.bytes+p.WireSize > q.CapBytes {
 		q.stats.DroppedPackets++
@@ -224,8 +220,6 @@ func (q *CoDel) Enqueue(p *Packet) bool {
 }
 
 // Dequeue implements Queue.
-//
-//greenvet:hotpath
 func (q *CoDel) Dequeue() *Packet {
 	return q.ctl.dequeue(q.engine.Now(), &q.ring, &q.bytes, nil, q.maxWire, &q.stats)
 }

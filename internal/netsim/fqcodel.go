@@ -79,8 +79,6 @@ func NewFQCoDel(capBytes, quantum int, target, interval sim.Duration) *FQCoDel {
 func (q *FQCoDel) BindEngine(e *sim.Engine) { q.engine = e }
 
 // Enqueue implements Queue.
-//
-//greenvet:hotpath
 func (q *FQCoDel) Enqueue(p *Packet) bool {
 	if q.CapBytes > 0 && q.bytes+p.WireSize > q.CapBytes {
 		q.stats.DroppedPackets++
@@ -92,7 +90,7 @@ func (q *FQCoDel) Enqueue(p *Packet) bool {
 	}
 	f, ok := q.flows[p.Flow]
 	if !ok {
-		f = &fqFlow{id: p.Flow, ctl: codelCtl{target: q.Target, interval: q.Interval}} //greenvet:allow hotpathalloc one allocation per new flow, not per packet
+		f = &fqFlow{id: p.Flow, ctl: codelCtl{target: q.Target, interval: q.Interval}}
 		q.flows[p.Flow] = f
 	}
 	f.ring.Push(qEntry{p: p, at: q.engine.Now()})
@@ -115,8 +113,6 @@ func (q *FQCoDel) Enqueue(p *Packet) bool {
 
 // Dequeue implements Queue: serve new flows first, then old, by deficit
 // round robin; each service runs the flow's own CoDel law.
-//
-//greenvet:hotpath
 func (q *FQCoDel) Dequeue() *Packet {
 	now := q.engine.Now()
 	// Each iteration either returns a packet, retires an empty flow, or

@@ -105,8 +105,6 @@ func (l *Link) SerializationTime(size int) sim.Duration {
 }
 
 // HandlePacket implements Handler: enqueue and start transmitting if idle.
-//
-//greenvet:hotpath
 func (l *Link) HandlePacket(p *Packet) {
 	if !l.queue.Enqueue(p) {
 		return // dropped; queue stats already updated
@@ -131,8 +129,6 @@ func (l *Link) transmitNext() {
 
 // onTxDone fires when the current packet finishes serializing: it enters
 // the propagation stage and the next queued packet starts clocking out.
-//
-//greenvet:hotpath
 func (l *Link) onTxDone() {
 	p := l.txPkt
 	l.txPkt = nil
@@ -140,7 +136,6 @@ func (l *Link) onTxDone() {
 	l.TxBytes += uint64(p.WireSize)
 	l.busyTime += l.engine.Now() - l.busyStart
 	if p.Flags.Has(FlagINT) {
-		//greenvet:allow hotpathalloc INT telemetry is stamped only on FlagINT packets (HPCC runs)
 		p.INT = append(p.INT, INTHop{
 			QueueBytes: l.queue.Bytes(),
 			TxBytes:    l.TxBytes,
@@ -157,8 +152,6 @@ func (l *Link) onTxDone() {
 }
 
 // arrive hands a packet that has crossed the wire to the far end.
-//
-//greenvet:hotpath
 func (l *Link) arrive(p *Packet) { l.dst.HandlePacket(p) }
 
 // Busy reports whether the link is currently serializing a packet.
@@ -198,8 +191,6 @@ func NewBond(members ...*Link) *Bond {
 
 // HandlePacket implements Handler by assigning the packet to the next
 // member link in round-robin order.
-//
-//greenvet:hotpath
 func (b *Bond) HandlePacket(p *Packet) {
 	l := b.members[b.next]
 	b.next = (b.next + 1) % len(b.members)

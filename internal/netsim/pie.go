@@ -121,8 +121,6 @@ func (q *PIE) update(now sim.Time) {
 // drop, or CE-mark per the current probability (RFC 8033 §4.1). ECN-capable
 // packets are marked instead of dropped while the probability is below 10%;
 // above that the queue is in real trouble and even ECT packets drop.
-//
-//greenvet:hotpath
 func (q *PIE) Enqueue(p *Packet) bool {
 	now := q.engine.Now()
 	if now >= q.nextUpdate {
@@ -161,8 +159,6 @@ func (q *PIE) Enqueue(p *Packet) bool {
 
 // Dequeue implements Queue: plain FIFO — all of PIE's intelligence is at
 // admission.
-//
-//greenvet:hotpath
 func (q *PIE) Dequeue() *Packet {
 	p := q.pkts.Pop()
 	if p == nil {

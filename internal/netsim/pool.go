@@ -42,8 +42,6 @@ type packetPool struct {
 // transport that takes a packet here gives it back with Recycle where the
 // packet ends; one that never does merely leaves it to the GC, though the
 // packet's chunk stays alive while any packet of it does.
-//
-//greenvet:hotpath
 func (h *Host) NewPacket() *Packet {
 	pool := h.pool
 	if n := len(pool.free); n > 0 {
@@ -55,7 +53,7 @@ func (h *Host) NewPacket() *Packet {
 	}
 	if len(pool.fresh) == 0 {
 		// Appending to nil sizes the chunk up to its size class.
-		chunk := append([]Packet(nil), make([]Packet, packetChunk)...) //greenvet:allow hotpathalloc pool refill: one chunk per packetChunk packets of the engine's peak in-flight population, then recycled
+		chunk := append([]Packet(nil), make([]Packet, packetChunk)...)
 		pool.fresh = chunk[:cap(chunk)]
 	}
 	p := &pool.fresh[0]
@@ -68,12 +66,10 @@ func (h *Host) NewPacket() *Packet {
 // the host is about to send. Arrays are carved from a chunk shared by the
 // hosts of the pool, and Recycle keeps a packet's array for its next ACK,
 // so a pooled packet takes one at most once.
-//
-//greenvet:hotpath
 func (h *Host) NewSACK(n int) []SACKBlock {
 	pool := h.pool
 	if len(pool.sacks) < n {
-		chunk := append([]SACKBlock(nil), make([]SACKBlock, max(n, sackChunk))...) //greenvet:allow hotpathalloc SACK refill: one chunk per sackChunk/n ACKs of the engine's pooled packet population, then kept across recycling
+		chunk := append([]SACKBlock(nil), make([]SACKBlock, max(n, sackChunk))...)
 		pool.sacks = chunk[:cap(chunk)]
 	}
 	s := pool.sacks[:0:n]
@@ -87,8 +83,6 @@ func (h *Host) NewSACK(n int) []SACKBlock {
 // packet's next ACK; INT is dropped, never reused, because a receiver's
 // echoed telemetry and a congestion controller's last sample may still
 // alias it. Recycling a packet twice panics.
-//
-//greenvet:hotpath
 func (h *Host) Recycle(p *Packet) {
 	if !p.pooled {
 		return
@@ -98,6 +92,6 @@ func (h *Host) Recycle(p *Packet) {
 	}
 	*p = Packet{SACK: p.SACK[:0], pooled: true, free: true}
 	if len(h.pool.free) < maxFreePackets {
-		h.pool.free = append(h.pool.free, p) //greenvet:allow hotpathalloc free list grows to the engine's in-flight packet population, at most maxFreePackets, then growth stops
+		h.pool.free = append(h.pool.free, p)
 	}
 }

@@ -57,8 +57,6 @@ func NewDropTail(capBytes, markBytes int) *DropTail {
 }
 
 // Enqueue implements Queue.
-//
-//greenvet:hotpath
 func (q *DropTail) Enqueue(p *Packet) bool {
 	if q.CapBytes > 0 && q.bytes+p.WireSize > q.CapBytes {
 		q.stats.DroppedPackets++
@@ -79,8 +77,6 @@ func (q *DropTail) Enqueue(p *Packet) bool {
 }
 
 // Dequeue implements Queue.
-//
-//greenvet:hotpath
 func (q *DropTail) Dequeue() *Packet {
 	p := q.pkts.Pop()
 	if p == nil {

@@ -75,7 +75,7 @@ func (r *ring[T]) grow() {
 	if newCap == 0 {
 		newCap = 16
 	}
-	next := make([]T, newCap) //greenvet:allow hotpathalloc ring doubling is amortized to the peak queue depth
+	next := make([]T, newCap) // doubles up to the peak queue depth
 	for i := 0; i < r.n; i++ {
 		next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}

@@ -79,7 +79,7 @@ func (q *DRR) Weight(id FlowID) float64 { return q.flow(id).weight }
 func (q *DRR) flow(id FlowID) *drrFlow {
 	f, ok := q.flows[id]
 	if !ok {
-		f = &drrFlow{id: id, weight: 1, quantum: q.quantumUnit} //greenvet:allow hotpathalloc one allocation per new flow, not per packet
+		f = &drrFlow{id: id, weight: 1, quantum: q.quantumUnit}
 		q.flows[id] = f
 	}
 	return f
@@ -131,8 +131,6 @@ func (q *DRR) removeFromRings(f *drrFlow) {
 }
 
 // Enqueue implements Queue.
-//
-//greenvet:hotpath
 func (q *DRR) Enqueue(p *Packet) bool {
 	if q.CapBytes > 0 && q.bytes+p.WireSize > q.CapBytes {
 		q.stats.DroppedPackets++
@@ -160,8 +158,6 @@ func (q *DRR) Enqueue(p *Packet) bool {
 // Dequeue implements Queue. It serves weighted flows by deficit round
 // robin and falls back to the background ring only when no weighted flow is
 // backlogged.
-//
-//greenvet:hotpath
 func (q *DRR) Dequeue() *Packet {
 	if p := q.dequeueRing(&q.active, true); p != nil {
 		return p

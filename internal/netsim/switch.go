@@ -88,8 +88,6 @@ func (s *Switch) init(engine *sim.Engine, name string, pipelineDelay sim.Duratio
 }
 
 // deliver hands a packet leaving the pipeline to its resolved output port.
-//
-//greenvet:hotpath
 func (s *Switch) deliver(d switchDelivery) { d.out.HandlePacket(d.p) }
 
 // Connect installs the exact-match output port used to reach dst. Typically
@@ -160,8 +158,6 @@ func (s *Switch) Port(dst NodeID) Handler { return s.exact[dst] }
 // the given flow tuple to, or nil if no route matches. It is the pure
 // lookup behind HandlePacket, exposed so topology code can trace the path a
 // flow takes through ECMP fabrics without injecting traffic.
-//
-//greenvet:hotpath
 func (s *Switch) RouteFor(flow FlowID, src, dst NodeID) Handler {
 	if out, ok := s.exact[dst]; ok {
 		return out
@@ -184,8 +180,6 @@ func (s *Switch) RouteFor(flow FlowID, src, dst NodeID) Handler {
 // only on (seed, flow, src, dst): deterministic across runs, Go releases,
 // and worker counts, yet spread evenly because every input bit diffuses
 // through the mixer.
-//
-//greenvet:hotpath
 func ecmpIndex(salt uint64, flow FlowID, src, dst NodeID, n int) int {
 	h := sim.Mix64(salt ^ 0x9E3779B97F4A7C15)
 	h = sim.Mix64(h ^ uint64(flow))
@@ -197,8 +191,6 @@ func ecmpIndex(salt uint64, flow FlowID, src, dst NodeID, n int) int {
 // HandlePacket implements Handler by forwarding to the route for p.Dst.
 // Packets with no matching route are counted and dropped; packets exceeding
 // the TTL indicate a forwarding loop and panic with full flow context.
-//
-//greenvet:hotpath
 func (s *Switch) HandlePacket(p *Packet) {
 	out := s.RouteFor(p.Flow, p.Src, p.Dst)
 	if out == nil {
@@ -279,8 +271,6 @@ func (h *Host) Attach(id FlowID, fh Handler) {
 func (h *Host) Detach(id FlowID) { delete(h.flows, id) }
 
 // Send transmits a packet from this host into the network.
-//
-//greenvet:hotpath
 func (h *Host) Send(p *Packet) {
 	if h.egress == nil {
 		panic(fmt.Sprintf("netsim: host %q has no egress", h.Name))
@@ -297,8 +287,6 @@ func (h *Host) Send(p *Packet) {
 // HandlePacket implements Handler: deliver to the flow's transport handler.
 // Packets for unknown flows are counted and recycled (the flow may already
 // have closed).
-//
-//greenvet:hotpath
 func (h *Host) HandlePacket(p *Packet) {
 	h.RxPackets++
 	h.RxBytes += uint64(p.WireSize)

@@ -45,8 +45,6 @@ func NewThroughputMonitor(engine *sim.Engine, interval sim.Duration) *Throughput
 }
 
 // Observe records payload bytes delivered for a flow.
-//
-//greenvet:hotpath
 func (m *ThroughputMonitor) Observe(flow FlowID, payloadBytes int) {
 	m.counts[flow] += uint64(payloadBytes)
 }

@@ -58,8 +58,6 @@ func (d *DelayLine[O, T]) Len() int { return d.n }
 // be nondecreasing across calls while the line is non-empty; violating that
 // (e.g. by mutating a link's propagation delay mid-run) panics rather than
 // silently reordering deliveries.
-//
-//greenvet:hotpath
 func (d *DelayLine[O, T]) Schedule(item T, at Time) {
 	e := d.eng
 	if at < e.now {
@@ -80,8 +78,6 @@ func (d *DelayLine[O, T]) Schedule(item T, at Time) {
 }
 
 // fire delivers the head item and re-arms for the next one.
-//
-//greenvet:hotpath
 func (d *DelayLine[O, T]) fire() {
 	it := d.popRing()
 	d.deliver(d.owner, it.item)
@@ -114,7 +110,7 @@ func (d *DelayLine[O, T]) grow() {
 	if newCap == 0 {
 		newCap = 16
 	}
-	next := make([]delayItem[T], newCap) //greenvet:allow hotpathalloc ring doubling is amortized to the peak in-flight count
+	next := make([]delayItem[T], newCap) // doubles up to the peak in-flight count
 	for i := 0; i < d.n; i++ {
 		next[i] = d.ring[(d.head+i)&(len(d.ring)-1)]
 	}

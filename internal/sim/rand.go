@@ -33,8 +33,6 @@ func (r *RNG) Split(id uint64) *RNG {
 // and the deterministic ECMP flow hash in internal/netsim are built on it,
 // so hash-dependent results stay byte-identical across Go releases and
 // worker counts.
-//
-//greenvet:hotpath
 func Mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB

@@ -517,15 +517,13 @@ func (c *Conduit[T]) Delay() Duration { return c.delay }
 // makes send order, and thus arrival order, deterministic). at must respect
 // the conduit's lookahead promise — at least now + delay — and per-conduit
 // due times must be nondecreasing.
-//
-//greenvet:hotpath
 func (c *Conduit[T]) Send(at Time, item T) {
 	c.mu.Lock()
 	if at < c.bound {
 		c.mu.Unlock()
 		panic(fmt.Sprintf("sim: conduit send at %v violates published bound %v (lookahead %v)", at, c.bound, c.delay))
 	}
-	c.buf = append(c.buf, conduitMsg[T]{item: item, at: at}) //greenvet:allow hotpathalloc double buffer is recycled every drain, so growth settles at the conduit's peak in-flight count
+	c.buf = append(c.buf, conduitMsg[T]{item: item, at: at}) // recycled every drain: grows to the conduit's peak in-flight count
 	c.needWake = true
 	c.mu.Unlock()
 }
@@ -588,8 +586,6 @@ func (c *Conduit[T]) publish(b Time) (msgs, advanced bool) {
 
 // fire delivers the head arrival and re-arms the portal event for the
 // next one, exactly as DelayLine does for local traffic.
-//
-//greenvet:hotpath
 func (c *Conduit[T]) fire() {
 	it := c.popRing()
 	c.deliver(it.item)

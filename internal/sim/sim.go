@@ -139,21 +139,19 @@ func (e *Engine) alloc() *event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &event{idx: -1} //greenvet:allow hotpathalloc pool refill: one allocation per peak concurrent event, then recycled forever
+	return &event{idx: -1} // one allocation per peak concurrent event, then recycled forever
 }
 
 // release returns a fired event to the free list, dropping its callback so
 // the engine does not pin caller memory.
 func (e *Engine) release(ev *event) {
 	ev.fn = nil
-	e.free = append(e.free, ev) //greenvet:allow hotpathalloc free list grows to the peak live-event count, then growth stops
+	e.free = append(e.free, ev) // free list grows to the peak live-event count, then growth stops
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t less
 // than Now) panics: it would make the clock run backwards, which is always a
 // bug in the caller.
-//
-//greenvet:hotpath
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -179,8 +177,6 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // step executes the next event. It reports false when the queue is
 // exhausted.
-//
-//greenvet:hotpath
 func (e *Engine) step() bool {
 	if len(e.events) == 0 {
 		return false
@@ -241,8 +237,6 @@ func (e *Engine) next() Time {
 // repeatedly as the shard's lower-bound timestamp grows, and the clock must
 // never pass a point that a cross-shard arrival could still precede. The
 // caller can publish the returned time as a bound to downstream shards.
-//
-//greenvet:hotpath
 func (e *Engine) RunBelow(limit Time) Time {
 	e.stopped = false
 	for !e.stopped && e.next() < limit {
@@ -269,7 +263,7 @@ func before(a, b *event) bool {
 // push inserts ev (whose at/seq are already set) into the heap.
 func (e *Engine) push(ev *event) {
 	ev.idx = int32(len(e.events))
-	e.events = append(e.events, ev) //greenvet:allow hotpathalloc heap storage is amortized to the peak pending-event count
+	e.events = append(e.events, ev) // heap storage grows to the peak pending-event count
 	e.siftUp(len(e.events) - 1)
 }
 

@@ -38,8 +38,6 @@ func (t *Timer[O]) Init(e *Engine, owner *O, fn func(*O)) {
 }
 
 // fire runs the bound method.
-//
-//greenvet:hotpath
 func (t *Timer[O]) fire() { t.fn(t.owner) }
 
 // Armed reports whether the timer is pending. A timer disarms itself when
@@ -59,8 +57,6 @@ func (t *Timer[O]) When() Time {
 // Arming takes a fresh scheduling sequence number, exactly as Engine.At
 // does, so relative FIFO order against other events matches stopping the
 // timer and scheduling anew.
-//
-//greenvet:hotpath
 func (t *Timer[O]) ResetAt(at Time) {
 	e := t.eng
 	if at < e.now {
@@ -86,8 +82,6 @@ func (t *Timer[O]) Reset(d Duration) {
 // Stop disarms the timer, removing its event from the queue at once, so a
 // stopped timer leaves nothing behind. Stopping a timer that is not armed
 // is a no-op.
-//
-//greenvet:hotpath
 func (t *Timer[O]) Stop() {
 	if t.ev.idx < 0 {
 		return

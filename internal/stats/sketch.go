@@ -21,8 +21,6 @@ type Accumulator struct {
 }
 
 // Add folds in one observation.
-//
-//greenvet:hotpath
 func (a *Accumulator) Add(x float64) {
 	if a.N == 0 || x < a.MinV {
 		a.MinV = x
@@ -94,8 +92,6 @@ func (s *QuantileSketch) P() float64 { return s.p }
 func (s *QuantileSketch) Count() uint64 { return s.n }
 
 // Add folds in one observation.
-//
-//greenvet:hotpath
 func (s *QuantileSketch) Add(x float64) {
 	if s.n < 5 {
 		// Insertion sort into the initial marker set.

@@ -30,5 +30,5 @@ func (q *fifo[T]) push(v T) {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf, q.head = q.buf[:n], 0
 	}
-	q.buf = append(q.buf, v) //greenvet:allow hotpathalloc grows to the largest loss episode's backlog, then the array is reused
+	q.buf = append(q.buf, v) // grows to the largest loss episode's backlog, then the array is reused
 }

@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"greenenvy/internal/cca"
 	"greenenvy/internal/netsim"
+	"greenenvy/internal/sim"
 )
 
 // TestHandBuiltPacketsAreNotRecycled: a packet built with &netsim.Packet{}
@@ -91,5 +93,41 @@ func TestReceiverLossEpisodeAllocFree(t *testing.T) {
 	}
 	if n := len(h.recv.sackBlocks()); n != maxSACKBlocks {
 		t.Fatalf("loss episode reports %d SACK blocks, want a full option of %d", n, maxSACKBlocks)
+	}
+}
+
+// TestSenderTimeoutEpisodeAllocFree pins the sender's timer paths: a warm
+// pooled sender whose every segment is lost fires a tail loss probe, then
+// RTOs with backoff (1 s, then 2 s), until a final pooled ACK completes the
+// transfer and Reset rebinds the sender. Each episode allocates nothing.
+func TestSenderTimeoutEpisodeAllocFree(t *testing.T) {
+	const total = 3000 // three segments: a tail, so the probe arms
+	h := newSenderHarness(t, total, "reno", plainCfg())
+	h.host.SetEgress(netsim.HandlerFunc(h.host.Recycle)) // every segment is lost
+	cc, cfg := h.snd.CC(), plainCfg()
+	var tlps, rtos uint64
+	episode := func() {
+		h.snd.Start()
+		h.engine.RunUntil(h.engine.Now() + 10*sim.Millisecond)
+		tlps = h.snd.Retransmits
+		h.engine.RunUntil(h.engine.Now() + 3500*sim.Millisecond)
+		rtos = h.snd.Timeouts
+		ack := h.host.NewPacket()
+		ack.Flow, ack.Flags, ack.Ack, ack.WireSize = 1, netsim.FlagACK, total, HeaderBytes
+		h.host.HandlePacket(ack)
+		if !h.snd.Done() {
+			t.Fatal("final ACK did not complete the transfer")
+		}
+		cca.Restart(cc)
+		h.snd.Reset(h.host, 1, 9, total, cc, cfg, nil)
+	}
+	for i := 0; i < 4; i++ {
+		episode()
+	}
+	if got := testing.AllocsPerRun(20, episode); got != 0 {
+		t.Fatalf("timeout episode allocates %.1f objects, want 0", got)
+	}
+	if tlps != 1 || rtos != 2 {
+		t.Fatalf("episode fired %d probes and %d RTOs, want 1 and 2", tlps, rtos)
 	}
 }

@@ -21,7 +21,7 @@ func (s *rangeSet) add(start, end uint64) byteRange {
 		return byteRange{start, start}
 	}
 	// First range whose End >= start (candidate for merging on the left).
-	i := sort.Search(len(s.ranges), func(k int) bool { return s.ranges[k].End >= start }) //greenvet:allow hotpathalloc sort.Search does not retain the closure, so it stays on the stack
+	i := sort.Search(len(s.ranges), func(k int) bool { return s.ranges[k].End >= start })
 	j := i
 	for j < len(s.ranges) && s.ranges[j].Start <= end {
 		if s.ranges[j].Start < start {
@@ -35,12 +35,12 @@ func (s *rangeSet) add(start, end uint64) byteRange {
 	merged := byteRange{start, end}
 	if i == j {
 		// No overlap: insert at i.
-		s.ranges = append(s.ranges, byteRange{}) //greenvet:allow hotpathalloc out-of-order set grows only during loss episodes, bounded by the reordering extent
+		s.ranges = append(s.ranges, byteRange{}) // grows only during loss episodes, bounded by the reordering extent
 		copy(s.ranges[i+1:], s.ranges[i:])
 		s.ranges[i] = merged
 	} else {
 		s.ranges[i] = merged
-		s.ranges = append(s.ranges[:i+1], s.ranges[j:]...) //greenvet:allow hotpathalloc shrinking merge into the existing backing array: never grows
+		s.ranges = append(s.ranges[:i+1], s.ranges[j:]...)
 	}
 	return merged
 }
@@ -68,7 +68,7 @@ func (s *rangeSet) popBelow(seq uint64) uint64 {
 
 // find returns the range containing seq, if any.
 func (s *rangeSet) find(seq uint64) (byteRange, bool) {
-	i := sort.Search(len(s.ranges), func(k int) bool { return s.ranges[k].End > seq }) //greenvet:allow hotpathalloc sort.Search does not retain the closure, so it stays on the stack
+	i := sort.Search(len(s.ranges), func(k int) bool { return s.ranges[k].End > seq })
 	if i < len(s.ranges) && s.ranges[i].Start <= seq {
 		return s.ranges[i], true
 	}

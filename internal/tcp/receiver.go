@@ -100,8 +100,6 @@ func (r *Receiver) Detach() {
 // line, and the out-of-order/SACK bookkeeping backing arrays — the pooled
 // churn path's allocation-free flow setup. The receiver must be Quiescent;
 // any prior host binding is detached first. OnData is left untouched.
-//
-//greenvet:hotpath
 func (r *Receiver) Reset(host *netsim.Host, flow netsim.FlowID, src netsim.NodeID, cfg Config, preciseCE bool, account *energy.Account) {
 	if r.rxq.Len() != 0 {
 		panic("tcp: resetting a receiver with deferred packets")
@@ -145,8 +143,6 @@ func (r *Receiver) Reset(host *netsim.Host, flow netsim.FlowID, src netsim.NodeI
 type dataPort Receiver
 
 // HandlePacket implements netsim.Handler.
-//
-//greenvet:hotpath
 func (p *dataPort) HandlePacket(pkt *netsim.Packet) { (*Receiver)(p).handleData(pkt) }
 
 // RcvNxt returns the next expected sequence number (in-order bytes
@@ -156,8 +152,6 @@ func (r *Receiver) RcvNxt() uint64 { return r.rcvNxt }
 // handleData is the receiver's host-attachment handler. A data packet ends
 // in process, or here if it is a stray ACK or overflows the receive ring;
 // either way it goes back to the host's packet pool.
-//
-//greenvet:hotpath
 func (r *Receiver) handleData(p *netsim.Packet) {
 	if p.DataLen == 0 {
 		r.host.Recycle(p) // stray ACK or control packet
@@ -188,7 +182,6 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 	r.process(p)
 }
 
-//greenvet:hotpath
 func (r *Receiver) process(p *netsim.Packet) {
 	if p.Flow != r.flow {
 		// A straggler from a flow this pooled receiver previously served
@@ -211,7 +204,6 @@ func (r *Receiver) process(p *netsim.Packet) {
 			if r.rxFreeAt > now {
 				backlog = int(int64(r.rxFreeAt-now) * int64(p.WireSize) / int64(r.cfg.RxPathCost))
 			}
-			//greenvet:allow hotpathalloc receive-path INT hop is stamped only when RxPathCost modeling is on (HPCC runs)
 			p.INT = append(p.INT, netsim.INTHop{
 				QueueBytes: backlog,
 				TxBytes:    r.rxBytes,
@@ -285,10 +277,10 @@ func (r *Receiver) process(p *netsim.Packet) {
 func (r *Receiver) noteRecent(seq uint64) {
 	// Drop stale duplicates of the same position.
 	out := r.recent[:0]
-	out = append(out, seq) //greenvet:allow hotpathalloc capped at 8 entries and reuses recent's backing array after warm-up
+	out = append(out, seq)
 	for _, k := range r.recent {
 		if k != seq && len(out) < 8 {
-			out = append(out, k) //greenvet:allow hotpathalloc capped at 8 entries and reuses recent's backing array after warm-up
+			out = append(out, k)
 		}
 	}
 	r.recent = out
@@ -321,7 +313,7 @@ func (r *Receiver) sackBlocks() []byteRange {
 		if dup {
 			continue
 		}
-		out = append(out, rg) //greenvet:allow hotpathalloc appends into the receiver's fixed sackBuf, whose capacity is the block limit
+		out = append(out, rg)
 		if len(out) == maxSACKBlocks {
 			return out
 		}
@@ -336,7 +328,7 @@ func (r *Receiver) sackBlocks() []byteRange {
 			}
 		}
 		if !dup {
-			out = append(out, rg) //greenvet:allow hotpathalloc appends into the receiver's fixed sackBuf, whose capacity is the block limit
+			out = append(out, rg)
 			if len(out) == maxSACKBlocks {
 				break
 			}
@@ -353,7 +345,6 @@ func (r *Receiver) armDelAck(echo sim.Time) {
 	r.delack.Reset(r.cfg.DelAckTimeout)
 }
 
-//greenvet:hotpath
 func (r *Receiver) onDelAck() {
 	if r.unacked > 0 {
 		r.sendAck(r.delackEcho)

@@ -132,8 +132,6 @@ func NewSender(engine *sim.Engine, host *netsim.Host, flow netsim.FlowID, dst ne
 // pooled-churn path's allocation-free flow setup. The previous transfer
 // must have completed (or never started); OnComplete is left untouched so
 // a pooled client keeps its one bound callback.
-//
-//greenvet:hotpath
 func (s *Sender) Reset(host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID, totalBytes uint64, cc cca.CongestionControl, cfg Config, account *energy.Account) {
 	if cfg.MTU <= HeaderBytes {
 		panic(fmt.Sprintf("tcp: MTU %d leaves no room for payload", cfg.MTU))
@@ -198,8 +196,6 @@ func (s *Sender) Reset(host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID,
 type ackPort Sender
 
 // HandlePacket implements netsim.Handler.
-//
-//greenvet:hotpath
 func (p *ackPort) HandlePacket(pkt *netsim.Packet) { (*Sender)(p).handleAck(pkt) }
 
 // Start begins the transfer at the current simulated time.
@@ -281,8 +277,6 @@ func (s *Sender) seg(seq uint64) *segment {
 // handleAck is the sender's host-attachment handler. An ACK ends here, so
 // it goes back to the host's packet pool once processed. The host is read
 // first: completion may rebind a pooled sender to another host.
-//
-//greenvet:hotpath
 func (s *Sender) handleAck(p *netsim.Packet) {
 	h := s.host
 	s.onAck(p)
@@ -525,7 +519,6 @@ func (s *Sender) expireRetransmissions(now sim.Time) {
 
 // --- transmit path ---
 
-//greenvet:hotpath
 func (s *Sender) trySend() {
 	if s.done {
 		return
@@ -593,7 +586,7 @@ func (s *Sender) sendOne(now sim.Time) bool {
 		n := copy(s.segStore[:cap(s.segStore)], s.segs)
 		s.segs = s.segStore[:n]
 	}
-	s.segs = append(s.segs, segment{seq: s.sndNxt, length: length}) //greenvet:allow hotpathalloc segment table growth is amortized by append doubling over the transfer; steady-state churn reuses segStore
+	s.segs = append(s.segs, segment{seq: s.sndNxt, length: length})
 	if cap(s.segs) > cap(s.segStore) {
 		// append reallocated: adopt the larger array as the new backing.
 		s.segStore = s.segs[:0]
@@ -698,7 +691,6 @@ func (s *Sender) armTLP() {
 	s.tlpTimer.Reset(pto)
 }
 
-//greenvet:hotpath
 func (s *Sender) onTLP() {
 	if s.done || s.pipe == 0 || s.delivered != s.tlpArmedAt {
 		return // progress happened; no probe needed
@@ -737,7 +729,6 @@ func (s *Sender) armRTO() {
 	s.rtoTimer.Reset(d)
 }
 
-//greenvet:hotpath
 func (s *Sender) onRTO() {
 	if s.done {
 		return

@@ -265,8 +265,6 @@ func (tb *Testbed) TouchHost(host netsim.NodeID, sender bool) {
 
 // advance pulls the next arrival from the stream and arms the arrival
 // timer for it; on exhaustion it checks for run completion.
-//
-//greenvet:hotpath
 func (sr *streamRun) advance() {
 	if sr.finished {
 		return
@@ -283,8 +281,6 @@ func (sr *streamRun) advance() {
 
 // onArrival admits or defers the pending arrival, then advances the clock
 // to the next one.
-//
-//greenvet:hotpath
 func (sr *streamRun) onArrival() {
 	if sr.finished {
 		return
@@ -301,7 +297,6 @@ func (sr *streamRun) onArrival() {
 
 func (sr *streamRun) queueLen() int { return len(sr.pending) - sr.pendHead }
 
-//greenvet:hotpath
 func (sr *streamRun) pushPending(a FlowArrival) {
 	if sr.pendHead > 0 && sr.pendHead == len(sr.pending) {
 		sr.pending = sr.pending[:0]
@@ -313,15 +308,13 @@ func (sr *streamRun) pushPending(a FlowArrival) {
 		sr.pending = sr.pending[:n]
 		sr.pendHead = 0
 	}
-	sr.pending = append(sr.pending, a) //greenvet:allow hotpathalloc wait-queue growth is amortized and bounded by the policy's peak backlog
+	sr.pending = append(sr.pending, a) // grows to the policy's peak backlog
 	if q := sr.queueLen(); q > sr.res.MaxQueue {
 		sr.res.MaxQueue = q
 	}
 }
 
 // drainPending launches queued flows while the admission policy allows.
-//
-//greenvet:hotpath
 func (sr *streamRun) drainPending() {
 	for sr.queueLen() > 0 && sr.adm.Admit(sr.active) {
 		a := sr.pending[sr.pendHead]
@@ -335,14 +328,12 @@ func (sr *streamRun) hostsFor(a FlowArrival) (src, dst *netsim.Host, srcMeter, d
 	tb := sr.tb
 	if tb.Net != nil {
 		if a.Src < 0 || a.Src >= len(tb.Net.Senders) {
-			//greenvet:allow hotpathalloc invalid-arrival error path aborts the stream run; never taken steady-state
 			return nil, nil, 0, 0, fmt.Errorf("testbed: stream sender %d out of range", a.Src)
 		}
 		return tb.Net.Senders[a.Src], tb.Net.Receiver, a.Src, len(tb.Meters) - 1, nil
 	}
 	n := tb.Fat.NumHosts()
 	if a.Src < 0 || a.Src >= n || a.Dst < 0 || a.Dst >= n || a.Src == a.Dst {
-		//greenvet:allow hotpathalloc invalid-arrival error path aborts the stream run; never taken steady-state
 		return nil, nil, 0, 0, fmt.Errorf("testbed: stream endpoints %d -> %d invalid for %d hosts", a.Src, a.Dst, n)
 	}
 	srcID, dstID := netsim.NodeID(a.Src), netsim.NodeID(a.Dst)
@@ -351,11 +342,9 @@ func (sr *streamRun) hostsFor(a FlowArrival) (src, dst *netsim.Host, srcMeter, d
 
 // acct returns the cached per-meter energy account (one per meter for the
 // whole stream — every flow uses the same algorithm).
-//
-//greenvet:hotpath
 func (sr *streamRun) acct(meter int) *energy.Account {
 	for len(sr.accts) < len(sr.tb.Meters) {
-		sr.accts = append(sr.accts, nil) //greenvet:allow hotpathalloc grows once per distinct host, not per flow
+		sr.accts = append(sr.accts, nil)
 	}
 	if sr.accts[meter] == nil {
 		sr.accts[meter] = energy.NewAccount(sr.tb.Meters[meter], sr.ccaName)
@@ -366,8 +355,6 @@ func (sr *streamRun) acct(meter int) *energy.Account {
 // launch starts one flow now: a recycled client from the free list when
 // available, a fresh one otherwise. Start jitter draws from the testbed
 // RNG at launch, mirroring AddFlow's draw-per-flow order.
-//
-//greenvet:hotpath
 func (sr *streamRun) launch(a FlowArrival) {
 	if sr.err != nil {
 		return
@@ -423,7 +410,7 @@ func (sr *streamRun) launch(a FlowArrival) {
 			sr.fail(err)
 			return
 		}
-		e = &pooledClient{c: c} //greenvet:allow hotpathalloc pool miss: one entry per peak-concurrency slot
+		e = &pooledClient{c: c} // one entry per peak-concurrency slot
 		e.done = sr.doneFunc(e)
 		sr.res.PoolSize++
 	}
@@ -441,14 +428,12 @@ func (sr *streamRun) launch(a FlowArrival) {
 
 // doneFunc binds the completion callback for one pool entry, once.
 func (sr *streamRun) doneFunc(e *pooledClient) func() {
-	return func() { sr.onFlowDone(e) } //greenvet:allow hotpathalloc bound once per pool entry at construction, reused across every recycle
+	return func() { sr.onFlowDone(e) }
 }
 
 // onFlowDone retires one flow: fold its sojourn into the aggregates,
 // release scheduler state, recycle the client, and let the admission
 // policy start waiting flows.
-//
-//greenvet:hotpath
 func (sr *streamRun) onFlowDone(e *pooledClient) {
 	tb := sr.tb
 	now := tb.Engine.Now()
@@ -467,7 +452,7 @@ func (sr *streamRun) onFlowDone(e *pooledClient) {
 	}
 
 	if e.c.Quiescent() && !tb.noPool {
-		sr.free = append(sr.free, e) //greenvet:allow hotpathalloc free-list growth is bounded by peak concurrency
+		sr.free = append(sr.free, e) // grows to the peak concurrency
 	} else if !tb.noPool {
 		// A deferred packet is still in the receive path; reusing the
 		// entry would deliver it into the next flow's state. Orphan it —

@@ -20,7 +20,6 @@ import (
 	"greenenvy/internal/netsim"
 	"greenenvy/internal/rapl"
 	"greenenvy/internal/sim"
-	"greenenvy/internal/stress"
 )
 
 // Options configures a testbed instance.
@@ -102,7 +101,6 @@ type Testbed struct {
 	opts     Options
 	rng      *sim.RNG
 	clients  []*iperf.Client
-	loads    []*stress.Load
 	measures []rapl.Measurement
 	ran      bool
 	// senderIdx/recvIdx index Meters by measurement role, in registration
@@ -275,16 +273,15 @@ func (tb *Testbed) meterFor(host netsim.NodeID, sender bool) int {
 	// The meter integrates on the engine that drives its host — the host's
 	// shard when sharded, tb.Engine otherwise.
 	m := energy.NewMeter(tb.Fat.EngineOf(host), tb.Model.Curve, tb.Model.Costs)
-	//greenvet:allow hotpathalloc first contact with a host: one meter and sensor per host for the whole run
 	tb.Meters = append(tb.Meters, m)
-	tb.Sensors = append(tb.Sensors, rapl.NewSensor(m))              //greenvet:allow hotpathalloc first contact with a host: amortized over the run
-	tb.meterShard = append(tb.meterShard, tb.Fat.ShardOfHost(host)) //greenvet:allow hotpathalloc first contact with a host: amortized over the run
+	tb.Sensors = append(tb.Sensors, rapl.NewSensor(m))
+	tb.meterShard = append(tb.meterShard, tb.Fat.ShardOfHost(host))
 	i := len(tb.Meters) - 1
 	tb.meterOf[host] = i
 	if sender {
-		tb.senderIdx = append(tb.senderIdx, i) //greenvet:allow hotpathalloc first contact with a host: amortized over the run
+		tb.senderIdx = append(tb.senderIdx, i)
 	} else {
-		tb.recvIdx = append(tb.recvIdx, i) //greenvet:allow hotpathalloc first contact with a host: amortized over the run
+		tb.recvIdx = append(tb.recvIdx, i)
 	}
 	return i
 }
@@ -297,11 +294,11 @@ func (tb *Testbed) promoteToSender(meter int) {
 	}
 	for j, r := range tb.recvIdx {
 		if r == meter {
-			tb.recvIdx = append(tb.recvIdx[:j], tb.recvIdx[j+1:]...) //greenvet:allow hotpathalloc in-place removal into the same backing array never grows it
+			tb.recvIdx = append(tb.recvIdx[:j], tb.recvIdx[j+1:]...)
 			break
 		}
 	}
-	tb.senderIdx = append(tb.senderIdx, meter) //greenvet:allow hotpathalloc promotion happens at most once per host
+	tb.senderIdx = append(tb.senderIdx, meter)
 }
 
 // SenderMeter returns the energy meter of sender i.
@@ -410,14 +407,22 @@ func (tb *Testbed) register(c *iperf.Client, flow netsim.FlowID) {
 	tb.clients = append(tb.clients, c)
 }
 
-// AddLoad starts stress background load (fraction of all cores) on sender
-// host i for the whole run.
+// AddLoad runs background load on dumbbell sender host i for the whole run,
+// as the paper runs `stress` (§4.2): frac of all cores, rounded to whole
+// busy cores like `stress --cpu N`, so 0.75 of 32 cores is 24.
 func (tb *Testbed) AddLoad(sender int, frac float64) error {
-	l, err := stress.StartFraction(tb.Meters[sender], frac)
-	if err != nil {
-		return err
+	if tb.Net == nil {
+		return fmt.Errorf("testbed: AddLoad targets a dumbbell sender; fat-tree testbeds take no load")
 	}
-	tb.loads = append(tb.loads, l)
+	if sender < 0 || sender >= len(tb.Net.Senders) {
+		return fmt.Errorf("testbed: load sender %d out of range", sender)
+	}
+	if !(frac >= 0 && frac <= 1) {
+		return fmt.Errorf("testbed: load fraction %v out of [0, 1]", frac)
+	}
+	m := tb.Meters[sender]
+	cores := m.Costs.Cores
+	m.SetBaseLoad(float64(int(frac*float64(cores)+0.5)) / float64(cores))
 	return nil
 }
 
@@ -563,7 +568,7 @@ func (tb *Testbed) collect() RunResult {
 	res := RunResult{Duration: tb.Engine.Now()}
 	for _, i := range tb.senderIdx {
 		j := tb.measures[i].End() * tb.noise()
-		res.SenderEnergyJ = append(res.SenderEnergyJ, j) //greenvet:allow hotpathalloc the measurement window closes once per run
+		res.SenderEnergyJ = append(res.SenderEnergyJ, j)
 		res.TotalSenderJ += j
 	}
 	for _, i := range tb.recvIdx {

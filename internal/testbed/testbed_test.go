@@ -105,6 +105,65 @@ func TestLoadedHostRaisesPower(t *testing.T) {
 	}
 }
 
+// TestAddLoadSetsBaseLoad: 16 busy cores of 32 put the loaded sender's
+// meter at base load 0.5 and leave the other sender idle.
+func TestAddLoadSetsBaseLoad(t *testing.T) {
+	tb := New(Options{Seed: 1, Senders: 2})
+	if err := tb.AddLoad(1, 16.0/32); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.SenderMeter(1).BaseLoad(); got != 0.5 {
+		t.Fatalf("meter base load = %v, want 0.5", got)
+	}
+	if got := tb.SenderMeter(0).BaseLoad(); got != 0 {
+		t.Fatalf("unloaded sender 0 at base load %v", got)
+	}
+}
+
+// TestAddLoadRoundsToWholeCores: a load fraction runs on whole busy cores,
+// as `stress --cpu N` does, so the meter's base load is a multiple of one
+// core in 32.
+func TestAddLoadRoundsToWholeCores(t *testing.T) {
+	for _, c := range []struct{ frac, want float64 }{
+		{0, 0}, {0.01, 0}, {0.02, 1.0 / 32}, {0.75, 24.0 / 32}, {1, 1},
+	} {
+		tb := New(Options{Seed: 1, Senders: 2})
+		if err := tb.AddLoad(1, c.frac); err != nil {
+			t.Fatalf("AddLoad(1, %v): %v", c.frac, err)
+		}
+		if got := tb.SenderMeter(1).BaseLoad(); got != c.want {
+			t.Errorf("AddLoad(1, %v): base load %v, want %v", c.frac, got, c.want)
+		}
+		if got := tb.SenderMeter(0).BaseLoad(); got != 0 {
+			t.Errorf("AddLoad(1, %v) loaded sender 0 to %v", c.frac, got)
+		}
+	}
+}
+
+// TestAddLoadValidation: AddLoad rejects a fraction outside [0, 1], a
+// sender the dumbbell does not have, and a fat-tree testbed, whose meters
+// are made in first-use order and carry no sender index.
+func TestAddLoadValidation(t *testing.T) {
+	tb := New(Options{Seed: 1, Senders: 2})
+	for _, c := range []struct {
+		sender int
+		frac   float64
+	}{{0, -0.1}, {0, 33.0 / 32}, {0, 1.5}, {0, math.NaN()}, {-1, 0.5}, {2, 0.5}} {
+		if err := tb.AddLoad(c.sender, c.frac); err == nil {
+			t.Errorf("AddLoad(%d, %v) accepted", c.sender, c.frac)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if got := tb.SenderMeter(i).BaseLoad(); got != 0 {
+			t.Errorf("rejected loads left sender %d at base load %v", i, got)
+		}
+	}
+	fat := NewFatTree(Options{Seed: 1}, netsim.DefaultFatTree(4))
+	if err := fat.AddLoad(0, 0.5); err == nil {
+		t.Error("AddLoad on a fat-tree testbed accepted")
+	}
+}
+
 func TestRateLimitedFlowPower(t *testing.T) {
 	// iperf -b 5G on one sender: power should land on the paper's
 	// 34.23 W anchor.

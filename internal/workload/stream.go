@@ -78,8 +78,6 @@ func (s *Stream) Rate() float64 { return s.lambda }
 func (s *Stream) Produced() uint64 { return s.produced }
 
 // Next returns the next flow, or ok=false once the stream is exhausted.
-//
-//greenvet:hotpath
 func (s *Stream) Next() (f Flow, ok bool) {
 	if s.done || (s.limit > 0 && s.produced >= s.limit) {
 		s.done = true
