@@ -38,14 +38,6 @@ func integersAreFine(m map[string]int) int {
 	return n
 }
 
-func reviewedSuppression(m map[string]float64) float64 {
-	checksum := 0.0
-	for _, v := range m {
-		checksum += v //greenvet:allow floatorder order-insensitive presence check, compared against 0 only
-	}
-	return checksum
-}
-
 func sortedFold(m map[string]float64) float64 {
 	// The blessed idiom: the fold runs over sorted keys, not the map.
 	keys := make([]string, 0, len(m))

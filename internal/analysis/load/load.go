@@ -145,8 +145,9 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 
 // ExportImporter returns a types.Importer that resolves import paths
 // through compiler export data files located by resolve (import path →
-// export data file). The analysistest harness and the vettool driver reuse
-// it with their own resolution tables.
+// export data file). Packages resolves through the module's dependency
+// closure; the analysistest harness reuses it with the standard-library
+// table StdlibExports builds.
 func ExportImporter(fset *token.FileSet, resolve func(path string) (string, bool)) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		e, ok := resolve(path)

@@ -23,8 +23,10 @@
 //     key or value as a field (the sharded engine's arrival-seq idiom:
 //     each element carries the rank that later sorts the collection).
 //
-// False positives are suppressed with
-// `//greenvet:allow nodeterminism <reason>` on the offending line.
+// There is no suppression directive. A false positive is fixed by
+// rewriting the code into an idiom listed above (the engine clock, sim.RNG,
+// collect-then-sort), or by teaching the analyzer the new idiom with a
+// golden case in testdata/entropy.go.
 package nodeterminism
 
 import (

@@ -89,12 +89,6 @@ func spelledOutConcat(m map[int]string) string {
 	return s
 }
 
-func reviewedSuppression(m map[string]int) {
-	for k := range m {
-		fmt.Println(k) //greenvet:allow nodeterminism diagnostic output in a debug helper
-	}
-}
-
 func sortedIteration(m map[string]int) string {
 	// The blessed idiom: collect, sort, then build — nothing flagged.
 	keys := make([]string, 0, len(m))

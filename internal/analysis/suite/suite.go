@@ -1,17 +1,15 @@
-// Package suite declares which analyzer guards which packages: the single
-// source of truth the greenvet driver (standalone and vettool mode alike)
-// consults before running an analyzer over a package.
+// Package suite declares what greenvet checks and where: two determinism
+// analyzers, nodeterminism and floatorder, over every package whose code can
+// change an experiment result, and nothing else. It is the single source of
+// truth the greenvet driver consults before analyzing a package.
 //
-// The scoping is deliberate, not a convenience:
-//
-//   - determinism rules (nodeterminism, floatorder) apply to every package
-//     whose output reaches an experiment result — the simulator core, the
-//     protocol stack, the harness/registry root package, stats, plotting —
-//     but not to cmd/ (bench timing legitimately reads the wall clock) or
-//     to rapl (it models real hardware counters, which is the point);
-//   - shardsafety applies where the sharded engine's vocabulary means the
-//     real thing: the engine itself, the partitioned topology, and the
-//     harness that drives per-shard runs.
+// The guarded packages run from a seed to a rendered table or SVG: the
+// simulator core, the protocol stack, the energy model and its RAPL
+// emulation, the harness/registry root package, stats, plotting and the
+// result cache. TestSuiteClassifiesEveryPackage holds every package in the
+// module to this list: one that is not guarded must sit in that test's
+// exempt table with its reason (cmd/ times benchmarks by the wall clock, for
+// one), so a new or renamed package cannot escape both analyzers unseen.
 //
 // Cache keys are not checked here: internal/registry checks namespaces
 // where keys are built (Register and Options.CacheKey), and tests check
@@ -24,28 +22,15 @@
 package suite
 
 import (
+	"slices"
+
 	"greenenvy/internal/analysis"
 	"greenenvy/internal/analysis/floatorder"
 	"greenenvy/internal/analysis/nodeterminism"
-	"greenenvy/internal/analysis/shardsafety"
 )
 
-// Scoped pairs an analyzer with the packages it applies to.
-type Scoped struct {
-	Analyzer *analysis.Analyzer
-	// Paths are the exact import paths the analyzer runs over.
-	Paths []string
-}
-
-// AppliesTo reports whether the analyzer covers importPath.
-func (s Scoped) AppliesTo(importPath string) bool {
-	for _, p := range s.Paths {
-		if p == importPath {
-			return true
-		}
-	}
-	return false
-}
+// Analyzers are the checks greenvet runs over every guarded package.
+var Analyzers = []*analysis.Analyzer{nodeterminism.Analyzer, floatorder.Analyzer}
 
 // resultAffecting are the packages whose code can change experiment
 // results: everything between a seed and a rendered table/SVG.
@@ -58,6 +43,7 @@ var resultAffecting = []string{
 	"greenenvy/internal/tcp",
 	"greenenvy/internal/cca",
 	"greenenvy/internal/energy",
+	"greenenvy/internal/rapl",
 	"greenenvy/internal/iperf",
 	"greenenvy/internal/core",
 	"greenenvy/internal/testbed",
@@ -67,19 +53,7 @@ var resultAffecting = []string{
 	"greenenvy/internal/cache",
 }
 
-// shardSafe are the packages where shardsafety's type vocabulary
-// (ShardGroup, Conduit, Link, Testbed) means the real sharded engine.
-var shardSafe = []string{
-	"greenenvy/internal/sim",
-	"greenenvy/internal/netsim",
-	"greenenvy/internal/testbed",
-}
-
-// Suite returns every analyzer with its package scope.
-func Suite() []Scoped {
-	return []Scoped{
-		{Analyzer: nodeterminism.Analyzer, Paths: resultAffecting},
-		{Analyzer: floatorder.Analyzer, Paths: resultAffecting},
-		{Analyzer: shardsafety.Analyzer, Paths: shardSafe},
-	}
+// Guards reports whether greenvet analyzes the package at importPath.
+func Guards(importPath string) bool {
+	return slices.Contains(resultAffecting, importPath)
 }

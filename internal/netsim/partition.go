@@ -80,8 +80,6 @@ func (l fatTreeLayout) bindCoreToPod(lnk *Link, c, p int, dst Handler) {
 // different shards, its propagation stage is diverted through a conduit
 // whose lookahead is exactly the link delay. Same-shard links keep the
 // direct wire.
-//
-//greenvet:shardboundary
 func (l fatTreeLayout) bindAcross(lnk *Link, srcShard, dstShard int, dst Handler) {
 	if srcShard == dstShard {
 		return

@@ -243,8 +243,6 @@ func (tb *Testbed) WatchBottleneck(l *netsim.Link) { tb.watch = l }
 // topology's packet conduits so the conduit registration sequence — and
 // with it the arrival-seq ordering — is a function of construction order
 // alone.
-//
-//greenvet:shardboundary
 func (tb *Testbed) buildControlMesh(delay sim.Duration) {
 	P := tb.group.Shards()
 	tb.ctrl = make([][]*sim.Conduit[func()], P)
