@@ -14,7 +14,7 @@
 //	greenbench -fig scheduler    # §5 SRPT-vs-fair scheduler comparison
 //	greenbench -fig 5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                             # profile a run; inspect with `go tool pprof`
-//	greenbench -scenario examples/scenarios/unequal-rtt.toml
+//	greenbench -scenario examples/scenarios/unequal-rtt.json
 //	                             # compile and run a declarative spec file
 //
 // Results are memoized per (experiment cell, repetition) in a persistent
@@ -48,7 +48,7 @@ func main() {
 		cacheDir   = flag.String("cache-dir", greenenvy.DefaultCacheDir(), "persistent result cache directory (empty disables persistence)")
 		noCache    = flag.Bool("no-cache", false, "bypass the persistent result cache (force full recomputation)")
 		cacheClear = flag.Bool("cache-clear", false, "empty the cache directory before running")
-		scenario   = flag.String("scenario", "", "compile and register a scenario spec file (.json or .toml); runs it unless -fig is also given")
+		scenario   = flag.String("scenario", "", "compile and register a scenario spec file (.json); runs it unless -fig is also given")
 		svgDir     = flag.String("svg", "", "also write figure SVGs into this directory")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (view with `go tool pprof`)")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -57,7 +57,7 @@ func main() {
 
 	// A loaded spec file becomes the selected experiment unless -fig was
 	// given explicitly (then it merely joins the registry, e.g. for
-	// `-scenario f.toml -fig list` or `-fig all`).
+	// `-scenario f.json -fig list` or `-fig all`).
 	if *scenario != "" {
 		name, err := greenenvy.RegisterScenarioFile(*scenario)
 		if err != nil {

@@ -8,11 +8,11 @@
 //
 //	go run ./cmd/greenvet ./...
 //
-// greenvet loads packages itself (go list -export and the gc importer) and
-// takes no flags. There is no way to suppress a finding in place: rewrite
-// the code into an idiom the analyzer recognizes (the engine clock,
-// sim.RNG, sorted-key iteration), or teach the analyzer that idiom with a
-// golden case in its testdata.
+// greenvet loads packages itself (go list -export and the gc importer),
+// only the ones the suite guards, and takes no flags. There is no way to
+// suppress a finding in place: rewrite the code into an idiom the analyzer
+// recognizes (the engine clock, sim.RNG, sorted-key iteration), or teach
+// the analyzer that idiom with a golden case in its testdata.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 operational error.
 package main
@@ -41,10 +41,10 @@ func main() {
 	os.Exit(run(flag.Args()))
 }
 
-// run loads the requested packages (default ./...) and runs every analyzer
-// over the ones the suite guards.
+// run loads the requested packages (default ./...) that the suite guards
+// and runs every analyzer over them.
 func run(patterns []string) int {
-	pkgs, err := load.Packages("", patterns...)
+	pkgs, err := load.Packages("", suite.Guards, patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "greenvet:", err)
 		return 2
@@ -52,9 +52,6 @@ func run(patterns []string) int {
 	wd, _ := os.Getwd()
 	found := 0
 	for _, pkg := range pkgs {
-		if !suite.Guards(pkg.ImportPath) {
-			continue
-		}
 		for _, a := range suite.Analyzers {
 			diags, err := analysis.Run(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info)
 			if err != nil {

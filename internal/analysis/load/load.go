@@ -4,7 +4,7 @@
 // Instead of golang.org/x/tools/go/packages (which this module deliberately
 // does not depend on), it shells out to `go list -export -deps -json` — the
 // same mechanism go/packages uses under the hood — to obtain, for every
-// package in the transitive closure of the requested patterns, the list of
+// package in the transitive closure of the requested packages, the list of
 // source files and the path to compiler export data in the build cache.
 // Target packages are parsed from source and type-checked with the
 // standard gc importer reading dependency export data, so the resulting
@@ -26,6 +26,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 )
 
@@ -63,30 +64,37 @@ func NewInfo() *types.Info {
 }
 
 // Packages loads the packages matched by patterns, rooted at dir (the
-// module directory; "" means the current directory). Standard-library
-// packages matched by a pattern are skipped: the analyzers only ever run
-// over this module's code.
-func Packages(dir string, patterns ...string) ([]*Package, error) {
+// module directory; "" means the current directory), for which keep
+// reports true. Only those are parsed and type-checked, and only their
+// dependency closure is built. Standard-library packages matched by a
+// pattern are skipped: the analyzers only ever run over this module's
+// code.
+func Packages(dir string, keep func(importPath string) bool, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
 	// Pass 1: which import paths did the patterns match?
-	out, err := runGoList(dir, append([]string{"list", "-e", "-json=ImportPath,Standard"}, patterns...))
+	out, err := runGoList(dir, append([]string{"list", "-json=ImportPath,Standard"}, patterns...))
 	if err != nil {
 		return nil, err
 	}
-	matched := map[string]bool{}
+	var kept []string
 	if err := decodeStream(out, func(p listPackage) {
-		if !p.Standard {
-			matched[p.ImportPath] = true
+		if !p.Standard && keep(p.ImportPath) {
+			kept = append(kept, p.ImportPath)
 		}
 	}); err != nil {
 		return nil, err
 	}
+	// go list with no package arguments would list the current directory.
+	if len(kept) == 0 {
+		return nil, nil
+	}
 
-	// Pass 2: export data and sources for the full dependency closure.
-	out, err = runGoList(dir, append([]string{"list", "-export", "-deps", "-json=ImportPath,Export,Dir,GoFiles,Standard,Error"}, patterns...))
+	// Pass 2: export data and sources for the kept packages' dependency
+	// closure.
+	out, err = runGoList(dir, append([]string{"list", "-export", "-deps", "-json=ImportPath,Export,Dir,GoFiles,Standard,Error"}, kept...))
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +104,7 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if matched[p.ImportPath] {
+		if slices.Contains(kept, p.ImportPath) {
 			targets = append(targets, p)
 		}
 	}); err != nil {

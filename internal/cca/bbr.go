@@ -301,9 +301,6 @@ func (b *BBR) State() string {
 	}
 }
 
-// BtlBw exposes the bandwidth estimate (bytes/second) for tests.
-func (b *BBR) BtlBw() float64 { return b.btlBw.Get() }
-
 // winMax is a compact windowed-max filter (Nichols-style, three samples)
 // keyed by round number.
 type winMax struct {

@@ -97,8 +97,8 @@ func TestPIEDropsUnderStandingQueue(t *testing.T) {
 	st := q.Stats()
 	// The 4 MB cap exceeds the worst-case 3 MB backlog of this offered
 	// load, so every drop is a controller drop, not a tail drop. The final
-	// DropProb is not asserted: the controller legitimately rings back to
-	// zero once the queue drains.
+	// drop probability is not asserted: the controller legitimately rings
+	// back to zero once the queue drains.
 	if st.DroppedPackets == 0 {
 		t.Fatalf("PIE dropped nothing under sustained 2x overload: %+v", st)
 	}

@@ -154,9 +154,6 @@ func (l *Link) onTxDone() {
 // arrive hands a packet that has crossed the wire to the far end.
 func (l *Link) arrive(p *Packet) { l.dst.HandlePacket(p) }
 
-// Busy reports whether the link is currently serializing a packet.
-func (l *Link) Busy() bool { return l.busy }
-
 // Utilization returns the fraction of [0, now] the line spent transmitting.
 func (l *Link) Utilization() float64 {
 	now := l.engine.Now()

@@ -97,15 +97,6 @@ type Packet struct {
 	// Retransmit marks a retransmitted data segment (used by accounting).
 	Retransmit bool
 
-	// DeliveredAtSend and DeliveredTimeAtSend snapshot the sender's
-	// delivery-rate state when the packet was sent (used by BBR's
-	// delivery rate estimator, RFC-draft "delivery rate estimation").
-	DeliveredAtSend     uint64
-	DeliveredTimeAtSend sim.Time
-	// AppLimitedAtSend marks samples taken while the sender had no data
-	// to send, which BBR must not use to lower its bandwidth estimate.
-	AppLimitedAtSend bool
-
 	// hops counts forwarding steps as a routing-loop guard.
 	hops int
 	// pooled marks a packet issued by Host.NewPacket: only those are ever

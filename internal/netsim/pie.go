@@ -176,6 +176,3 @@ func (q *PIE) Bytes() int { return q.bytes }
 
 // Stats implements Queue.
 func (q *PIE) Stats() QueueStats { return q.stats }
-
-// DropProb exposes the controller's current drop probability (tests).
-func (q *PIE) DropProb() float64 { return q.dropProb }

@@ -10,9 +10,9 @@ package netsim
 const maxFreePackets = 4096
 
 // packetChunk is the least number of packets a pool allocates at once.
-// Each chunk is rounded up to fill its allocator size class. At 176 bytes
-// a packet, 37 fill 6,512 bytes of a 6,528-byte block, where 32 would
-// leave 512 bytes of a 6,144-byte block unused.
+// Each chunk is rounded up to fill its allocator size class: at 152 bytes
+// a packet, 37 round up to 40, which fill 6,080 bytes of a 6,144-byte
+// block.
 const packetChunk = 37
 
 // sackChunk is the least number of SACK blocks a pool allocates at once
@@ -79,10 +79,10 @@ func (h *Host) NewSACK(n int) []SACKBlock {
 
 // Recycle returns a packet that ended at this host to the host's pool. Only
 // packets issued by NewPacket are taken back; a hand-built &Packet{} is left
-// untouched. Recycling zeroes every field but keeps the SACK array for the
-// packet's next ACK; INT is dropped, never reused, because a receiver's
-// echoed telemetry and a congestion controller's last sample may still
-// alias it. Recycling a packet twice panics.
+// untouched. Recycling zeroes every field but keeps the SACK and INT arrays,
+// emptied, for the packet's next life, so whoever reads a packet's
+// telemetry must copy what it keeps past the packet's end. Recycling a
+// packet twice panics.
 func (h *Host) Recycle(p *Packet) {
 	if !p.pooled {
 		return
@@ -90,7 +90,7 @@ func (h *Host) Recycle(p *Packet) {
 	if p.free {
 		panic("netsim: packet recycled twice")
 	}
-	*p = Packet{SACK: p.SACK[:0], pooled: true, free: true}
+	*p = Packet{SACK: p.SACK[:0], INT: p.INT[:0], pooled: true, free: true}
 	if len(h.pool.free) < maxFreePackets {
 		h.pool.free = append(h.pool.free, p)
 	}

@@ -143,9 +143,6 @@ func (s *Switch) SetTTL(maxHops int) {
 	s.maxHops = maxHops
 }
 
-// TTL returns the configured maximum hop count.
-func (s *Switch) TTL() int { return s.maxHops }
-
 // SetECMPSalt sets the per-switch salt mixed into the ECMP flow hash.
 func (s *Switch) SetECMPSalt(salt uint64) { s.ecmpSalt = salt }
 

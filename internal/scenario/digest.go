@@ -26,9 +26,9 @@ type digestPayload struct {
 }
 
 // Canonical returns the spec with every default resolved — the normal form
-// the digest is computed over. Two spellings of the same experiment (JSON
-// vs TOML, omitted vs explicit defaults, any key order) canonicalize
-// identically; an invalid spec errors with the field that failed.
+// the digest is computed over. Two spellings of the same experiment
+// (omitted vs explicit defaults, any key order) canonicalize identically;
+// an invalid spec errors with the field that failed.
 func (s Spec) Canonical() (Spec, error) {
 	return s.withDefaults()
 }

@@ -7,33 +7,29 @@ import (
 )
 
 // FuzzSpec drives the spec boundary with arbitrary bytes: the input is
-// parsed as TOML or JSON, then canonicalized, digested and compiled. Spec
-// files are outside input, so the pipeline must hold two properties:
+// parsed as JSON, then canonicalized, digested and compiled. Spec files are
+// outside input, so the pipeline must hold two properties:
 //
 //  1. it never panics, whatever the input — a bad spec is an error;
 //  2. canonicalization is idempotent: canonicalizing an already canonical
 //     spec succeeds and keeps its digest, so a spec's cache lineage does
 //     not depend on how many times it was normalized.
 func FuzzSpec(f *testing.F) {
-	unequalRTT, err := os.ReadFile("../../examples/scenarios/unequal-rtt.toml")
+	unequalRTT, err := os.ReadFile("../../examples/scenarios/unequal-rtt.json")
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(unequalRTT, true)
+	f.Add(unequalRTT)
 	matrix, err := json.Marshal(AQMMatrix())
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(matrix, false)
-	f.Add([]byte(minimalMatrix), false)
-	f.Add([]byte(explicitMatrix), true)
+	f.Add(matrix)
+	f.Add([]byte(minimalMatrix))
+	f.Add([]byte(explicitMatrix))
 
-	f.Fuzz(func(t *testing.T, data []byte, isTOML bool) {
-		parse := ParseJSON
-		if isTOML {
-			parse = ParseTOML
-		}
-		spec, err := parse(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseJSON(data)
 		if err != nil {
 			return
 		}

@@ -26,49 +26,19 @@ func ParseJSON(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// ParseTOML decodes a spec from its TOML file form. The parser covers the
-// subset scenario files need — tables, arrays of tables, scalar and array
-// values — and funnels through the JSON decoder so both formats share one
-// schema and one unknown-field policy.
-func ParseTOML(data []byte) (Spec, error) {
-	tree, err := parseTOML(data)
-	if err != nil {
-		return Spec{}, errf("parse toml: %w", err)
-	}
-	js, err := json.Marshal(tree)
-	if err != nil {
-		return Spec{}, errf("parse toml: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(js))
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, errf("parse toml: %w", err)
-	}
-	return s, nil
-}
-
-// LoadFile reads and parses a spec file, choosing the format by extension
-// (.json or .toml).
+// LoadFile reads and parses a spec file. JSON is the one file form, so any
+// extension other than .json is rejected.
 func LoadFile(path string) (Spec, error) {
+	if ext := strings.ToLower(filepath.Ext(path)); ext != ".json" {
+		return Spec{}, errf("load %s: unsupported extension %q (want .json)", path, ext)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Spec{}, errf("load %s: %w", path, err)
 	}
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".json":
-		s, err := ParseJSON(data)
-		if err != nil {
-			return Spec{}, fmt.Errorf("%w (in %s)", err, path)
-		}
-		return s, nil
-	case ".toml":
-		s, err := ParseTOML(data)
-		if err != nil {
-			return Spec{}, fmt.Errorf("%w (in %s)", err, path)
-		}
-		return s, nil
-	default:
-		return Spec{}, errf("load %s: unsupported extension %q (want .json or .toml)", path, ext)
+	s, err := ParseJSON(data)
+	if err != nil {
+		return Spec{}, fmt.Errorf("%w (in %s)", err, path)
 	}
+	return s, nil
 }

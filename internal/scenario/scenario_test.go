@@ -14,34 +14,30 @@ const minimalMatrix = `{
   "sweep": {"gbit_per_flow": 2.5, "ccas": ["cubic", "reno"], "queues": [{"kind": "droptail"}, {"kind": "codel"}]}
 }`
 
-// explicitMatrix spells out, in TOML, every default minimalMatrix leaves
-// implicit. The two must canonicalize — and digest — identically.
-const explicitMatrix = `
-name = "t"
-preset = "aqm-matrix"
-
-[topology]
-kind = "dumbbell"
-senders = 2
-bottleneck_bps = 10_000_000_000
-access_bps = 10_000_000_000
-bonded_links = 2
-link_delay_us = 5.0
-switch_delay_us = 1.0
-buffer_bytes = 1_048_576
-
-[sweep]
-gbit_per_flow = 2.5
-ccas = ["cubic", "reno"]
-
-[[sweep.queues]]
-kind = "droptail"
-
-[[sweep.queues]]
-kind = "codel"
-target_us = 50.0
-interval_us = 500.0
-`
+// explicitMatrix spells out every default minimalMatrix leaves implicit.
+// The two must canonicalize — and digest — identically.
+const explicitMatrix = `{
+  "name": "t",
+  "preset": "aqm-matrix",
+  "topology": {
+    "kind": "dumbbell",
+    "senders": 2,
+    "bottleneck_bps": 10000000000,
+    "access_bps": 10000000000,
+    "bonded_links": 2,
+    "link_delay_us": 5.0,
+    "switch_delay_us": 1.0,
+    "buffer_bytes": 1048576
+  },
+  "sweep": {
+    "gbit_per_flow": 2.5,
+    "ccas": ["cubic", "reno"],
+    "queues": [
+      {"kind": "droptail"},
+      {"kind": "codel", "target_us": 50.0, "interval_us": 500.0}
+    ]
+  }
+}`
 
 func mustParseJSON(t *testing.T, s string) Spec {
 	t.Helper()
@@ -61,20 +57,16 @@ func digestOf(t *testing.T, spec Spec) string {
 	return d
 }
 
-// TestDigestStability: every spelling of the same physics — JSON vs TOML,
-// omitted vs explicit defaults — lands on one digest, so they share one
-// cache lineage.
+// TestDigestStability: every spelling of the same physics — omitted vs
+// explicit defaults — lands on one digest, so they share one cache lineage.
 func TestDigestStability(t *testing.T) {
 	j := mustParseJSON(t, minimalMatrix)
-	tomlSpec, err := ParseTOML([]byte(explicitMatrix))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dj, dt := digestOf(t, j), digestOf(t, tomlSpec)
-	if dj != dt {
+	e := mustParseJSON(t, explicitMatrix)
+	dj, de := digestOf(t, j), digestOf(t, e)
+	if dj != de {
 		cj, _ := j.Canonical()
-		ct, _ := tomlSpec.Canonical()
-		t.Fatalf("digest differs between minimal JSON (%s) and explicit TOML (%s)\njson canonical: %+v\ntoml canonical: %+v", dj, dt, cj, ct)
+		ce, _ := e.Canonical()
+		t.Fatalf("digest differs between minimal (%s) and explicit (%s) defaults\nminimal canonical: %+v\nexplicit canonical: %+v", dj, de, cj, ce)
 	}
 
 	id, err := j.CacheID()

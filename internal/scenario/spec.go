@@ -1,13 +1,13 @@
 // Package scenario is the declarative experiment language: a Spec — a Go
-// struct with a JSON/TOML file form — describes a topology (dumbbell or
+// struct with a JSON file form — describes a topology (dumbbell or
 // fat-tree with per-tier rates and delays), per-port queue discipline,
 // per-flow CCA / size / schedule, background load, and sweep axes, and
 // Compile turns it into a registry.Experiment that runs through exactly the
 // harness the handwritten figures use.
 //
 // Canonicalization is the package's contract: withDefaults maps every
-// spelling of the same physical experiment (JSON vs TOML, omitted defaults
-// vs explicit ones, any key order) to one canonical Spec, and the cache id
+// spelling of the same physical experiment (omitted defaults vs explicit
+// ones, any key order) to one canonical Spec, and the cache id
 // of every compiled cell is derived from the SHA-256 digest of that
 // canonical form's physics fields (preset, topology, flows, loads, sweep —
 // not the presentation metadata). Two specs that would simulate the same

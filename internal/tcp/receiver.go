@@ -53,9 +53,10 @@ type Receiver struct {
 	// forward), so the backlog is FIFO: one standing event plus a ring
 	// replaces an event and closure per deferred packet.
 	rxq sim.DelayLine[Receiver, *netsim.Packet]
-	// lastINT is the most recent data packet's telemetry, echoed on the
-	// next ACK (HPCC). rxBytes counts wire bytes processed, exposed as
-	// the NIC hop's transmit counter.
+	// lastINT is a copy of the most recent data packet's telemetry, echoed
+	// on the next ACK (HPCC): the packet, and with it its INT array, is
+	// recycled before a delayed ACK fires. rxBytes counts wire bytes
+	// processed, exposed as the NIC hop's transmit counter.
 	lastINT []netsim.INTHop
 	rxBytes uint64
 
@@ -123,7 +124,7 @@ func (r *Receiver) Reset(host *netsim.Host, flow netsim.FlowID, src netsim.NodeI
 	r.eceLatch = false
 	r.recent = r.recent[:0]
 	r.rxFreeAt = 0
-	r.lastINT = nil
+	r.lastINT = r.lastINT[:0]
 	r.rxBytes = 0
 
 	r.TotalReceived = 0
@@ -211,7 +212,7 @@ func (r *Receiver) process(p *netsim.Packet) {
 				RateBps:    int64(p.WireSize) * 8 * int64(sim.Second) / int64(r.cfg.RxPathCost),
 			})
 		}
-		r.lastINT = p.INT
+		r.lastINT = append(r.lastINT[:0], p.INT...)
 	}
 	r.rxBytes += uint64(p.WireSize)
 	r.account.ReceivedData()
@@ -371,8 +372,8 @@ func (r *Receiver) sendAck(echo sim.Time) {
 		ack.SACK[i] = netsim.SACKBlock{Start: b.Start, End: b.End}
 	}
 	if len(r.lastINT) > 0 {
-		ack.INT = r.lastINT
-		r.lastINT = nil
+		ack.INT = append(ack.INT, r.lastINT...)
+		r.lastINT = r.lastINT[:0]
 	}
 	if r.preciseCE {
 		if r.ecePend {

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"testing"
 
 	"greenenvy/internal/netsim"
@@ -87,6 +88,52 @@ func TestReceiverDelackTimerFires(t *testing.T) {
 	}
 	if h.acks[0].Ack != 1000 {
 		t.Fatalf("ack = %d", h.acks[0].Ack)
+	}
+}
+
+// TestReceiverEchoesINTAfterRecycle: the receiver recycles a data packet
+// when it has processed it, and the pool hands the packet, INT array and
+// all, to the next NewPacket before the delayed ACK fires. The ACK must
+// still echo the hops the data packet carried, and a later data packet
+// must not rewrite an ACK already sent.
+func TestReceiverEchoesINTAfterRecycle(t *testing.T) {
+	h := newRxHarness(t, false)
+	host := h.recv.host
+	first := []netsim.INTHop{{QueueBytes: 1, TxBytes: 10}, {QueueBytes: 2, TxBytes: 20}}
+	second := []netsim.INTHop{{QueueBytes: 3, TxBytes: 30}}
+
+	p := host.NewPacket()
+	p.Flow, p.DataLen, p.WireSize, p.Flags = 1, 1000, 1000+HeaderBytes, netsim.FlagINT
+	p.INT = append(p.INT, first...)
+	h.recv.handleData(p)
+	if len(h.acks) != 0 {
+		t.Fatal("first segment should be delack'd")
+	}
+	reused := host.NewPacket()
+	if reused != p {
+		t.Fatal("the pool did not hand the recycled data packet back")
+	}
+	reused.INT = append(reused.INT, netsim.INTHop{QueueBytes: 99}, netsim.INTHop{QueueBytes: 98})
+	h.engine.Run()
+	if len(h.acks) != 1 {
+		t.Fatalf("acks = %d after the delack timer, want 1", len(h.acks))
+	}
+	if got := h.acks[0].INT; !slices.Equal(got, first) {
+		t.Fatalf("ACK echoes %v, want the data packet's %v", got, first)
+	}
+
+	q := h.data(1000, 1000, netsim.FlagINT)
+	q.INT = append(q.INT, second...)
+	h.recv.handleData(q)
+	h.engine.Run()
+	if len(h.acks) != 2 {
+		t.Fatalf("acks = %d, want 2", len(h.acks))
+	}
+	if got := h.acks[0].INT; !slices.Equal(got, first) {
+		t.Fatalf("the first ACK now echoes %v, want %v", got, first)
+	}
+	if got := h.acks[1].INT; !slices.Equal(got, second) {
+		t.Fatalf("the second ACK echoes %v, want %v", got, second)
 	}
 }
 

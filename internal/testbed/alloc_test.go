@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"math"
 	"runtime"
 	"testing"
 
@@ -65,27 +64,13 @@ func TestDumbbellTransferMarginalAllocsZero(t *testing.T) {
 // TestEveryAlgorithmMarginalAllocs runs the marginal check for every
 // registered algorithm at 5 MB and 10 MB, so the per-packet path each one
 // drives (pacing, ECN marking, INT stamping, its own ACK and timeout steps)
-// is pinned end to end. HPCC is the one exception, pinned at its measured
-// cost: every data packet it sends carries INT telemetry, and each hop
-// appends to the packet's INT slice, which recycling drops rather than
-// reuses because echoed telemetry may still alias it. That is 2.00
-// allocations per forwarded packet, pinned within 1%, since the ratio
-// wobbles in its last digit from run to run. A change that removes the
-// allocation lowers the pin; one that adds any other fails it.
+// is pinned end to end.
 func TestEveryAlgorithmMarginalAllocs(t *testing.T) {
-	const hpccPerPacket = 2.0
 	for _, name := range cca.Names() {
 		t.Run(name, func(t *testing.T) {
 			allocs, pkts := marginalAllocs(t, name, 5_000_000, 10_000_000)
 			perPkt := float64(allocs) / float64(pkts)
 			t.Logf("marginal %.4f allocs/pkt over %d packets", perPkt, pkts)
-			if name == "hpcc" {
-				if math.Abs(perPkt-hpccPerPacket) > 0.01*hpccPerPacket {
-					t.Fatalf("hpcc: %d extra allocations for %d extra packets: %.3f per packet, want %.2f within 1%%",
-						allocs, pkts, perPkt, hpccPerPacket)
-				}
-				return
-			}
 			if 100*allocs/pkts != 0 {
 				t.Fatalf("%s: %d extra allocations for %d extra packets: %.2f per packet, want 0.00",
 					name, allocs, pkts, perPkt)

@@ -39,7 +39,7 @@ func runCompiled(t *testing.T, spec scenario.Spec, o Options) Result {
 // runnable end to end: it must parse, compile, run at tiny scale, and
 // actually give the two senders different access delays.
 func TestScenarioUnequalRTTExample(t *testing.T) {
-	spec := loadSpec(t, "examples/scenarios/unequal-rtt.toml")
+	spec := loadSpec(t, "examples/scenarios/unequal-rtt.json")
 	c, err := spec.Canonical()
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestScenarioCacheIDsPinned(t *testing.T) {
 		want string
 	}{
 		{"aqm-matrix", aqm, "scenario/29fbd9408f04"},
-		{"unequal-rtt.toml", loadSpec(t, "examples/scenarios/unequal-rtt.toml"), "scenario/a9042a4cf754"},
+		{"unequal-rtt.json", loadSpec(t, "examples/scenarios/unequal-rtt.json"), "scenario/a9042a4cf754"},
 	} {
 		got, err := c.spec.CacheID()
 		if err != nil {
@@ -101,7 +101,7 @@ func TestScenarioRetitleKeepsPhysics(t *testing.T) {
 		spec scenario.Spec
 	}{
 		{"aqm-matrix", aqm},
-		{"unequal-rtt.toml", loadSpec(t, "examples/scenarios/unequal-rtt.toml")},
+		{"unequal-rtt.json", loadSpec(t, "examples/scenarios/unequal-rtt.json")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			twin := c.spec
@@ -135,16 +135,17 @@ func TestScenarioRetitleKeepsPhysics(t *testing.T) {
 // here: TestRegistryMetadata pins the registry's exact contents.
 func TestRegisterScenarioFileRejectsBadFiles(t *testing.T) {
 	spec := func(name, cca string) string {
-		return "name = \"" + name + "\"\n[topology]\nkind = \"dumbbell\"\n[[flows]]\nsender = 0\ncca = \"" + cca + "\"\ngbit = 1\n"
+		return `{"name": "` + name + `", "topology": {"kind": "dumbbell"}, "flows": [{"sender": 0, "cca": "` + cca + `", "gbit": 1}]}`
 	}
 	dir := t.TempDir()
 	for _, c := range []struct{ file, content, want string }{
-		{"fig1.toml", spec("fig1", "cubic"), "collides"},
-		{"five.toml", spec("5", "cubic"), "collides"},
-		{"srpt.toml", spec("srpt", "cubic"), "collides"},
-		{"garbled.toml", "name = \n[[flows", "parse toml"},
+		{"fig1.json", spec("fig1", "cubic"), "collides"},
+		{"five.json", spec("5", "cubic"), "collides"},
+		{"srpt.json", spec("srpt", "cubic"), "collides"},
+		{"garbled.json", `{"name": `, "parse json"},
 		{"spec.yaml", spec("yaml-spec", "cubic"), "unsupported extension"},
-		{"bad-cca.toml", spec("bad-cca", "no-such-cca"), `unknown cca "no-such-cca"`},
+		{"spec.toml", "name = \"toml-spec\"\n[topology]\nkind = \"dumbbell\"\n", "unsupported extension"},
+		{"bad-cca.json", spec("bad-cca", "no-such-cca"), `unknown cca "no-such-cca"`},
 	} {
 		t.Run(c.file, func(t *testing.T) {
 			path := filepath.Join(dir, c.file)

@@ -31,8 +31,8 @@ func RegisterScenario(name string) {
 	Register(e)
 }
 
-// RegisterScenarioFile loads a spec file (.json or .toml), compiles it, and
-// registers the resulting experiment under the spec's name. Unlike
+// RegisterScenarioFile loads a JSON spec file, compiles it, and registers
+// the resulting experiment under the spec's name. Unlike
 // RegisterScenario it returns errors instead of panicking — user files are
 // runtime input — and rejects names that collide with an already-registered
 // experiment before touching the registry (Register would panic).
