@@ -15,7 +15,7 @@ import (
 const fig1GoldenTable = "0d9bde9d0d517018d49b23bdb159c739747c15955e0939fcf6d2c9fd5aae86ef"
 
 // fatTreeIncastGoldenTable pins RunFatTreeIncast at Reps 1, Scale 0.001,
-// Seed 1 on the monolithic engine.
+// Seed 1.
 const fatTreeIncastGoldenTable = "bf55652a5fadf1a0a556687cefb493677307800cfe1c464a2b72dc30687dede4"
 
 // checkTableDigest fails t when table's sha256 differs from want.

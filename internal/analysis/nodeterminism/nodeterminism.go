@@ -19,9 +19,7 @@
 //     values, writing to a builder/writer/fmt, concatenating strings):
 //     iterate sorted keys instead. Collecting the bare key or value into a
 //     slice is allowed — that is the first half of the sorted-iteration
-//     idiom — and so is appending a composite literal that embeds the loop
-//     key or value as a field (the sharded engine's arrival-seq idiom:
-//     each element carries the rank that later sorts the collection).
+//     idiom.
 //
 // There is no suppression directive. A false positive is fixed by
 // rewriting the code into an idiom listed above (the engine clock, sim.RNG,
@@ -141,13 +139,6 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt) {
 						return true
 					}
 				}
-				// Tagged collect: appending a composite that embeds the loop
-				// key or value as a field is the sharded engine's arrival-seq
-				// idiom — every element carries its own rank, so the slice
-				// can be (and is) canonically reordered after the loop.
-				if carriesLoopVar(info, arg, keyObj, valObj) {
-					return true
-				}
 				pass.Reportf(n.Pos(), "append of a derived value inside map iteration: element order depends on map order; collect keys, sort, then build")
 			}
 		case *ast.AssignStmt:
@@ -155,33 +146,6 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt) {
 		}
 		return true
 	})
-}
-
-// carriesLoopVar reports whether arg is a composite literal (or &T{...})
-// embedding the loop key or value as one of its elements: the tagged-
-// collect idiom, where each appended element carries the rank that later
-// sorts the collection into a canonical order.
-func carriesLoopVar(info *types.Info, arg ast.Expr, keyObj, valObj types.Object) bool {
-	e := ast.Unparen(arg)
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = ast.Unparen(u.X)
-	}
-	lit, ok := e.(*ast.CompositeLit)
-	if !ok {
-		return false
-	}
-	for _, el := range lit.Elts {
-		v := el
-		if kv, ok := el.(*ast.KeyValueExpr); ok {
-			v = kv.Value
-		}
-		if id, ok := ast.Unparen(v).(*ast.Ident); ok {
-			if obj := info.ObjectOf(id); obj != nil && (obj == keyObj || obj == valObj) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // rangeVarObj resolves a range clause variable to its object.

@@ -53,32 +53,22 @@ func orderedSinks(m map[string]float64) string {
 	return total + b.String() + strings.Join(derived, ",")
 }
 
-// taggedCollect is the sharded engine's arrival-seq idiom: each appended
-// element embeds the loop key (its rank), so the slice is canonically
-// reorderable after the loop and map order cannot leak into results.
+// taggedCollect appends composites built from the loop key and value. A
+// field that could later sort the slice does not make the element order
+// independent of map order, so both forms are flagged: collect the keys,
+// sort them, then build.
 func taggedCollect(m map[int]string) {
 	type tagged struct {
 		Seq  int
 		Item string
 	}
 	var collected []tagged
-	var anon []struct {
-		Seq  int
-		Item string
-	}
 	var ptrs []*tagged
-	var untagged []tagged
 	for k, v := range m {
-		collected = append(collected, tagged{Seq: k, Item: v + "!"}) // tagged by the key: reorderable, allowed
-		anon = append(anon, struct {
-			Seq  int
-			Item string
-		}{k, v})
-		ptrs = append(ptrs, &tagged{Seq: k, Item: v})      // &T{...} form, allowed
-		untagged = append(untagged, tagged{Item: v + "!"}) // want `append of a derived value inside map iteration`
+		collected = append(collected, tagged{Seq: k, Item: v}) // want `append of a derived value inside map iteration`
+		ptrs = append(ptrs, &tagged{Seq: k, Item: v})          // want `append of a derived value inside map iteration`
 	}
-	sort.Slice(collected, func(i, j int) bool { return collected[i].Seq < collected[j].Seq })
-	_, _, _ = anon, ptrs, untagged
+	_, _ = collected, ptrs
 }
 
 func spelledOutConcat(m map[int]string) string {

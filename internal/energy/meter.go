@@ -68,10 +68,8 @@ func (m *Meter) AddWork(coreSeconds float64) {
 func (m *Meter) Sync() { m.SyncAt(m.engine.Now()) }
 
 // SyncAt integrates energy up to the explicit instant t instead of the
-// engine clock. The sharded testbed needs it: partition engines stop at
-// different local times once their flows finish, but the final measurement
-// must integrate every meter to the same global completion instant. t
-// before the last sync point panics — that would erase energy.
+// engine clock; Sync is SyncAt at the engine's now. t before the last sync
+// point panics — that would erase energy.
 func (m *Meter) SyncAt(t sim.Time) {
 	dt := t - m.last
 	if dt <= 0 {

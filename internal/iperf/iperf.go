@@ -71,12 +71,8 @@ type Client struct {
 	sender   *tcp.Sender
 	receiver *tcp.Receiver
 
-	done bool
-	// split marks a sender and receiver living on different partition
-	// engines: the client then never reads receiver state during the run.
-	split      bool
-	after      *Client
-	startRelay func(fire func())
+	done  bool
+	after *Client
 	// starter fires the client's start; stopper is its Duration time
 	// limit, stopped when the transfer completes first (and on Reset, so a
 	// pooled client never inherits a stale stop).
@@ -88,20 +84,6 @@ type Client struct {
 // may be nil. The client does not start until Start (or StartAt elapses
 // after StartAll).
 func NewClient(engine *sim.Engine, spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dstAccount *energy.Account) (*Client, error) {
-	return NewClientOn(engine, engine, spec, srcHost, dstHost, srcAccount, dstAccount)
-}
-
-// NewClientOn wires a client whose sender and receiver may live on
-// different partition engines (the sharded fat-tree with src and dst hosts
-// in different shards). The sender and its timers run on srcEngine, the
-// receiver and its delayed-ACK machinery on dstEngine; they communicate
-// only through packets, which the topology carries across the partition
-// boundary. When the engines differ, Report.Bytes is derived from the spec
-// on completion rather than read from the remote receiver — TCP delivers
-// the transfer in order and completes on the final ACK, so the two are
-// equal by construction.
-// With srcEngine == dstEngine this is exactly NewClient.
-func NewClientOn(srcEngine, dstEngine *sim.Engine, spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dstAccount *energy.Account) (*Client, error) {
 	cfg := fillConfig(spec.Config)
 	cc, err := cca.New(spec.CCA)
 	if err != nil {
@@ -115,33 +97,26 @@ func NewClientOn(srcEngine, dstEngine *sim.Engine, spec Spec, srcHost, dstHost *
 	}
 	spec.Config = cfg
 
-	c := &Client{spec: spec, split: srcEngine != dstEngine}
-	c.starter.Init(srcEngine, c, (*Client).startNow)
-	c.stopper.Init(srcEngine, c, (*Client).stop)
-	c.receiver = tcp.NewReceiver(dstEngine, dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), dstAccount)
-	c.sender = tcp.NewSender(srcEngine, srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, srcAccount)
+	c := &Client{spec: spec}
+	c.starter.Init(engine, c, (*Client).startNow)
+	c.stopper.Init(engine, c, (*Client).stop)
+	c.receiver = tcp.NewReceiver(engine, dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), dstAccount)
+	c.sender = tcp.NewSender(engine, srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, srcAccount)
 	c.sender.OnComplete = c.finish
 	return c, nil
 }
 
-// Pooled-reset sentinel errors (package-level so the hot-path Reset does
-// not format error strings per flow).
-var (
-	errResetSplit    = errors.New("iperf: cannot reset a split-engine client")
-	errResetZeroByte = errors.New("iperf: zero-byte transfer")
-)
+// errResetZeroByte is Reset's zero-byte error, package-level so the
+// hot-path Reset does not format an error string per flow.
+var errResetZeroByte = errors.New("iperf: zero-byte transfer")
 
 // Reset rebinds a completed (or never-started) client to a new transfer,
 // reusing its TCP sender and receiver — their timers, handlers, and
 // scoreboard backing arrays — and, when the algorithm name is unchanged,
 // restarting the congestion controller in place instead of constructing a
 // fresh one. This is the pooled flow lifecycle's setup path: after pool
-// warm-up it performs no allocations. Split-engine clients (sharded runs)
-// cannot be pooled. OnDone callbacks are cleared.
+// warm-up it performs no allocations. OnDone callbacks are cleared.
 func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dstAccount *energy.Account) error {
-	if c.split {
-		return errResetSplit
-	}
 	if spec.Bytes == 0 {
 		return errResetZeroByte
 	}
@@ -165,7 +140,6 @@ func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dst
 	c.sender.Reset(srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, srcAccount)
 	c.done = false
 	c.after = nil
-	c.startRelay = nil
 	c.stopper.Stop()
 	c.onDone = c.onDone[:0]
 	return nil
@@ -213,18 +187,6 @@ func fillConfig(cfg tcp.Config) tcp.Config {
 // schedule. It must be called before Start.
 func (c *Client) StartAfter(prev *Client) { c.after = prev }
 
-// ChainedAfter returns the client this one was chained behind with
-// StartAfter, or nil.
-func (c *Client) ChainedAfter() *Client { return c.after }
-
-// SetStartRelay routes the chained-start signal through relay instead of
-// scheduling directly on this client's engine. The sharded testbed uses it
-// when a StartAfter predecessor completes on another partition: relay
-// carries fire across the boundary (paying the partition's lookahead
-// latency) and invokes it on this client's shard. Must be set before
-// Start.
-func (c *Client) SetStartRelay(relay func(fire func())) { c.startRelay = relay }
-
 // OnDone registers a callback invoked when the transfer completes.
 // Multiple callbacks run in registration order.
 func (c *Client) OnDone(f func()) { c.onDone = append(c.onDone, f) }
@@ -233,14 +195,7 @@ func (c *Client) OnDone(f func()) { c.onDone = append(c.onDone, f) }
 // chained with StartAfter — at StartAt after its predecessor completes.
 func (c *Client) Start() {
 	if c.after != nil {
-		relay := c.startRelay
-		c.after.onDone = append(c.after.onDone, func() {
-			if relay != nil {
-				relay(c.armStart)
-			} else {
-				c.armStart()
-			}
-		})
+		c.after.onDone = append(c.after.onDone, c.armStart)
 		return
 	}
 	c.armStart()
@@ -270,11 +225,6 @@ func (c *Client) finish() {
 // Done reports whether the transfer completed.
 func (c *Client) Done() bool { return c.done }
 
-// TransferBytes returns the configured transfer size. The sharded
-// testbed's per-shard samplers compare it against the local receiver's
-// in-order count to detect completion without touching remote state.
-func (c *Client) TransferBytes() uint64 { return c.spec.Bytes }
-
 // Sender exposes the underlying TCP sender.
 func (c *Client) Sender() *tcp.Sender { return c.sender }
 
@@ -284,19 +234,11 @@ func (c *Client) Receiver() *tcp.Receiver { return c.receiver }
 // Report builds the summary (valid any time; final once Done).
 func (c *Client) Report() Report {
 	s := c.sender
-	bytes := uint64(0)
-	if !c.split {
-		bytes = c.receiver.TotalReceived
-	} else if s.Done() {
-		// The remote receiver's counter can only be read after the run
-		// quiesces; on completion the in-order transfer equals the spec.
-		bytes = c.spec.Bytes
-	}
 	r := Report{
 		Flow:        c.spec.Flow,
 		CCA:         c.spec.CCA,
 		MTU:         c.spec.Config.MTU,
-		Bytes:       bytes,
+		Bytes:       c.receiver.TotalReceived,
 		Start:       s.StartedAt,
 		End:         s.CompletedAt,
 		Retransmits: s.Retransmits,

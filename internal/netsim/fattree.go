@@ -120,15 +120,9 @@ func DefaultFatTree(k int) FatTreeConfig {
 // in pod-major order: host h lives in pod h/(k²/4), on edge switch
 // (h mod k²/4)/(k/2).
 type FatTree struct {
-	// Engine is the single engine driving the whole fabric, or partition
-	// 0's engine when the tree was built sharded (see Group).
+	// Engine is the engine driving the whole fabric.
 	Engine *sim.Engine
 	Config FatTreeConfig
-
-	// Group is non-nil when the tree was built by NewFatTreeSharded: pods
-	// and cores are spread over its partition engines per the
-	// FatTreePartition scheme, with boundary links riding conduits.
-	Group *sim.ShardGroup
 
 	// Hosts, indexed by NodeID.
 	Hosts []*Host
@@ -141,21 +135,13 @@ type FatTree struct {
 
 	// hostDown[h] is the edge→host link delivering to host h.
 	hostDown []*Link
-	part     FatTreePartition
 }
 
-// NewFatTree wires up the topology described by cfg on a single engine.
+// NewFatTree wires up the topology described by cfg on engine. Switches
+// are created in a fixed order (edges and aggs pod by pod, then cores):
+// ECMP salts are keyed by creation ordinal, so that order is part of the
+// same-seed-same-bytes contract.
 func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
-	return buildFatTree(cfg, fatTreeLayout{engine: engine})
-}
-
-// buildFatTree is the shared builder behind NewFatTree and
-// NewFatTreeSharded. The two layouts must create switches and links in
-// exactly the same order: ECMP salts are keyed by creation ordinal, so a
-// divergence would silently re-route flows between the monolithic and
-// sharded builds (and conduit ordinals, part of the sharded determinism
-// contract, are fixed by the same order).
-func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 	if cfg.K < 2 || cfg.K%2 != 0 {
 		panic(fmt.Sprintf("netsim: fat-tree arity k=%d must be even and >= 2", cfg.K))
 	}
@@ -172,15 +158,13 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 	numHosts := k * hostsPerPod
 
 	ft := &FatTree{
-		Engine:   lay.pod(0),
+		Engine:   engine,
 		Config:   cfg,
-		Group:    lay.group,
 		Hosts:    make([]*Host, numHosts),
 		Edges:    make([]*Switch, k*half),
 		Aggs:     make([]*Switch, k*half),
 		Cores:    make([]*Switch, half*half),
 		hostDown: make([]*Link, numHosts),
-		part:     lay.part,
 	}
 
 	// Every element comes from a slab sized by the tree's exact counts:
@@ -215,9 +199,9 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 		}
 		return q
 	}
-	newLink := func(eng *sim.Engine, name string, rateBps int64, q Queue, dst Handler) *Link {
+	newLink := func(name string, rateBps int64, q Queue, dst Handler) *Link {
 		l := links.one()
-		l.init(eng, name, rateBps, cfg.LinkDelay, q, dst)
+		l.init(engine, name, rateBps, cfg.LinkDelay, q, dst)
 		return l
 	}
 
@@ -232,9 +216,9 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 	// The longest path crosses edge, agg, core, agg, edge: 5 switch hops.
 	// One hop of margin turns a wiring mistake into a prompt diagnostic.
 	const ttl = 6
-	newSwitch := func(eng *sim.Engine, name string, numRoutes int) *Switch {
+	newSwitch := func(name string, numRoutes int) *Switch {
 		s := switches.one()
-		s.init(eng, name, cfg.SwitchDelay)
+		s.init(engine, name, cfg.SwitchDelay)
 		s.SetTTL(ttl)
 		s.SetECMPSalt(salt())
 		s.ranges = routes.next(numRoutes)[:0]
@@ -244,37 +228,29 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 	for p := 0; p < k; p++ {
 		pod := strconv.Itoa(p)
 		for i := 0; i < half; i++ {
-			ft.Edges[p*half+i] = newSwitch(lay.pod(p), "edge-p"+pod+"-e"+strconv.Itoa(i), 1)
-			ft.Aggs[p*half+i] = newSwitch(lay.pod(p), "agg-p"+pod+"-a"+strconv.Itoa(i), half+1)
+			ft.Edges[p*half+i] = newSwitch("edge-p"+pod+"-e"+strconv.Itoa(i), 1)
+			ft.Aggs[p*half+i] = newSwitch("agg-p"+pod+"-a"+strconv.Itoa(i), half+1)
 		}
 	}
 	for c := range ft.Cores {
-		ft.Cores[c] = newSwitch(lay.core(c), "core-"+strconv.Itoa(c), k)
+		ft.Cores[c] = newSwitch("core-"+strconv.Itoa(c), k)
 	}
 
-	// Hosts and the host↔edge tier (always pod-internal). All hosts on one
-	// engine share a packet pool: one for a monolithic tree, one per shard
-	// for a sharded one.
-	pools := make(map[*sim.Engine]*packetPool)
+	// Hosts and the host↔edge tier. Every host shares one packet pool.
+	pool := new(packetPool)
 	for h := 0; h < numHosts; h++ {
 		p := h / hostsPerPod
 		e := (h % hostsPerPod) / half
-		eng := lay.pod(p)
 		edge := ft.Edges[p*half+e]
-		pool := pools[eng]
-		if pool == nil {
-			pool = new(packetPool)
-			pools[eng] = pool
-		}
 		host := hosts.one()
 		host.init(NodeID(h), "h"+strconv.Itoa(h), pool)
 		ft.Hosts[h] = host
 
 		up := FatTreePort{Tier: TierHostUp, Pod: p, Switch: e, Host: NodeID(h), Port: h % half}
-		host.SetEgress(newLink(eng, host.Name+"-up", cfg.HostBps, queueFor(up), edge))
+		host.SetEgress(newLink(host.Name+"-up", cfg.HostBps, queueFor(up), edge))
 
 		down := FatTreePort{Tier: TierHostDown, Pod: p, Switch: e, Host: NodeID(h), Port: h % half}
-		l := newLink(eng, edge.Name+"->"+host.Name, cfg.HostBps, queueFor(down), host)
+		l := newLink(edge.Name+"->"+host.Name, cfg.HostBps, queueFor(down), host)
 		ft.hostDown[h] = l
 		edge.Connect(NodeID(h), l)
 	}
@@ -289,7 +265,7 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 			for a := 0; a < half; a++ {
 				agg := ft.Aggs[p*half+a]
 				port := FatTreePort{Tier: TierEdgeUp, Pod: p, Switch: e, Host: -1, Port: a}
-				ups[a] = newLink(lay.pod(p), edge.Name+"->"+agg.Name, cfg.EdgeAggBps, queueFor(port), agg)
+				ups[a] = newLink(edge.Name+"->"+agg.Name, cfg.EdgeAggBps, queueFor(port), agg)
 			}
 			edge.ConnectRange(0, NodeID(numHosts-1), ups...)
 		}
@@ -305,7 +281,7 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 				lo := NodeID(p*hostsPerPod + e*half)
 				port := FatTreePort{Tier: TierAggDown, Pod: p, Switch: a, Host: -1, Port: e}
 				down := ports.next(1)
-				down[0] = newLink(lay.pod(p), agg.Name+"->"+edge.Name, cfg.EdgeAggBps, queueFor(port), edge)
+				down[0] = newLink(agg.Name+"->"+edge.Name, cfg.EdgeAggBps, queueFor(port), edge)
 				agg.ConnectRange(lo, lo+NodeID(half-1), down...)
 			}
 			ups := ports.next(half)
@@ -313,9 +289,7 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 				c := a*half + j
 				core := ft.Cores[c]
 				port := FatTreePort{Tier: TierAggUp, Pod: p, Switch: a, Host: -1, Port: j}
-				up := newLink(lay.pod(p), agg.Name+"->"+core.Name, cfg.AggCoreBps, queueFor(port), core)
-				lay.bindPodToCore(up, p, c, core)
-				ups[j] = up
+				ups[j] = newLink(agg.Name+"->"+core.Name, cfg.AggCoreBps, queueFor(port), core)
 			}
 			agg.ConnectRange(0, NodeID(numHosts-1), ups...)
 		}
@@ -328,10 +302,8 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 		for p := 0; p < k; p++ {
 			agg := ft.Aggs[p*half+a]
 			port := FatTreePort{Tier: TierCoreDown, Pod: p, Switch: c, Host: -1, Port: p}
-			down := newLink(lay.core(c), core.Name+"->"+agg.Name, cfg.AggCoreBps, queueFor(port), agg)
-			lay.bindCoreToPod(down, c, p, agg)
 			route := ports.next(1)
-			route[0] = down
+			route[0] = newLink(core.Name+"->"+agg.Name, cfg.AggCoreBps, queueFor(port), agg)
 			core.ConnectRange(NodeID(p*hostsPerPod), NodeID((p+1)*hostsPerPod-1), route...)
 		}
 	}

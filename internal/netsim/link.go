@@ -32,11 +32,6 @@ type Link struct {
 	// deliveries are FIFO and one standing event plus a ring of in-flight
 	// packets replaces a heap event and closure per packet.
 	wire sim.DelayLine[Link, *Packet]
-	// remote, when set, replaces wire: the far end lives on another
-	// partition's engine and the propagation delay is spent crossing the
-	// conduit (it doubles as the partition's lookahead guarantee). The
-	// packet is handed off wholly; this side never touches it again.
-	remote *sim.Conduit[*Packet]
 
 	// TxPackets and TxBytes count packets/bytes that completed
 	// serialization onto the wire.
@@ -69,26 +64,6 @@ func (l *Link) init(engine *sim.Engine, name string, rateBps int64, delay sim.Du
 	*l = Link{Name: name, RateBps: rateBps, Delay: delay, engine: engine, queue: queue, dst: dst}
 	l.txDone.Init(engine, l, (*Link).onTxDone)
 	l.wire.Init(engine, l, (*Link).arrive)
-}
-
-// SetRemote diverts the link's propagation stage through an inter-shard
-// conduit: packets finish serializing here, then arrive at the far
-// partition Delay later. The conduit's lookahead must equal the link's
-// propagation delay — that equality is what lets the conservative
-// synchronizer treat the wire itself as the safety margin — and the switch
-// must happen before any traffic flows, or in-flight packets on the local
-// delay line would arrive out of order with conduit deliveries.
-func (l *Link) SetRemote(c *sim.Conduit[*Packet]) {
-	if c == nil {
-		panic(fmt.Sprintf("netsim: link %q SetRemote(nil)", l.Name))
-	}
-	if c.Delay() != l.Delay {
-		panic(fmt.Sprintf("netsim: link %q delay %v != conduit lookahead %v", l.Name, l.Delay, c.Delay()))
-	}
-	if l.TxPackets > 0 || l.busy {
-		panic(fmt.Sprintf("netsim: link %q SetRemote after traffic has flowed", l.Name))
-	}
-	l.remote = c
 }
 
 // Queue exposes the link's queue discipline (for weight configuration and
@@ -143,11 +118,7 @@ func (l *Link) onTxDone() {
 			RateBps:    l.RateBps,
 		})
 	}
-	if l.remote != nil {
-		l.remote.Send(l.engine.Now()+l.Delay, p)
-	} else {
-		l.wire.Schedule(p, l.engine.Now()+l.Delay)
-	}
+	l.wire.Schedule(p, l.engine.Now()+l.Delay)
 	l.transmitNext()
 }
 

@@ -19,11 +19,10 @@ const packetChunk = 37
 // for the SACK arrays of its ACKs, rounded up to the size class likewise.
 const sackChunk = 64
 
-// packetPool is the free list of packets shared by every host on one engine.
-// The topology builders hand one pool to all hosts they place on the same
-// engine, so data packets one host allocates and another frees, and ACKs
-// going the other way, balance out; the sharded fat-tree builds one pool per
-// shard, so each pool is only ever touched by its own shard's goroutine.
+// packetPool is the free list of packets shared by every host of one
+// topology. The topology builders hand one pool to all the hosts they
+// build, so data packets one host allocates and another frees, and ACKs
+// going the other way, balance out.
 //
 // A pool that finds its free list empty hands out the next packet of its
 // current chunk, a bump cursor over packets never issued before, and takes

@@ -148,26 +148,10 @@ func TestTopologiesShareOnePoolPerEngine(t *testing.T) {
 			t.Fatalf("dumbbell host %s has its own pool", h.Name)
 		}
 	}
-	mono := NewFatTree(sim.NewEngine(), DefaultFatTree(4))
-	for _, h := range mono.Hosts {
-		if h.pool != mono.Hosts[0].pool {
-			t.Fatalf("monolithic fat-tree host %s has its own pool", h.Name)
-		}
-	}
-	ft := NewFatTreeSharded(sim.NewShardGroup(4), DefaultFatTree(4))
-	byShard := map[int]*packetPool{}
-	for i, h := range ft.Hosts {
-		s := ft.ShardOfHost(NodeID(i))
-		if pool, ok := byShard[s]; ok && pool != h.pool {
-			t.Fatalf("sharded host %s does not share its shard's pool", h.Name)
-		}
-		byShard[s] = h.pool
-	}
-	for s, pool := range byShard {
-		for s2, pool2 := range byShard {
-			if s != s2 && pool == pool2 {
-				t.Fatalf("shards %d and %d share a pool", s, s2)
-			}
+	ft := NewFatTree(sim.NewEngine(), DefaultFatTree(4))
+	for _, h := range ft.Hosts {
+		if h.pool != ft.Hosts[0].pool {
+			t.Fatalf("fat-tree host %s has its own pool", h.Name)
 		}
 	}
 	if NewHost(0, "a").pool == NewHost(1, "b").pool {

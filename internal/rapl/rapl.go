@@ -15,10 +15,7 @@
 //   - reads are monotone non-decreasing modulo wraparound.
 package rapl
 
-import (
-	"greenenvy/internal/energy"
-	"greenenvy/internal/sim"
-)
+import "greenenvy/internal/energy"
 
 // DefaultEnergyUnitJoules is 2^-16 J ≈ 15.3 µJ, the default RAPL energy
 // status unit on Intel server parts.
@@ -48,18 +45,6 @@ func (s *Sensor) EnergyUnitJoules() float64 { return s.unit }
 // counters are always current.
 func (s *Sensor) ReadCounter() uint32 {
 	s.meter.Sync()
-	return s.counter()
-}
-
-// ReadCounterAt is ReadCounter with the meter integrated to the explicit
-// instant t rather than its engine clock — the sharded testbed's way of
-// reading every partition's counters at one common completion time.
-func (s *Sensor) ReadCounterAt(t sim.Time) uint32 {
-	s.meter.SyncAt(t)
-	return s.counter()
-}
-
-func (s *Sensor) counter() uint32 {
 	counts := uint64(s.meter.Joules() / s.unit)
 	return uint32(counts & (1<<counterBits - 1))
 }
@@ -89,10 +74,4 @@ func (s *Sensor) Begin() Measurement {
 // End reads the counter again and returns the joules since Begin.
 func (m Measurement) End() float64 {
 	return m.sensor.CounterDelta(m.before, m.sensor.ReadCounter())
-}
-
-// EndAt ends the measurement at the explicit instant t (see
-// Sensor.ReadCounterAt).
-func (m Measurement) EndAt(t sim.Time) float64 {
-	return m.sensor.CounterDelta(m.before, m.sensor.ReadCounterAt(t))
 }

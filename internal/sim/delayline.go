@@ -48,7 +48,7 @@ func (d *DelayLine[O, T]) Init(e *Engine, owner *O, fn func(*O, T)) {
 	if d.n > 0 {
 		panic("sim: Init of a delay line with deliveries in flight")
 	}
-	*d = DelayLine[O, T]{eng: e, owner: owner, deliver: fn, ev: event{fn: d, idx: -1, band: bandLocal, pinned: true}}
+	*d = DelayLine[O, T]{eng: e, owner: owner, deliver: fn, ev: event{fn: d, idx: -1, pinned: true}}
 }
 
 // Len reports the number of deliveries in flight.

@@ -53,45 +53,31 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 // runs deterministic.
 //
 // An At/After event is pooled: the engine recycles it once it fires. A
-// pinned event belongs to a Timer, DelayLine or Conduit for its whole life
-// and never enters the free list.
+// pinned event belongs to a Timer or DelayLine for its whole life and never
+// enters the free list.
 type event struct {
 	at  Time
 	seq uint64
-	// fn runs the event. A pinned event's fn is its owner (the Timer,
-	// DelayLine or Conduit holding it), so firing dispatches to the owner
-	// with no bound closure; an At/After event holds its func() as a
-	// callback, which is pointer-shaped and so boxes without allocating.
+	// fn runs the event. A pinned event's fn is its owner (the Timer or
+	// DelayLine holding it), so firing dispatches to the owner with no
+	// bound closure; an At/After event holds its func() as a callback,
+	// which is pointer-shaped and so boxes without allocating.
 	fn firer
 	// idx is the position in the engine's heap array, -1 when not queued.
 	idx int32
-	// band is the ordering tier among same-time events: bandPortal events
-	// (cross-shard conduit arrivals) fire before bandLocal ones, giving the
-	// sharded engine a fixed, worker-count-independent tie-break between a
-	// shard's own events and handoffs from its peers. Within a band, seq
-	// orders as before.
-	band uint8
-	// pinned events are owned by a Timer, DelayLine or Conduit and are
-	// never returned to the engine's free list.
+	// pinned events are owned by a Timer or DelayLine and are never
+	// returned to the engine's free list.
 	pinned bool
 }
 
-// firer is what an event runs when it fires. Timer, DelayLine and Conduit
-// implement it on their own pointers.
+// firer is what an event runs when it fires. Timer and DelayLine implement
+// it on their own pointers.
 type firer interface{ fire() }
 
 // callback adapts an At/After func to firer.
 type callback func()
 
 func (f callback) fire() { f() }
-
-// Event ordering bands. Portal events carry sequence numbers from their
-// conduit's own deterministic counter, not the engine's, so the two spaces
-// must never be compared — the band keeps them apart.
-const (
-	bandPortal uint8 = iota
-	bandLocal
-)
 
 // Engine is the discrete-event scheduler. The zero value is not usable; use
 // NewEngine.
@@ -159,7 +145,6 @@ func (e *Engine) At(t Time, fn func()) {
 	ev := e.alloc()
 	ev.at = t
 	ev.seq = e.nextSeq()
-	ev.band = bandLocal
 	ev.fn = callback(fn)
 	e.push(ev)
 }
@@ -230,32 +215,13 @@ func (e *Engine) next() Time {
 	return e.events[0].at
 }
 
-// RunBelow executes events with firing time strictly below limit and
-// returns the firing time of the earliest remaining event (MaxTime when the
-// queue is empty). Unlike RunUntil it neither advances the clock to the
-// limit nor executes an event at it: the sharded scheduler calls it
-// repeatedly as the shard's lower-bound timestamp grows, and the clock must
-// never pass a point that a cross-shard arrival could still precede. The
-// caller can publish the returned time as a bound to downstream shards.
-func (e *Engine) RunBelow(limit Time) Time {
-	e.stopped = false
-	for !e.stopped && e.next() < limit {
-		e.step()
-	}
-	return e.next()
-}
-
 // --- 4-ary heap over (at, seq) ---
 
-// before reports whether a fires strictly before b: by time, then band
-// (portal arrivals ahead of local events), then sequence number within the
-// band.
+// before reports whether a fires strictly before b: by time, then by
+// scheduling sequence number.
 func before(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
-	}
-	if a.band != b.band {
-		return a.band < b.band
 	}
 	return a.seq < b.seq
 }

@@ -34,7 +34,7 @@ func (t *Timer[O]) Init(e *Engine, owner *O, fn func(*O)) {
 	if t.eng != nil && t.Armed() {
 		panic("sim: Init of an armed timer")
 	}
-	*t = Timer[O]{eng: e, ev: event{fn: t, idx: -1, band: bandLocal, pinned: true}, owner: owner, fn: fn}
+	*t = Timer[O]{eng: e, ev: event{fn: t, idx: -1, pinned: true}, owner: owner, fn: fn}
 }
 
 // fire runs the bound method.

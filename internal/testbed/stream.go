@@ -27,12 +27,6 @@ import (
 // concave host power curve, running flows serially (admission width 1) is
 // more energy-efficient than fair sharing, at a P99 flow-completion-time
 // cost this driver quantifies.
-//
-// The driver runs on the monolithic engine only. Online churn creates
-// flows mid-run; the sharded engine's conservative synchronization
-// licenses no cross-shard state creation at arbitrary instants, so
-// workload-scale runs ignore Options.Shards (and sharded testbeds reject
-// RunStream).
 
 // FlowArrival is one flow of an open-loop arrival process. Src and Dst are
 // host indices: fat-tree node IDs, or — on the dumbbell — Src is the
@@ -209,8 +203,7 @@ type streamRun struct {
 // stream has not drained by the deadline.
 //
 // Requires Options.StreamStats (the caller's explicit opt-in to per-flow
-// retention being skipped) and the monolithic engine (see the file
-// comment).
+// retention being skipped).
 func (tb *Testbed) RunStream(stream FlowStream, ccaName string, adm Admission, deadline sim.Duration) (StreamResult, error) {
 	if tb.ran {
 		return StreamResult{}, fmt.Errorf("testbed: RunStream called twice; build a fresh testbed per run")
@@ -218,9 +211,6 @@ func (tb *Testbed) RunStream(stream FlowStream, ccaName string, adm Admission, d
 	tb.ran = true
 	if !tb.opts.StreamStats {
 		return StreamResult{}, fmt.Errorf("testbed: RunStream requires Options.StreamStats")
-	}
-	if tb.group != nil {
-		return StreamResult{}, fmt.Errorf("testbed: RunStream needs the monolithic engine; build the testbed with Shards = 0")
 	}
 	if adm == nil {
 		adm = FairAdmission{}

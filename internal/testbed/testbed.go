@@ -53,12 +53,9 @@ type Options struct {
 	// still populated) and RunStream becomes available. The explicit flag
 	// keeps "results got smaller" a caller decision, never a surprise.
 	StreamStats bool
-	// Shards, when positive, runs fat-tree testbeds on the sharded
-	// conservative-synchronization engine with up to this many workers
-	// (clamped to the partition count, one shard per pod). Results are
-	// byte-identical for every positive value; 0 keeps the monolithic
-	// engine. Dumbbell testbeds ignore it — a two-host topology degenerates
-	// to a single shard, so the monolithic path IS its sharded execution.
+	// Deprecated: ignored; every testbed runs on one engine. benchmark/
+	// still sets it, and the benchmark PR that retires sim.shard_slowdown
+	// removes it.
 	Shards int
 }
 
@@ -90,6 +87,8 @@ func (o Options) withDefaults() Options {
 // noise-draw order is identical between the two so the dumbbell's golden
 // digests are untouched by the generalization.
 type Testbed struct {
+	// Engine is the one engine that drives the topology, its flows and
+	// its meters.
 	Engine *sim.Engine
 	// Net is the dumbbell topology (nil for fat-tree testbeds).
 	Net *netsim.Dumbbell
@@ -120,21 +119,6 @@ type Testbed struct {
 	// fresh client). Test-only: the churn equivalence test compares pooled
 	// and unpooled runs byte-for-byte.
 	noPool bool
-
-	// Sharded-run state (nil/empty on the monolithic path).
-	//
-	// group is the conservative-synchronization scheduler when
-	// Options.Shards > 0 on a fat-tree; Engine then aliases shard 0.
-	group *sim.ShardGroup
-	// ctrl[i][j] carries control closures (chained-start signals) from
-	// shard i to shard j with the link delay as lookahead.
-	ctrl [][]*sim.Conduit[func()]
-	// clientSrcShard/clientDstShard parallel clients; meterShard parallels
-	// Meters; drrShard parallels drrs. Each records the owning shard.
-	clientSrcShard []int
-	clientDstShard []int
-	meterShard     []int
-	drrShard       []int
 }
 
 // New builds a dumbbell testbed with the default §3 topology, applying the
@@ -197,38 +181,22 @@ func NewFatTree(opts Options, cfg netsim.FatTreeConfig) *Testbed {
 	opts = opts.withDefaults()
 
 	tb := &Testbed{
+		Engine:  sim.NewEngine(),
 		Model:   opts.Model,
 		opts:    opts,
 		rng:     sim.NewRNG(opts.Seed),
 		meterOf: make(map[netsim.NodeID]int),
 	}
-	part := netsim.FatTreePartition{K: cfg.K}
 	if userQueue := cfg.NewQueue; userQueue != nil {
 		cfg.NewQueue = func(p netsim.FatTreePort) netsim.Queue {
 			q := userQueue(p)
 			if drr, ok := q.(*netsim.DRR); ok {
 				tb.drrs = append(tb.drrs, drr)
-				// Record the owning shard so flow teardown can stay
-				// shard-local on the sharded path. Core downlinks belong to
-				// the core's shard; every other port to its pod's.
-				shard := p.Pod
-				if p.Tier == netsim.TierCoreDown {
-					shard = part.CoreShard(p.Switch)
-				}
-				tb.drrShard = append(tb.drrShard, shard)
 			}
 			return q
 		}
 	}
-	if opts.Shards > 0 {
-		tb.group = sim.NewShardGroup(part.Shards())
-		tb.Fat = netsim.NewFatTreeSharded(tb.group, cfg)
-		tb.Engine = tb.Fat.Engine // shard 0, for API compatibility
-		tb.buildControlMesh(cfg.LinkDelay)
-	} else {
-		tb.Engine = sim.NewEngine()
-		tb.Fat = netsim.NewFatTree(tb.Engine, cfg)
-	}
+	tb.Fat = netsim.NewFatTree(tb.Engine, cfg)
 	tb.switches = tb.Fat.Switches()
 	return tb
 }
@@ -236,26 +204,6 @@ func NewFatTree(opts Options, cfg netsim.FatTreeConfig) *Testbed {
 // WatchBottleneck selects the link whose queue statistics Run reports as
 // BottleneckStats (the dumbbell wires its bottleneck automatically).
 func (tb *Testbed) WatchBottleneck(l *netsim.Link) { tb.watch = l }
-
-// buildControlMesh wires the full mesh of cross-shard control conduits
-// (ctrl[i][j] delivers chained-start closures from shard i to shard j,
-// with the link delay as lookahead). Created in a fixed order after the
-// topology's packet conduits so the conduit registration sequence — and
-// with it the arrival-seq ordering — is a function of construction order
-// alone.
-func (tb *Testbed) buildControlMesh(delay sim.Duration) {
-	P := tb.group.Shards()
-	tb.ctrl = make([][]*sim.Conduit[func()], P)
-	for i := 0; i < P; i++ {
-		tb.ctrl[i] = make([]*sim.Conduit[func()], P)
-		for j := 0; j < P; j++ {
-			if i == j {
-				continue
-			}
-			tb.ctrl[i][j] = sim.NewConduit(tb.group, i, j, delay, func(fire func()) { fire() })
-		}
-	}
-}
 
 // meterFor returns (creating on first use) the meter index for a fat-tree
 // host. Hosts enter the sender or receiver measurement group according to
@@ -268,12 +216,9 @@ func (tb *Testbed) meterFor(host netsim.NodeID, sender bool) int {
 		}
 		return i
 	}
-	// The meter integrates on the engine that drives its host — the host's
-	// shard when sharded, tb.Engine otherwise.
-	m := energy.NewMeter(tb.Fat.EngineOf(host), tb.Model.Curve, tb.Model.Costs)
+	m := energy.NewMeter(tb.Engine, tb.Model.Curve, tb.Model.Costs)
 	tb.Meters = append(tb.Meters, m)
 	tb.Sensors = append(tb.Sensors, rapl.NewSensor(m))
-	tb.meterShard = append(tb.meterShard, tb.Fat.ShardOfHost(host))
 	i := len(tb.Meters) - 1
 	tb.meterOf[host] = i
 	if sender {
@@ -362,13 +307,10 @@ func (tb *Testbed) AddFlowBetween(src, dst netsim.NodeID, spec iperf.Spec) (*ipe
 
 	srcAcct := energy.NewAccount(tb.Meters[tb.meterFor(src, true)], spec.CCA)
 	dstAcct := energy.NewAccount(tb.Meters[tb.meterFor(dst, false)], spec.CCA)
-	c, err := iperf.NewClientOn(tb.Fat.EngineOf(src), tb.Fat.EngineOf(dst), spec,
-		tb.Fat.Hosts[src], tb.Fat.Hosts[dst], srcAcct, dstAcct)
+	c, err := iperf.NewClient(tb.Engine, spec, tb.Fat.Hosts[src], tb.Fat.Hosts[dst], srcAcct, dstAcct)
 	if err != nil {
 		return nil, err
 	}
-	tb.clientSrcShard = append(tb.clientSrcShard, tb.Fat.ShardOfHost(src))
-	tb.clientDstShard = append(tb.clientDstShard, tb.Fat.ShardOfHost(dst))
 	tb.register(c, spec.Flow)
 	return c, nil
 }
@@ -377,31 +319,12 @@ func (tb *Testbed) AddFlowBetween(src, dst netsim.NodeID, spec iperf.Spec) (*ipe
 // teardown. The teardown callback is pure synchronous cleanup — it
 // schedules no events and draws no randomness, so it cannot perturb the
 // deterministic event stream.
-//
-// On the sharded path flow teardown releases only the DRR queues living on
-// the flow's sender shard: the OnDone callback executes there, and DRR
-// release order on any other shard would depend on when that shard
-// observed the completion — a worker-count dependence the determinism
-// contract forbids. Sender-shard queues are the only ones a finished flow
-// still holds deficit state on that could affect scheduling before the run
-// drains.
 func (tb *Testbed) register(c *iperf.Client, flow netsim.FlowID) {
-	if tb.group == nil {
-		c.OnDone(func() {
-			for _, q := range tb.drrs {
-				q.Release(flow)
-			}
-		})
-	} else {
-		srcShard := tb.clientSrcShard[len(tb.clients)]
-		c.OnDone(func() {
-			for qi, q := range tb.drrs {
-				if tb.drrShard[qi] == srcShard {
-					q.Release(flow)
-				}
-			}
-		})
-	}
+	c.OnDone(func() {
+		for _, q := range tb.drrs {
+			q.Release(flow)
+		}
+	})
 	tb.clients = append(tb.clients, c)
 }
 
@@ -462,10 +385,8 @@ type RunResult struct {
 	// NoRouteDrops sums packets every switch discarded for lack of a
 	// route; non-zero means the topology's tables are misconfigured.
 	NoRouteDrops uint64
-	// EventsFired counts discrete events executed over the run, summed
-	// across partition engines on the sharded path. A capacity metric, not
-	// part of the determinism contract (though in practice it is identical
-	// across worker counts).
+	// EventsFired counts discrete events the engine executed over the
+	// run. A capacity metric: it sits outside every table and cache key.
 	EventsFired uint64
 }
 
@@ -480,9 +401,6 @@ func (tb *Testbed) Run(deadline sim.Duration) (RunResult, error) {
 	tb.ran = true
 	if len(tb.clients) == 0 {
 		return RunResult{}, fmt.Errorf("testbed: no flows added")
-	}
-	if tb.group != nil {
-		return tb.runSharded(deadline)
 	}
 
 	var res RunResult
