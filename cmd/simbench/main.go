@@ -69,6 +69,7 @@ var benchmarks = []struct {
 	{"DumbbellTransfer", perf.BenchDumbbellTransfer},
 	{"WorkloadChurn", perf.BenchWorkloadChurn},
 	{"WorkloadScaleStreaming", perf.BenchWorkloadScaleStreaming},
+	{"FatTreeBuild", perf.BenchFatTreeBuild},
 	{"FatTreeIncast", perf.BenchFatTreeIncast},
 }
 

@@ -285,7 +285,7 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 	}
 	res := CrossRackResult{
 		K:        k,
-		CoreLink: sharedProbe.Name,
+		CoreLink: sharedProbe.Name(),
 		Flow1:    f1,
 		Flow2:    f2,
 		FlowGbit: float64(bytes) * 8 / 1e9,

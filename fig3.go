@@ -84,7 +84,7 @@ func RunFig3(o Options) (Fig3Result, error) {
 		for _, c := range []*iperf.Client{c1, c2} {
 			flow := c.Report().Flow
 			c.Receiver().OnData = func(n int) { mon.Observe(flow, n) }
-			c.OnDone(func() {
+			c.OnDone(func(*iperf.Client) {
 				if c1.Done() && c2.Done() {
 					mon.Stop()
 				}

@@ -71,13 +71,20 @@ type Client struct {
 	sender   *tcp.Sender
 	receiver *tcp.Receiver
 
-	done  bool
-	after *Client
+	done bool
+	// after is the client this one starts behind (StartAfter). Start
+	// queues the client on after's chain, threaded through next, and
+	// after's completion starts the chain in Start order.
+	after, chain, next *Client
 	// starter fires the client's start; stopper is its Duration time
 	// limit, stopped when the transfer completes first (and on Reset, so a
 	// pooled client never inherits a stale stop).
 	starter, stopper sim.Timer[Client]
-	onDone           []func()
+	// onDone lists the completion hooks in registration order. Its first
+	// backing array is hooks, so registering the few hooks a run gives a
+	// client allocates nothing.
+	onDone []func(*Client)
+	hooks  [4]func(*Client)
 }
 
 // NewClient wires a client on srcHost sending to dstHost. Energy accounts
@@ -98,6 +105,7 @@ func NewClient(engine *sim.Engine, spec Spec, srcHost, dstHost *netsim.Host, src
 	spec.Config = cfg
 
 	c := &Client{spec: spec}
+	c.onDone = c.hooks[:0]
 	c.starter.Init(engine, c, (*Client).startNow)
 	c.stopper.Init(engine, c, (*Client).stop)
 	c.receiver = tcp.NewReceiver(engine, dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), dstAccount)
@@ -115,7 +123,8 @@ var errResetZeroByte = errors.New("iperf: zero-byte transfer")
 // scoreboard backing arrays — and, when the algorithm name is unchanged,
 // restarting the congestion controller in place instead of constructing a
 // fresh one. This is the pooled flow lifecycle's setup path: after pool
-// warm-up it performs no allocations. OnDone callbacks are cleared.
+// warm-up it performs no allocations. OnDone hooks and StartAfter chains
+// are cleared.
 func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dstAccount *energy.Account) error {
 	if spec.Bytes == 0 {
 		return errResetZeroByte
@@ -139,7 +148,7 @@ func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dst
 	c.receiver.Reset(dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), dstAccount)
 	c.sender.Reset(srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, srcAccount)
 	c.done = false
-	c.after = nil
+	c.after, c.chain, c.next = nil, nil, nil
 	c.stopper.Stop()
 	c.onDone = c.onDone[:0]
 	return nil
@@ -187,18 +196,37 @@ func fillConfig(cfg tcp.Config) tcp.Config {
 // schedule. It must be called before Start.
 func (c *Client) StartAfter(prev *Client) { c.after = prev }
 
-// OnDone registers a callback invoked when the transfer completes.
-// Multiple callbacks run in registration order.
-func (c *Client) OnDone(f func()) { c.onDone = append(c.onDone, f) }
+// OnDone registers f to run with the client when its transfer completes.
+// Hooks run in registration order.
+func (c *Client) OnDone(f func(*Client)) { c.onDone = append(c.onDone, f) }
+
+// Flow returns the client's flow identifier.
+func (c *Client) Flow() netsim.FlowID { return c.spec.Flow }
 
 // Start schedules the client: at its StartAt offset from now, or — if
 // chained with StartAfter — at StartAt after its predecessor completes.
+// A chained client queues on its predecessor's chain and registers a hook
+// there that starts the chain's head, so each chained start runs where its
+// hook was registered, as the client's own hook would.
 func (c *Client) Start() {
-	if c.after != nil {
-		c.after.onDone = append(c.after.onDone, c.armStart)
+	p := c.after
+	if p == nil {
+		c.armStart()
 		return
 	}
-	c.armStart()
+	tail := &p.chain
+	for *tail != nil {
+		tail = &(*tail).next
+	}
+	*tail = c
+	p.OnDone((*Client).startChained)
+}
+
+// startChained starts the head of the clients chained behind c.
+func (c *Client) startChained() {
+	head := c.chain
+	c.chain, head.next = head.next, nil
+	head.armStart()
 }
 
 // armStart schedules the start StartAt from now.
@@ -218,7 +246,7 @@ func (c *Client) finish() {
 	c.stopper.Stop()
 	c.done = true
 	for _, f := range c.onDone {
-		f()
+		f(c)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestClientTransfersAndReports(t *testing.T) {
 	e, d := newNet(t)
 	c := newClient(t, e, d, Spec{Flow: 1, Bytes: 100 << 20, CCA: "cubic"})
 	var final Report
-	c.OnDone(func() { final = c.Report() })
+	c.OnDone(func(c *Client) { final = c.Report() })
 	c.Start()
 	e.RunUntil(30 * sim.Second)
 	if !c.Done() {
@@ -96,8 +96,8 @@ func TestClientOnDoneHooks(t *testing.T) {
 	e, d := newNet(t)
 	c := newClient(t, e, d, Spec{Flow: 1, Bytes: 1 << 20, CCA: "reno"})
 	order := []int{}
-	c.OnDone(func() { order = append(order, 1) })
-	c.OnDone(func() { order = append(order, 2) })
+	c.OnDone(func(*Client) { order = append(order, 1) })
+	c.OnDone(func(*Client) { order = append(order, 2) })
 	c.Start()
 	e.RunUntil(10 * sim.Second)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {

@@ -7,7 +7,7 @@ import (
 	"greenenvy/internal/sim"
 )
 
-func newResetFixture(t *testing.T) (*Client, *netsim.Dumbbell) {
+func newResetFixture(t *testing.T) (*Client, *netsim.Dumbbell, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
 	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbell(1))
@@ -16,7 +16,7 @@ func newResetFixture(t *testing.T) (*Client, *netsim.Dumbbell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, d
+	return c, d, eng
 }
 
 // TestNewClientAllocs pins what one client costs to build: the client, its
@@ -46,7 +46,7 @@ func TestNewClientAllocs(t *testing.T) {
 // congestion controller, re-attached host handlers, recycled scoreboard
 // arrays — must not allocate. This is the churn driver's per-flow cost.
 func TestClientResetNoAllocs(t *testing.T) {
-	c, d := newResetFixture(t)
+	c, d, _ := newResetFixture(t)
 	flow := netsim.FlowID(2)
 	reset := func() {
 		if err := c.Reset(Spec{Flow: flow, Bytes: 10_000, CCA: "cubic"},
@@ -66,8 +66,7 @@ func TestClientResetNoAllocs(t *testing.T) {
 // transfer itself. Once the engine's event pool, the dumbbell's packet pool
 // and the scoreboard arrays are warm, a flow allocates nothing.
 func TestPooledFlowLifecycleNoAllocs(t *testing.T) {
-	c, d := newResetFixture(t)
-	eng := d.Engine
+	c, d, eng := newResetFixture(t)
 	flow := netsim.FlowID(2)
 	cycle := func() {
 		if err := c.Reset(Spec{Flow: flow, Bytes: 10_000, CCA: "cubic", Duration: sim.Second},
@@ -91,7 +90,7 @@ func TestPooledFlowLifecycleNoAllocs(t *testing.T) {
 
 // TestClientResetRejections covers the pooled-reset refusal cases.
 func TestClientResetRejections(t *testing.T) {
-	c, d := newResetFixture(t)
+	c, d, _ := newResetFixture(t)
 	if err := c.Reset(Spec{Flow: 2, Bytes: 0, CCA: "cubic"}, d.Senders[0], d.Receiver, nil, nil); err == nil {
 		t.Fatal("zero-byte reset succeeded")
 	}
@@ -129,7 +128,7 @@ func TestClientResetRunsFreshTransfer(t *testing.T) {
 			}
 		}
 		done := false
-		c.OnDone(func() { done = true })
+		c.OnDone(func(*Client) { done = true })
 		c.Start()
 		eng.RunUntil(eng.Now() + 5*sim.Second)
 		if !done || !c.Done() {

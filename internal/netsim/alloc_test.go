@@ -193,17 +193,37 @@ func TestDRRRotationAllocFree(t *testing.T) {
 
 // TestFatTreeBuildAllocs pins what one fabric costs to build. Hosts,
 // switches, links, default drop-tail queues, ECMP port lists and range
-// tables come from one slab per element type, timers and delay lines live
-// inside their links and switches, and each binds its owner's method
-// expression rather than a closure. So a k=8 tree's 128 hosts, 80 switches
-// and 768 links cost about 1,100 allocations, mostly names. Binding method
-// values cost about 3,500; an object per element, or a range table
-// re-sorted per route, about 9,500.
+// tables come from one slab per element type, timers live inside their
+// links, every link shares one propagation stage and every switch one
+// pipeline stage, each binds its owner's method expression rather than a
+// closure, and names are rendered only when asked. So a k=8 tree's 128
+// hosts, 80 switches and 768 links cost about 80 allocations, mostly the
+// edge switches' exact-route maps. A name string per element cost about
+// 1,100; method values instead of method expressions about 3,500; an
+// object per element, or a range table re-sorted per route, about 9,500.
 func TestFatTreeBuildAllocs(t *testing.T) {
-	const limit = 1300
+	const limit = 150
 	got := testing.AllocsPerRun(5, func() { NewFatTree(sim.NewEngine(), DefaultFatTree(8)) })
 	if got > limit {
 		t.Fatalf("building a k=8 fat-tree allocates %.0f objects, want at most %d", got, limit)
+	}
+}
+
+// TestFatTreeBuildBytes pins what one fabric weighs: a k=12 tree's 432
+// hosts, 180 switches and 2,592 links take about 920 KB. A propagation
+// line and its ring inside every link and a pipeline line inside every
+// switch made it 1,265 KB.
+func TestFatTreeBuildBytes(t *testing.T) {
+	const runs, limitKB = 5, 1050
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 0; i < runs; i++ {
+		NewFatTree(sim.NewEngine(), DefaultFatTree(12))
+	}
+	runtime.ReadMemStats(&ms)
+	if kb := float64(ms.TotalAlloc-before) / runs / 1024; kb > limitKB {
+		t.Fatalf("building a k=12 fat-tree takes %.0f KB, want at most %d KB", kb, limitKB)
 	}
 }
 

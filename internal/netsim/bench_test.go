@@ -20,4 +20,6 @@ func BenchmarkDRRQueue(b *testing.B) { perf.BenchDRRQueue(b) }
 
 func BenchmarkDumbbellTransfer(b *testing.B) { perf.BenchDumbbellTransfer(b) }
 
+func BenchmarkFatTreeBuild(b *testing.B) { perf.BenchFatTreeBuild(b) }
+
 func BenchmarkFatTreeIncast(b *testing.B) { perf.BenchFatTreeIncast(b) }

@@ -120,8 +120,6 @@ func DefaultFatTree(k int) FatTreeConfig {
 // in pod-major order: host h lives in pod h/(k²/4), on edge switch
 // (h mod k²/4)/(k/2).
 type FatTree struct {
-	// Engine is the engine driving the whole fabric.
-	Engine *sim.Engine
 	Config FatTreeConfig
 
 	// Hosts, indexed by NodeID.
@@ -135,6 +133,37 @@ type FatTree struct {
 
 	// hostDown[h] is the edge→host link delivering to host h.
 	hostDown []*Link
+}
+
+// switchPlace locates a fat-tree switch, so that its name is rendered only
+// when asked: its tier, its pod (edge and agg tiers), and its index within
+// the pod or, for a core, within the core tier.
+type switchPlace struct {
+	tier     switchTier
+	pod, idx int32
+}
+
+// switchTier is a fat-tree switch's tier; the zero value marks a switch
+// outside any fat-tree.
+type switchTier uint8
+
+const (
+	edgeTier switchTier = iota + 1
+	aggTier
+	coreTier
+)
+
+// String renders the switch's name: edge-p<pod>-e<i>, agg-p<pod>-a<i> or
+// core-<c>.
+func (p switchPlace) String() string {
+	pod, i := strconv.Itoa(int(p.pod)), strconv.Itoa(int(p.idx))
+	switch p.tier {
+	case edgeTier:
+		return "edge-p" + pod + "-e" + i
+	case aggTier:
+		return "agg-p" + pod + "-a" + i
+	}
+	return "core-" + i
 }
 
 // NewFatTree wires up the topology described by cfg on engine. Switches
@@ -158,7 +187,6 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 	numHosts := k * hostsPerPod
 
 	ft := &FatTree{
-		Engine:   engine,
 		Config:   cfg,
 		Hosts:    make([]*Host, numHosts),
 		Edges:    make([]*Switch, k*half),
@@ -199,9 +227,14 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 		}
 		return q
 	}
-	newLink := func(name string, rateBps int64, q Queue, dst Handler) *Link {
+	// Every link shares one propagation stage and every switch one
+	// pipeline stage: the same stage when the two delays are equal.
+	stg := stages{eng: engine}
+	wire, pipe := stg.of(cfg.LinkDelay), stg.pipeline(cfg.SwitchDelay)
+	newLink := func(from named, rateBps int64, q Queue, dst Handler) *Link {
 		l := links.one()
-		l.init(engine, name, rateBps, cfg.LinkDelay, q, dst)
+		l.from = from
+		l.init(engine, rateBps, wire, q, dst)
 		return l
 	}
 
@@ -216,9 +249,10 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 	// The longest path crosses edge, agg, core, agg, edge: 5 switch hops.
 	// One hop of margin turns a wiring mistake into a prompt diagnostic.
 	const ttl = 6
-	newSwitch := func(name string, numRoutes int) *Switch {
+	newSwitch := func(place switchPlace, numRoutes int) *Switch {
 		s := switches.one()
-		s.init(engine, name, cfg.SwitchDelay)
+		s.place = place
+		s.init(pipe)
 		s.SetTTL(ttl)
 		s.SetECMPSalt(salt())
 		s.ranges = routes.next(numRoutes)[:0]
@@ -226,14 +260,13 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 	}
 
 	for p := 0; p < k; p++ {
-		pod := strconv.Itoa(p)
 		for i := 0; i < half; i++ {
-			ft.Edges[p*half+i] = newSwitch("edge-p"+pod+"-e"+strconv.Itoa(i), 1)
-			ft.Aggs[p*half+i] = newSwitch("agg-p"+pod+"-a"+strconv.Itoa(i), half+1)
+			ft.Edges[p*half+i] = newSwitch(switchPlace{tier: edgeTier, pod: int32(p), idx: int32(i)}, 1)
+			ft.Aggs[p*half+i] = newSwitch(switchPlace{tier: aggTier, pod: int32(p), idx: int32(i)}, half+1)
 		}
 	}
 	for c := range ft.Cores {
-		ft.Cores[c] = newSwitch("core-"+strconv.Itoa(c), k)
+		ft.Cores[c] = newSwitch(switchPlace{tier: coreTier, idx: int32(c)}, k)
 	}
 
 	// Hosts and the host↔edge tier. Every host shares one packet pool.
@@ -243,14 +276,14 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 		e := (h % hostsPerPod) / half
 		edge := ft.Edges[p*half+e]
 		host := hosts.one()
-		host.init(NodeID(h), "h"+strconv.Itoa(h), pool)
+		host.init(NodeID(h), "", pool)
 		ft.Hosts[h] = host
 
 		up := FatTreePort{Tier: TierHostUp, Pod: p, Switch: e, Host: NodeID(h), Port: h % half}
-		host.SetEgress(newLink(host.Name+"-up", cfg.HostBps, queueFor(up), edge))
+		host.SetEgress(newLink(host, cfg.HostBps, queueFor(up), edge))
 
 		down := FatTreePort{Tier: TierHostDown, Pod: p, Switch: e, Host: NodeID(h), Port: h % half}
-		l := newLink(edge.Name+"->"+host.Name, cfg.HostBps, queueFor(down), host)
+		l := newLink(edge, cfg.HostBps, queueFor(down), host)
 		ft.hostDown[h] = l
 		edge.Connect(NodeID(h), l)
 	}
@@ -265,7 +298,7 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 			for a := 0; a < half; a++ {
 				agg := ft.Aggs[p*half+a]
 				port := FatTreePort{Tier: TierEdgeUp, Pod: p, Switch: e, Host: -1, Port: a}
-				ups[a] = newLink(edge.Name+"->"+agg.Name, cfg.EdgeAggBps, queueFor(port), agg)
+				ups[a] = newLink(edge, cfg.EdgeAggBps, queueFor(port), agg)
 			}
 			edge.ConnectRange(0, NodeID(numHosts-1), ups...)
 		}
@@ -281,7 +314,7 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 				lo := NodeID(p*hostsPerPod + e*half)
 				port := FatTreePort{Tier: TierAggDown, Pod: p, Switch: a, Host: -1, Port: e}
 				down := ports.next(1)
-				down[0] = newLink(agg.Name+"->"+edge.Name, cfg.EdgeAggBps, queueFor(port), edge)
+				down[0] = newLink(agg, cfg.EdgeAggBps, queueFor(port), edge)
 				agg.ConnectRange(lo, lo+NodeID(half-1), down...)
 			}
 			ups := ports.next(half)
@@ -289,7 +322,7 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 				c := a*half + j
 				core := ft.Cores[c]
 				port := FatTreePort{Tier: TierAggUp, Pod: p, Switch: a, Host: -1, Port: j}
-				ups[j] = newLink(agg.Name+"->"+core.Name, cfg.AggCoreBps, queueFor(port), core)
+				ups[j] = newLink(agg, cfg.AggCoreBps, queueFor(port), core)
 			}
 			agg.ConnectRange(0, NodeID(numHosts-1), ups...)
 		}
@@ -303,7 +336,7 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 			agg := ft.Aggs[p*half+a]
 			port := FatTreePort{Tier: TierCoreDown, Pod: p, Switch: c, Host: -1, Port: p}
 			route := ports.next(1)
-			route[0] = newLink(core.Name+"->"+agg.Name, cfg.AggCoreBps, queueFor(port), agg)
+			route[0] = newLink(core, cfg.AggCoreBps, queueFor(port), agg)
 			core.ConnectRange(NodeID(p*hostsPerPod), NodeID((p+1)*hostsPerPod-1), route...)
 		}
 	}
@@ -312,12 +345,6 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 
 // NumHosts returns k³/4.
 func (ft *FatTree) NumHosts() int { return len(ft.Hosts) }
-
-// Pod returns the pod index of host h.
-func (ft *FatTree) Pod(h NodeID) int {
-	half := ft.Config.K / 2
-	return int(h) / (half * half)
-}
 
 // HostDownlink returns the edge→host link delivering to h: the port whose
 // queue an incast converges on.

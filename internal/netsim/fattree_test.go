@@ -25,8 +25,9 @@ func TestFatTreeTopologyCounts(t *testing.T) {
 		if got, want := len(ft.Switches()), k*k+k*k/4; got != want {
 			t.Errorf("k=%d: Switches() = %d, want %d", k, got, want)
 		}
-		if ft.Pod(NodeID(ft.NumHosts()-1)) != k-1 {
-			t.Errorf("k=%d: last host not in last pod", k)
+		edge := ft.Hosts[ft.NumHosts()-1].egress.(*Link).Dst().(*Switch)
+		if edge.place != (switchPlace{tier: edgeTier, pod: int32(k - 1), idx: int32(k/2 - 1)}) {
+			t.Errorf("k=%d: last host hangs off %s, not the last pod's last edge", k, edge.Name())
 		}
 	}
 }
@@ -75,7 +76,7 @@ func TestFatTreeFullReachability(t *testing.T) {
 	}
 	for _, sw := range ft.Switches() {
 		if sw.DroppedNoRoute != 0 {
-			t.Fatalf("switch %s dropped %d packets with no route", sw.Name, sw.DroppedNoRoute)
+			t.Fatalf("switch %s dropped %d packets with no route", sw.Name(), sw.DroppedNoRoute)
 		}
 	}
 }
@@ -118,8 +119,9 @@ func TestFatTreePathForMatchesForwarding(t *testing.T) {
 			continue
 		}
 		path := ft.PathFor(flow, src, dst)
+		const hostsPerPod = 4 // (k/2)² at k=4
 		wantLinks := 6
-		if ft.Pod(src) == ft.Pod(dst) {
+		if src/hostsPerPod == dst/hostsPerPod {
 			wantLinks = 4
 		}
 		if len(path) != wantLinks {
@@ -138,7 +140,7 @@ func TestFatTreePathForMatchesForwarding(t *testing.T) {
 		}
 		for i, l := range path {
 			if l.TxPackets != before[i]+1 {
-				t.Fatalf("flow %d: predicted link %s did not carry the packet", flow, l.Name)
+				t.Fatalf("flow %d: predicted link %s did not carry the packet", flow, l.Name())
 			}
 		}
 		ft.Hosts[dst].Detach(flow)

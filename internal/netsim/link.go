@@ -10,28 +10,24 @@ import (
 // of fixed rate, followed by a propagation delay, delivering to a Handler.
 // It is the only place in the simulator where packets consume time.
 type Link struct {
-	// Name appears in traces and panics.
-	Name string
 	// RateBps is the line rate in bits per second.
 	RateBps int64
-	// Delay is the one-way propagation delay. It must stay constant once
-	// packets flow: deliveries ride a FIFO delay line, which panics if
-	// due times ever go backwards.
-	Delay sim.Duration
 
 	engine *sim.Engine
 	queue  Queue
 	dst    Handler
-	busy   bool
-	// txPkt is the packet currently being serialized; txDone is the
-	// standing serialization-completion timer (rearmed per packet, never
-	// reallocated).
+	// wire is the propagation stage, shared with every link and switch of
+	// the topology that has the link's delay.
+	wire *stage
+	// name is the name NewLink was given. A fat-tree link has none: from,
+	// the element whose egress port the link is, renders it (see Name).
+	name string
+	from named
+	// txPkt is the packet currently being serialized, nil while the link
+	// is idle; txDone is the standing serialization-completion timer
+	// (rearmed per packet, never reallocated).
 	txPkt  *Packet
 	txDone sim.Timer[Link]
-	// wire is the propagation stage: delay is constant per link, so
-	// deliveries are FIFO and one standing event plus a ring of in-flight
-	// packets replaces a heap event and closure per packet.
-	wire sim.DelayLine[Link, *Packet]
 
 	// TxPackets and TxBytes count packets/bytes that completed
 	// serialization onto the wire.
@@ -42,18 +38,23 @@ type Link struct {
 	busyStart sim.Time
 }
 
-// NewLink creates a link with the given queue discipline delivering to dst.
+// named is a topology element that renders its own name.
+type named interface{ Name() string }
+
+// NewLink creates a link with the given queue discipline delivering to dst,
+// on a propagation stage of its own.
 func NewLink(engine *sim.Engine, name string, rateBps int64, delay sim.Duration, queue Queue, dst Handler) *Link {
-	l := new(Link)
-	l.init(engine, name, rateBps, delay, queue, dst)
+	l := &Link{name: name}
+	l.init(engine, rateBps, newStage(engine, delay), queue, dst)
 	return l
 }
 
-// init builds the link in place, for NewLink and for topology builders
-// that take their links from a slab.
-func (l *Link) init(engine *sim.Engine, name string, rateBps int64, delay sim.Duration, queue Queue, dst Handler) {
+// init builds the link in place on the given propagation stage, for
+// NewLink and for topology builders that take their links from a slab. l
+// must be zero but for its name or its from element.
+func (l *Link) init(engine *sim.Engine, rateBps int64, wire *stage, queue Queue, dst Handler) {
 	if rateBps <= 0 {
-		panic(fmt.Sprintf("netsim: link %q with non-positive rate %d", name, rateBps))
+		panic(fmt.Sprintf("netsim: link %q with non-positive rate %d", l.Name(), rateBps))
 	}
 	if queue == nil || dst == nil || engine == nil {
 		panic("netsim: NewLink requires engine, queue and dst")
@@ -61,10 +62,27 @@ func (l *Link) init(engine *sim.Engine, name string, rateBps int64, delay sim.Du
 	if b, ok := queue.(EngineBinder); ok {
 		b.BindEngine(engine)
 	}
-	*l = Link{Name: name, RateBps: rateBps, Delay: delay, engine: engine, queue: queue, dst: dst}
+	l.RateBps, l.engine, l.queue, l.dst, l.wire = rateBps, engine, queue, dst, wire
 	l.txDone.Init(engine, l, (*Link).onTxDone)
-	l.wire.Init(engine, l, (*Link).arrive)
 }
+
+// Name returns the link's name: the one NewLink was given, or for a
+// fat-tree link "<from>-><to>" ("<host>-up" for a host's uplink), rendered
+// on each call.
+func (l *Link) Name() string {
+	if l.from == nil {
+		return l.name
+	}
+	if _, up := l.from.(*Host); up {
+		return l.from.Name() + "-up"
+	}
+	return l.from.Name() + "->" + l.dst.(named).Name()
+}
+
+// Delay returns the one-way propagation delay. It is fixed when the link
+// is built: the link shares its stage with every element of its topology
+// that has that delay.
+func (l *Link) Delay() sim.Duration { return l.wire.delay }
 
 // Queue exposes the link's queue discipline (for weight configuration and
 // stats inspection).
@@ -84,7 +102,7 @@ func (l *Link) HandlePacket(p *Packet) {
 	if !l.queue.Enqueue(p) {
 		return // dropped; queue stats already updated
 	}
-	if !l.busy {
+	if l.txPkt == nil {
 		l.transmitNext()
 	}
 }
@@ -93,10 +111,8 @@ func (l *Link) HandlePacket(p *Packet) {
 func (l *Link) transmitNext() {
 	p := l.queue.Dequeue()
 	if p == nil {
-		l.busy = false
 		return
 	}
-	l.busy = true
 	l.busyStart = l.engine.Now()
 	l.txPkt = p
 	l.txDone.Reset(l.SerializationTime(p.WireSize))
@@ -118,12 +134,9 @@ func (l *Link) onTxDone() {
 			RateBps:    l.RateBps,
 		})
 	}
-	l.wire.Schedule(p, l.engine.Now()+l.Delay)
+	l.wire.send(l.dst, p)
 	l.transmitNext()
 }
-
-// arrive hands a packet that has crossed the wire to the far end.
-func (l *Link) arrive(p *Packet) { l.dst.HandlePacket(p) }
 
 // Utilization returns the fraction of [0, now] the line spent transmitting.
 func (l *Link) Utilization() float64 {
@@ -132,7 +145,7 @@ func (l *Link) Utilization() float64 {
 		return 0
 	}
 	bt := l.busyTime
-	if l.busy {
+	if l.txPkt != nil {
 		bt += now - l.busyStart
 	}
 	return float64(bt) / float64(now)

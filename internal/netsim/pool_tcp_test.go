@@ -34,7 +34,7 @@ func TestReceiverHeavyPoolStaysCapped(t *testing.T) {
 	}
 	for _, h := range []*netsim.Host{tx, rx} {
 		if n := h.FreePackets(); n > netsim.MaxFreePackets {
-			t.Fatalf("host %s pool holds %d packets, cap %d", h.Name, n, netsim.MaxFreePackets)
+			t.Fatalf("host %s pool holds %d packets, cap %d", h.Name(), n, netsim.MaxFreePackets)
 		}
 	}
 	// Every data packet the receiver took in ended there, and every ACK it

@@ -145,13 +145,13 @@ func TestTopologiesShareOnePoolPerEngine(t *testing.T) {
 	d := NewDumbbell(sim.NewEngine(), DefaultDumbbell(3))
 	for _, h := range d.AllHosts() {
 		if h.pool != d.Receiver.pool {
-			t.Fatalf("dumbbell host %s has its own pool", h.Name)
+			t.Fatalf("dumbbell host %s has its own pool", h.Name())
 		}
 	}
 	ft := NewFatTree(sim.NewEngine(), DefaultFatTree(4))
 	for _, h := range ft.Hosts {
 		if h.pool != ft.Hosts[0].pool {
-			t.Fatalf("fat-tree host %s has its own pool", h.Name)
+			t.Fatalf("fat-tree host %s has its own pool", h.Name())
 		}
 	}
 	if NewHost(0, "a").pool == NewHost(1, "b").pool {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"greenenvy/internal/sim"
 )
@@ -15,12 +16,11 @@ import (
 // deterministic ECMP hash. The switch itself adds only a small fixed
 // pipeline latency.
 type Switch struct {
-	Name string
-	// PipelineDelay models the forwarding pipeline (sub-microsecond on a
-	// Tofino).
-	PipelineDelay sim.Duration
+	// name is the name NewSwitch was given. A fat-tree switch has none:
+	// place renders it (see Name).
+	name  string
+	place switchPlace
 
-	engine *sim.Engine
 	// exact maps a destination node to its output port; it wins over any
 	// range route (a /32 in longest-prefix terms). It is made by the first
 	// Connect: fabric cores and aggregations never hold an exact route.
@@ -38,9 +38,10 @@ type Switch struct {
 	// hops. Builders derive it per switch from the topology's ECMP seed so
 	// different switches spread the same flow population differently.
 	ecmpSalt uint64
-	// pipe is the forwarding pipeline: the delay is fixed, so in-flight
-	// packets form a FIFO and one standing event serves them all.
-	pipe sim.DelayLine[Switch, switchDelivery]
+	// pipe is the forwarding pipeline, a stage shared with every link and
+	// switch of the topology that has its latency; nil when the switch
+	// forwards at once.
+	pipe *stage
 	// RxPackets counts packets received for forwarding.
 	RxPackets uint64
 	// DroppedNoRoute counts packets discarded because no route matched the
@@ -66,29 +67,41 @@ type rangeRoute struct {
 	ports  []Handler
 }
 
-// switchDelivery is one packet in the forwarding pipeline with its output
-// port already resolved (lookup happens at arrival, as before).
-type switchDelivery struct {
-	out Handler
-	p   *Packet
-}
-
-// NewSwitch creates an empty switch with the legacy 32-hop TTL.
+// NewSwitch creates an empty switch with the legacy 32-hop TTL, on a
+// pipeline stage of its own. A pipeline delay of zero or less forwards at
+// once.
 func NewSwitch(engine *sim.Engine, name string, pipelineDelay sim.Duration) *Switch {
-	s := new(Switch)
-	s.init(engine, name, pipelineDelay)
+	s := &Switch{name: name}
+	s.init((&stages{eng: engine}).pipeline(pipelineDelay))
 	return s
 }
 
-// init builds the switch in place, for NewSwitch and for topology builders
-// that take their switches from a slab.
-func (s *Switch) init(engine *sim.Engine, name string, pipelineDelay sim.Duration) {
-	*s = Switch{Name: name, PipelineDelay: pipelineDelay, engine: engine, maxHops: 32}
-	s.pipe.Init(engine, s, (*Switch).deliver)
+// init builds the switch in place on the given pipeline stage (nil to
+// forward at once), for NewSwitch and for topology builders that take
+// their switches from a slab. s must be zero but for its name or place.
+func (s *Switch) init(pipe *stage) {
+	s.pipe, s.maxHops = pipe, 32
 }
 
-// deliver hands a packet leaving the pipeline to its resolved output port.
-func (s *Switch) deliver(d switchDelivery) { d.out.HandlePacket(d.p) }
+// Name returns the switch's name: the one NewSwitch was given, or a
+// fat-tree switch's place in the tree ("edge-p0-e1", "agg-p0-a1",
+// "core-3"), rendered on each call.
+func (s *Switch) Name() string {
+	if s.place.tier == 0 {
+		return s.name
+	}
+	return s.place.String()
+}
+
+// PipelineDelay returns the forwarding latency, fixed when the switch is
+// built: the switch shares its stage with every element of its topology
+// that has that latency.
+func (s *Switch) PipelineDelay() sim.Duration {
+	if s.pipe == nil {
+		return 0
+	}
+	return s.pipe.delay
+}
 
 // Connect installs the exact-match output port used to reach dst. Typically
 // out is a *Link whose far end is the destination host. Exact routes win
@@ -108,10 +121,10 @@ func (s *Switch) Connect(dst NodeID, out Handler) {
 // exact routes win over all ranges. The switch keeps ports as given.
 func (s *Switch) ConnectRange(lo, hi NodeID, ports ...Handler) {
 	if hi < lo {
-		panic(fmt.Sprintf("netsim: switch %q: ConnectRange [%d, %d] is empty", s.Name, lo, hi))
+		panic(fmt.Sprintf("netsim: switch %q: ConnectRange [%d, %d] is empty", s.Name(), lo, hi))
 	}
 	if len(ports) == 0 {
-		panic(fmt.Sprintf("netsim: switch %q: ConnectRange [%d, %d] needs at least one port", s.Name, lo, hi))
+		panic(fmt.Sprintf("netsim: switch %q: ConnectRange [%d, %d] needs at least one port", s.Name(), lo, hi))
 	}
 	// The table stays sorted by (width, lo), so inserting after every
 	// entry that does not sort after the new one is a stable sort's result:
@@ -138,7 +151,7 @@ func (r *rangeRoute) before(o *rangeRoute) bool {
 // is detected within one or two circuits instead of after 32 silent hops.
 func (s *Switch) SetTTL(maxHops int) {
 	if maxHops < 1 {
-		panic(fmt.Sprintf("netsim: switch %q: TTL %d must be at least 1", s.Name, maxHops))
+		panic(fmt.Sprintf("netsim: switch %q: TTL %d must be at least 1", s.Name(), maxHops))
 	}
 	s.maxHops = maxHops
 }
@@ -198,11 +211,11 @@ func (s *Switch) HandlePacket(p *Packet) {
 	p.hops++
 	if p.hops > s.maxHops {
 		panic(fmt.Sprintf("netsim: routing loop at switch %q: flow=%d src=%d dst=%d seq=%d exceeded TTL %d",
-			s.Name, p.Flow, p.Src, p.Dst, p.Seq, s.maxHops))
+			s.Name(), p.Flow, p.Src, p.Dst, p.Seq, s.maxHops))
 	}
 	s.RxPackets++
-	if s.PipelineDelay > 0 {
-		s.pipe.Schedule(switchDelivery{out: out, p: p}, s.engine.Now()+s.PipelineDelay)
+	if s.pipe != nil {
+		s.pipe.send(out, p)
 		return
 	}
 	out.HandlePacket(p)
@@ -215,8 +228,10 @@ func (s *Switch) HandlePacket(p *Packet) {
 // NewPacket and give them back with Recycle where they end; a packet that
 // arrives for a flow with no handler ends here and is recycled.
 type Host struct {
-	Name string
-	ID   NodeID
+	ID NodeID
+	// name is the name NewHost was given; a host without one is called
+	// h<ID> (see Name), so a fabric builds no host names.
+	name string
 
 	egress Handler
 	flows  map[FlowID]Handler
@@ -248,7 +263,16 @@ func NewHost(id NodeID, name string) *Host {
 // init builds the host in place on the given pool, for NewHost and for
 // topology builders that take their hosts from a slab.
 func (h *Host) init(id NodeID, name string, pool *packetPool) {
-	*h = Host{Name: name, ID: id, pool: pool}
+	*h = Host{ID: id, name: name, pool: pool}
+}
+
+// Name returns the host's name: the one it was built with, or h<ID>,
+// rendered on each call.
+func (h *Host) Name() string {
+	if h.name == "" {
+		return "h" + strconv.Itoa(int(h.ID))
+	}
+	return h.name
 }
 
 // SetEgress installs the first-hop handler (a Link or Bond).
@@ -270,7 +294,7 @@ func (h *Host) Detach(id FlowID) { delete(h.flows, id) }
 // Send transmits a packet from this host into the network.
 func (h *Host) Send(p *Packet) {
 	if h.egress == nil {
-		panic(fmt.Sprintf("netsim: host %q has no egress", h.Name))
+		panic(fmt.Sprintf("netsim: host %q has no egress", h.Name()))
 	}
 	p.Src = h.ID
 	h.TxPackets++

@@ -69,7 +69,6 @@ func DefaultDumbbell(senders int) DumbbellConfig {
 
 // Dumbbell is an assembled topology.
 type Dumbbell struct {
-	Engine   *sim.Engine
 	Senders  []*Host
 	Receiver *Host
 	Switch   *Switch
@@ -106,9 +105,12 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	hosts := make(slab[Host], 0, cfg.Senders+1)
 	links := make(slab[Link], 0, numLinks)
 	drops := make(slab[DropTail], 0, numLinks)
+	// Links and the switch share one stage per distinct delay.
+	stg := stages{eng: engine}
 	newLink := func(name string, rateBps int64, delay sim.Duration, q Queue, dst Handler) *Link {
 		l := links.one()
-		l.init(engine, name, rateBps, delay, q, dst)
+		l.name = name
+		l.init(engine, rateBps, stg.of(delay), q, dst)
 		return l
 	}
 	newDropTail := func(capBytes, markBytes int) *DropTail {
@@ -117,7 +119,7 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 		return q
 	}
 
-	d := &Dumbbell{Engine: engine, Senders: make([]*Host, 0, cfg.Senders)}
+	d := &Dumbbell{Senders: make([]*Host, 0, cfg.Senders)}
 	// Senders allocate the data packets the receiver frees, and the
 	// receiver allocates the ACKs the senders free, so every host shares
 	// one pool.
@@ -125,7 +127,8 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	recvID := NodeID(cfg.Senders)
 	d.Receiver = hosts.one()
 	d.Receiver.init(recvID, "receiver", pool)
-	d.Switch = NewSwitch(engine, "tofino", cfg.SwitchDelay)
+	d.Switch = &Switch{name: "tofino"}
+	d.Switch.init(stg.pipeline(cfg.SwitchDelay))
 	// Every path crosses the single switch exactly once; TTL 2 (diameter
 	// plus one hop of margin) catches a reflected packet immediately.
 	d.Switch.SetTTL(2)
@@ -154,14 +157,14 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 		if bond > 1 {
 			up := members.next(bond)
 			for j := range up {
-				up[j] = newLink(h.Name+"-uplink"+strconv.Itoa(j), cfg.AccessBps, delay, newDropTail(0, 0), d.Switch)
+				up[j] = newLink(h.name+"-uplink"+strconv.Itoa(j), cfg.AccessBps, delay, newDropTail(0, 0), d.Switch)
 			}
 			h.SetEgress(NewBond(up...))
 		} else {
-			h.SetEgress(newLink(h.Name+"-uplink", cfg.AccessBps, delay, newDropTail(0, 0), d.Switch))
+			h.SetEgress(newLink(h.name+"-uplink", cfg.AccessBps, delay, newDropTail(0, 0), d.Switch))
 		}
 		// Downlink: switch -> host (carries ACKs; never congested).
-		down := newLink(h.Name+"-downlink", cfg.AccessBps, delay, newDropTail(0, 0), h)
+		down := newLink(h.name+"-downlink", cfg.AccessBps, delay, newDropTail(0, 0), h)
 		d.Switch.Connect(h.ID, down)
 		d.Senders = append(d.Senders, h)
 	}

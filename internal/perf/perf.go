@@ -221,6 +221,16 @@ func BenchSweepCacheCold(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 }
 
+// BenchFatTreeBuild measures what one k=12 fat-tree costs to build: its
+// 432 hosts, 180 switches and 2,592 links with their queues, routes and
+// delay stages. Its allocs/op and bytes/op are the build's footprint.
+func BenchFatTreeBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		netsim.NewFatTree(sim.NewEngine(), netsim.DefaultFatTree(12))
+	}
+}
+
 // BenchFatTreeIncast runs a 32-to-1 cubic incast across a k=8 fat-tree —
 // 32 senders spread over distinct edge racks converging on one host through
 // table-routed switches and seeded ECMP — and reports the fabric's forwarding

@@ -4,12 +4,12 @@ import "fmt"
 
 // DelayLine delivers items at scheduled times through a single standing
 // event plus a reusable ring buffer, for producers whose due times are
-// nondecreasing: a link's constant propagation delay, a switch's fixed
-// pipeline latency, a serialized per-packet receive path. Such deliveries
-// are FIFO by construction, so the engine's heap only ever needs to hold
-// the head of the line — everything behind it waits in the ring. Scheduling
-// a delivery is allocation-free once the ring has grown to the line's peak
-// in-flight count.
+// nondecreasing: all the links and switches of a topology that share one
+// fixed delay (a netsim stage), a serialized per-packet receive path. Such
+// deliveries are FIFO by construction, so the engine's heap only ever
+// needs to hold the head of the line — everything behind it waits in the
+// ring. Scheduling a delivery is allocation-free once the ring has grown
+// to the line's peak in-flight count.
 //
 // Determinism: each item captures its ordering rank (the engine's
 // scheduling sequence number) at Schedule time, and the standing event is
@@ -56,8 +56,8 @@ func (d *DelayLine[O, T]) Len() int { return d.n }
 
 // Schedule enqueues item for delivery at absolute time at. Due times must
 // be nondecreasing across calls while the line is non-empty; violating that
-// (e.g. by mutating a link's propagation delay mid-run) panics rather than
-// silently reordering deliveries.
+// (e.g. by scheduling one fixed delay ahead, then a shorter one) panics
+// rather than silently reordering deliveries.
 func (d *DelayLine[O, T]) Schedule(item T, at Time) {
 	e := d.eng
 	if at < e.now {

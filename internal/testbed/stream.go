@@ -156,11 +156,11 @@ func (r StreamResult) EnergyPerGB() float64 {
 }
 
 // pooledClient is one free-list entry: a client plus its prebound
-// completion callback (bound once, so recycling a flow re-registers the
-// same closure instead of minting one per flow).
+// completion hook (bound once, so recycling a flow re-registers the same
+// closure instead of minting one per flow).
 type pooledClient struct {
 	c    *iperf.Client
-	done func()
+	done func(*iperf.Client)
 	// arrival the entry is currently serving.
 	arrivedAt sim.Time
 	bytes     uint64
@@ -416,9 +416,9 @@ func (sr *streamRun) launch(a FlowArrival) {
 	e.c.Start()
 }
 
-// doneFunc binds the completion callback for one pool entry, once.
-func (sr *streamRun) doneFunc(e *pooledClient) func() {
-	return func() { sr.onFlowDone(e) }
+// doneFunc binds the completion hook for one pool entry, once.
+func (sr *streamRun) doneFunc(e *pooledClient) func(*iperf.Client) {
+	return func(*iperf.Client) { sr.onFlowDone(e) }
 }
 
 // onFlowDone retires one flow: fold its sojourn into the aggregates,

@@ -115,6 +115,8 @@ type Testbed struct {
 	switches []*netsim.Switch
 	// drrs are the fair queues notified on flow teardown (DRR.Release).
 	drrs []*netsim.DRR
+	// release is every client's teardown hook, bound once per testbed.
+	release func(*iperf.Client)
 	// noPool disables client recycling in RunStream (every flow builds a
 	// fresh client). Test-only: the churn equivalence test compares pooled
 	// and unpooled runs byte-for-byte.
@@ -279,7 +281,7 @@ func (tb *Testbed) AddFlow(sender int, spec iperf.Spec) (*iperf.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb.register(c, spec.Flow)
+	tb.register(c)
 	return c, nil
 }
 
@@ -311,20 +313,24 @@ func (tb *Testbed) AddFlowBetween(src, dst netsim.NodeID, spec iperf.Spec) (*ipe
 	if err != nil {
 		return nil, err
 	}
-	tb.register(c, spec.Flow)
+	tb.register(c)
 	return c, nil
 }
 
 // register wires the bookkeeping shared by both topologies: scheduler-state
-// teardown. The teardown callback is pure synchronous cleanup — it
-// schedules no events and draws no randomness, so it cannot perturb the
-// deterministic event stream.
-func (tb *Testbed) register(c *iperf.Client, flow netsim.FlowID) {
-	c.OnDone(func() {
-		for _, q := range tb.drrs {
-			q.Release(flow)
+// teardown. The teardown hook is bound once per testbed and reads the flow
+// from the client, so registering a flow allocates nothing. It is pure
+// synchronous cleanup — it schedules no events and draws no randomness, so
+// it cannot perturb the deterministic event stream.
+func (tb *Testbed) register(c *iperf.Client) {
+	if tb.release == nil {
+		tb.release = func(c *iperf.Client) {
+			for _, q := range tb.drrs {
+				q.Release(c.Flow())
+			}
 		}
-	})
+	}
+	c.OnDone(tb.release)
 	tb.clients = append(tb.clients, c)
 }
 
@@ -409,7 +415,7 @@ func (tb *Testbed) Run(deadline sim.Duration) (RunResult, error) {
 	// quantize the measurement window to SyncEvery. Every client shares
 	// one callback that counts flows down.
 	remaining := len(tb.clients)
-	flowDone := func() {
+	flowDone := func(*iperf.Client) {
 		if remaining--; remaining == 0 {
 			finished = true
 			res = tb.collect()
