@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -72,7 +73,7 @@ func main() {
 	}
 
 	if *fig == "list" {
-		printList()
+		printList(os.Stdout)
 		return
 	}
 
@@ -134,11 +135,12 @@ func main() {
 	}
 }
 
-// printList enumerates the experiment registry.
-func printList() {
-	fmt.Printf("%-12s %-8s %-8s %s\n", "NAME", "ALIASES", "SECTION", "DESCRIPTION")
+// printList enumerates the experiment registry, one experiment per line
+// beginning with its name.
+func printList(w io.Writer) {
+	fmt.Fprintf(w, "%-12s %-8s %-8s %s\n", "NAME", "ALIASES", "SECTION", "DESCRIPTION")
 	for _, e := range greenenvy.Experiments() {
-		fmt.Printf("%-12s %-8s %-8s %s\n", e.Name, strings.Join(e.Aliases, ","), e.Section, e.Description)
+		fmt.Fprintf(w, "%-12s %-8s %-8s %s\n", e.Name, strings.Join(e.Aliases, ","), e.Section, e.Description)
 	}
 }
 

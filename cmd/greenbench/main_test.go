@@ -23,6 +23,27 @@ func TestRunUnknownFigure(t *testing.T) {
 	}
 }
 
+// TestPrintListNamesEveryExperiment: `-fig list` has a line beginning
+// with each registered experiment's name followed by a space.
+// TestRegistryMetadata pins that list of names.
+func TestPrintListNamesEveryExperiment(t *testing.T) {
+	var buf strings.Builder
+	printList(&buf)
+	lines := strings.Split(buf.String(), "\n")
+	for _, name := range greenenvy.ExperimentNames() {
+		found := false
+		for _, l := range lines {
+			if strings.HasPrefix(l, name+" ") {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("-fig list has no line for %s:\n%s", name, buf.String())
+		}
+	}
+}
+
 func TestRunAnalyticReports(t *testing.T) {
 	for _, fig := range []string{"theorem", "scheduler", "frontier", "ablations"} {
 		if err := run(fig, fastOpts(), ""); err != nil {

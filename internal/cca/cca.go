@@ -89,6 +89,12 @@ type CongestionControl interface {
 	// ECNCapable reports whether segments should carry ECT (and the
 	// receiver should use precise ECE feedback). Only DCTCP returns true.
 	ECNCapable() bool
+	// Restart returns the instance to its just-constructed state in
+	// place, so the testbed's pooled flow lifecycle reuses one controller
+	// across transfers without going back through the registry: a
+	// restarted controller and a fresh one behave byte-identically on the
+	// same event sequence.
+	Restart()
 }
 
 // Factory constructs a fresh algorithm instance.

@@ -1,64 +1,42 @@
 package cca
 
-// Restarter is implemented by algorithms that can return to their
-// just-constructed state in place. The testbed's pooled flow lifecycle
-// uses it to reuse one congestion-controller instance across many
-// transfers without going back through the registry (and its per-flow
-// allocation): Restart must leave the instance exactly as its factory
-// built it, so a restarted controller and a fresh one behave
-// byte-identically on the same event sequence.
-type Restarter interface {
-	Restart()
-}
-
-// Restart returns cc to its just-constructed state when the algorithm
-// supports it, reporting whether it did. Callers that get false must
-// construct a fresh instance instead of reusing cc.
-func Restart(cc CongestionControl) bool {
-	if r, ok := cc.(Restarter); ok {
-		r.Restart()
-		return true
-	}
-	return false
-}
-
 // Every registered algorithm is a plain value struct whose factory returns
 // the zero value (BBR aside, which carries its version parameters), so
 // restarting is a struct reset.
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (r *Reno) Restart() { *r = Reno{} }
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (c *Cubic) Restart() { *c = Cubic{} }
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (d *DCTCP) Restart() { *d = DCTCP{} }
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (v *Vegas) Restart() { *v = Vegas{} }
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (s *Scalable) Restart() { *s = Scalable{} }
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (h *HighSpeed) Restart() { *h = HighSpeed{} }
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (w *Westwood) Restart() { *w = Westwood{} }
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (b *Baseline) Restart() { *b = Baseline{} }
 
-// Restart implements Restarter, preserving the version parameters that
-// distinguish bbr from bbr2.
+// Restart implements CongestionControl, preserving the version
+// parameters that distinguish bbr from bbr2.
 func (b *BBR) Restart() { *b = BBR{params: b.params} }
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (s *Swift) Restart() { *s = Swift{} }
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (d *DCQCN) Restart() { *d = DCQCN{} }
 
-// Restart implements Restarter.
+// Restart implements CongestionControl.
 func (h *HPCC) Restart() { *h = HPCC{} }

@@ -33,30 +33,65 @@ func (p Policy) String() string {
 // arbitrary release times. Both policies are work conserving, so they share
 // a makespan; their energy and FCT profiles differ.
 func Simulate(flows []Flow, capacityBps float64, policy Policy) (Schedule, error) {
-	if len(flows) == 0 {
-		return Schedule{}, fmt.Errorf("core: no flows")
+	if err := validateFlows(flows, capacityBps, false); err != nil {
+		return Schedule{}, err
 	}
-	if capacityBps <= 0 {
-		return Schedule{}, fmt.Errorf("core: non-positive capacity")
+	switch policy {
+	case ProcessorSharing:
+		return fluid(flows, equalShare(capacityBps)), nil
+	case SRPT:
+		return fluid(flows, shortestFirst(capacityBps)), nil
 	}
+	return Schedule{}, fmt.Errorf("core: unknown policy %d", policy)
+}
+
+// rateRule divides the link among the active flows (released, unfinished,
+// in index order) for the next phase, writing their rates into the zeroed
+// rates.
+type rateRule func(active []int, remaining, rates []float64)
+
+// equalShare is processor sharing: every active flow gets an equal share.
+func equalShare(capacityBps float64) rateRule {
+	return func(active []int, _, rates []float64) {
+		share := capacityBps / float64(len(active))
+		for _, i := range active {
+			rates[i] = share
+		}
+	}
+}
+
+// shortestFirst is SRPT: the active flow with the least remaining data
+// (the lowest index among ties) takes the whole link.
+func shortestFirst(capacityBps float64) rateRule {
+	return func(active []int, remaining, rates []float64) {
+		best := active[0]
+		for _, i := range active[1:] {
+			if remaining[i] < remaining[best] {
+				best = i
+			}
+		}
+		rates[best] = capacityBps
+	}
+}
+
+// fluid is the loop behind every rate-sharing schedule in this package. At
+// each event (a release or a completion) the rule re-divides the link
+// among the active flows, and the schedule advances at those rates to the
+// next event; an interval with no active flow is an idle phase. The caller
+// validates flows and capacity.
+func fluid(flows []Flow, rule rateRule) Schedule {
 	n := len(flows)
 	remaining := make([]float64, n)
 	for i, f := range flows {
-		if f.Bytes <= 0 {
-			return Schedule{}, fmt.Errorf("core: flow %d has non-positive size", i)
-		}
-		if f.Release < 0 {
-			return Schedule{}, fmt.Errorf("core: flow %d has negative release", i)
-		}
 		remaining[i] = f.Bytes * 8
 	}
-
+	active := make([]int, 0, n)
 	s := Schedule{Flows: flows}
 	t := 0.0
 	for {
 		// Determine the active set and the next release.
 		nextRelease := math.Inf(1)
-		var active []int
+		active = active[:0]
 		for i, f := range flows {
 			if remaining[i] <= epsBits {
 				continue
@@ -71,7 +106,7 @@ func Simulate(flows []Flow, capacityBps float64, policy Policy) (Schedule, error
 		}
 		if len(active) == 0 {
 			if math.IsInf(nextRelease, 1) {
-				break // all done
+				return s // all done
 			}
 			// Idle gap until the next release.
 			s.Phases = append(s.Phases, Phase{Start: t, End: nextRelease, Rates: make([]float64, n)})
@@ -80,23 +115,7 @@ func Simulate(flows []Flow, capacityBps float64, policy Policy) (Schedule, error
 		}
 
 		rates := make([]float64, n)
-		switch policy {
-		case ProcessorSharing:
-			share := capacityBps / float64(len(active))
-			for _, i := range active {
-				rates[i] = share
-			}
-		case SRPT:
-			best := active[0]
-			for _, i := range active[1:] {
-				if remaining[i] < remaining[best] {
-					best = i
-				}
-			}
-			rates[best] = capacityBps
-		default:
-			return Schedule{}, fmt.Errorf("core: unknown policy %d", policy)
-		}
+		rule(active, remaining, rates)
 
 		// Advance to the next event: a completion or a release.
 		dt := nextRelease - t
@@ -113,7 +132,6 @@ func Simulate(flows []Flow, capacityBps float64, policy Policy) (Schedule, error
 		s.Phases = append(s.Phases, Phase{Start: t, End: t + dt, Rates: rates})
 		t += dt
 	}
-	return s, nil
 }
 
 // Comparison summarizes the energy/FCT trade of SRPT vs processor sharing

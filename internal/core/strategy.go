@@ -98,8 +98,9 @@ func (s Schedule) MeanFCT() float64 {
 	return sum / float64(len(f))
 }
 
-// validateFlows rejects empty or nonsensical demand sets.
-func validateFlows(flows []Flow, capacityBps float64) error {
+// validateFlows rejects empty or nonsensical demand sets. The strategy
+// schedules (simultaneous) also reject any release other than zero.
+func validateFlows(flows []Flow, capacityBps float64, simultaneous bool) error {
 	if len(flows) == 0 {
 		return fmt.Errorf("core: no flows")
 	}
@@ -110,8 +111,11 @@ func validateFlows(flows []Flow, capacityBps float64) error {
 		if f.Bytes <= 0 {
 			return fmt.Errorf("core: flow %d has non-positive size", i)
 		}
-		if f.Release != 0 {
+		if simultaneous && f.Release != 0 {
 			return fmt.Errorf("core: strategy schedules require simultaneous release (flow %d releases at %v); use the Scheduler for arrivals", i, f.Release)
+		}
+		if f.Release < 0 {
+			return fmt.Errorf("core: flow %d has negative release", i)
 		}
 	}
 	return nil
@@ -122,47 +126,10 @@ func validateFlows(flows []Flow, capacityBps float64) error {
 // fair, work conserving). This is the TCP fair share the paper's Figure 1
 // identifies as the least energy-efficient allocation.
 func FairShare(flows []Flow, capacityBps float64) (Schedule, error) {
-	if err := validateFlows(flows, capacityBps); err != nil {
+	if err := validateFlows(flows, capacityBps, true); err != nil {
 		return Schedule{}, err
 	}
-	n := len(flows)
-	remaining := make([]float64, n)
-	for i, f := range flows {
-		remaining[i] = f.Bytes * 8
-	}
-	s := Schedule{Flows: flows}
-	t := 0.0
-	for {
-		active := 0
-		for _, r := range remaining {
-			if r > epsBits {
-				active++
-			}
-		}
-		if active == 0 {
-			break
-		}
-		share := capacityBps / float64(active)
-		// Next completion among active flows.
-		dt := math.Inf(1)
-		for _, r := range remaining {
-			if r > epsBits {
-				if d := r / share; d < dt {
-					dt = d
-				}
-			}
-		}
-		rates := make([]float64, n)
-		for i, r := range remaining {
-			if r > epsBits {
-				rates[i] = share
-				remaining[i] = r - share*dt
-			}
-		}
-		s.Phases = append(s.Phases, Phase{Start: t, End: t + dt, Rates: rates})
-		t += dt
-	}
-	return s, nil
+	return fluid(flows, equalShare(capacityBps)), nil
 }
 
 // WeightedShare builds the schedule where active flows split the link in
@@ -170,7 +137,7 @@ func FairShare(flows []Flow, capacityBps float64) (Schedule, error) {
 // conserving: when a flow finishes, the remaining flows re-normalize.
 // Weight-zero flows receive capacity only once all weighted flows finish.
 func WeightedShare(flows []Flow, capacityBps float64, weights []float64) (Schedule, error) {
-	if err := validateFlows(flows, capacityBps); err != nil {
+	if err := validateFlows(flows, capacityBps, true); err != nil {
 		return Schedule{}, err
 	}
 	if len(weights) != len(flows) {
@@ -181,67 +148,37 @@ func WeightedShare(flows []Flow, capacityBps float64, weights []float64) (Schedu
 			return Schedule{}, fmt.Errorf("core: negative weight %v for flow %d", w, i)
 		}
 	}
-	n := len(flows)
-	remaining := make([]float64, n)
-	for i, f := range flows {
-		remaining[i] = f.Bytes * 8
-	}
-	s := Schedule{Flows: flows}
-	t := 0.0
-	for {
+	return fluid(flows, func(active []int, _, rates []float64) {
 		// Active weighted flows share by weight; if none, weight-zero
 		// flows share equally (background class).
 		var wsum float64
-		activeWeighted, activeZero := 0, 0
-		for i, r := range remaining {
-			if r <= epsBits {
-				continue
-			}
+		weighted := 0
+		for _, i := range active {
 			if weights[i] > 0 {
 				wsum += weights[i]
-				activeWeighted++
-			} else {
-				activeZero++
+				weighted++
 			}
 		}
-		if activeWeighted+activeZero == 0 {
-			break
-		}
-		rates := make([]float64, n)
-		for i, r := range remaining {
-			if r <= epsBits {
-				continue
-			}
+		for _, i := range active {
 			switch {
-			case activeWeighted > 0 && weights[i] > 0:
+			case weighted > 0 && weights[i] > 0:
 				rates[i] = capacityBps * weights[i] / wsum
-			case activeWeighted == 0:
-				rates[i] = capacityBps / float64(activeZero)
+			case weighted == 0:
+				rates[i] = capacityBps / float64(len(active))
 			}
 		}
-		dt := math.Inf(1)
-		for i, r := range remaining {
-			if r > epsBits && rates[i] > 0 {
-				if d := r / rates[i]; d < dt {
-					dt = d
-				}
-			}
-		}
-		for i := range remaining {
-			remaining[i] -= rates[i] * dt
-		}
-		s.Phases = append(s.Phases, Phase{Start: t, End: t + dt, Rates: rates})
-		t += dt
-	}
-	return s, nil
+	}), nil
 }
 
 // FullSpeedThenIdle builds the serial schedule: flows take the full link
 // one at a time, shortest first (SRPT order — also optimal for mean FCT),
 // while the others idle. This is the paper's most energy-efficient
-// allocation.
+// allocation. It is SRPT over simultaneous releases, built directly: the
+// fluid loop would rescan every unfinished flow at each of the n
+// completions, and the fattree-incast table builds a 256-flow serial
+// schedule on every run and replay.
 func FullSpeedThenIdle(flows []Flow, capacityBps float64) (Schedule, error) {
-	if err := validateFlows(flows, capacityBps); err != nil {
+	if err := validateFlows(flows, capacityBps, true); err != nil {
 		return Schedule{}, err
 	}
 	n := len(flows)

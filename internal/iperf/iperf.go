@@ -136,7 +136,9 @@ func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dst
 	spec.Config = cfg
 
 	cc := c.sender.CC()
-	if cc.Name() != spec.CCA || !cca.Restart(cc) {
+	if cc.Name() == spec.CCA {
+		cc.Restart()
+	} else {
 		fresh, err := cca.New(spec.CCA)
 		if err != nil {
 			return err
@@ -163,20 +165,8 @@ func fillConfig(cfg tcp.Config) tcp.Config {
 	if cfg.MTU == 0 {
 		cfg.MTU = def.MTU
 	}
-	if cfg.InitialCwndSegs == 0 {
-		cfg.InitialCwndSegs = def.InitialCwndSegs
-	}
 	if cfg.MinRTO == 0 {
 		cfg.MinRTO = def.MinRTO
-	}
-	if cfg.MaxRTO == 0 {
-		cfg.MaxRTO = def.MaxRTO
-	}
-	if cfg.DelAckSegs == 0 {
-		cfg.DelAckSegs = def.DelAckSegs
-	}
-	if cfg.DelAckTimeout == 0 {
-		cfg.DelAckTimeout = def.DelAckTimeout
 	}
 	if cfg.ReorderSegs == 0 {
 		cfg.ReorderSegs = def.ReorderSegs

@@ -223,8 +223,7 @@ func (s *Switch) HandlePacket(p *Packet) {
 
 // Host is an end system: it owns an egress path toward the network and
 // demultiplexes arriving packets to per-flow handlers (the transport
-// endpoints). Energy accounting hooks observe every packet that enters or
-// leaves the host. Transports take their packets from the host's pool with
+// endpoints). Transports take their packets from the host's pool with
 // NewPacket and give them back with Recycle where they end; a packet that
 // arrives for a flow with no handler ends here and is recycled.
 type Host struct {
@@ -239,10 +238,9 @@ type Host struct {
 	// other host the topology builder placed on that engine.
 	pool *packetPool
 
-	// OnSend and OnReceive, when non-nil, observe every packet leaving or
-	// entering the host. The energy model attaches here.
-	OnSend    func(p *Packet)
-	OnReceive func(p *Packet)
+	// OnSend, when non-nil, observes every packet leaving the host (a
+	// tracer's packet counter attaches here).
+	OnSend func(p *Packet)
 
 	// RxPackets/RxBytes count packets delivered to this host.
 	RxPackets uint64
@@ -311,9 +309,6 @@ func (h *Host) Send(p *Packet) {
 func (h *Host) HandlePacket(p *Packet) {
 	h.RxPackets++
 	h.RxBytes += uint64(p.WireSize)
-	if h.OnReceive != nil {
-		h.OnReceive(p)
-	}
 	if fh, ok := h.flows[p.Flow]; ok {
 		fh.HandlePacket(p)
 		return

@@ -27,8 +27,8 @@ type ThroughputMonitor struct {
 }
 
 // NewThroughputMonitor creates a monitor sampling every interval. Call
-// Observe from the measurement point (typically wrapped around the
-// receiver's OnReceive hook), then Start.
+// Observe from the measurement point (typically a tcp.Receiver's OnData
+// hook), then Start.
 func NewThroughputMonitor(engine *sim.Engine, interval sim.Duration) *ThroughputMonitor {
 	if interval <= 0 {
 		panic("netsim: monitor interval must be positive")

@@ -286,7 +286,7 @@ func BenchWorkloadChurn(b *testing.B) {
 	b.ReportAllocs()
 	var done uint64
 	for i := 0; i < b.N; i++ {
-		tb := testbed.New(testbed.Options{Seed: 1, Senders: senders, StreamStats: true})
+		tb := testbed.New(testbed.Options{Seed: 1, Senders: senders})
 		n := 0
 		stream := testbed.FlowStreamFunc(func() (testbed.FlowArrival, bool) {
 			if n >= flows {
@@ -319,7 +319,7 @@ func BenchWorkloadScaleStreaming(b *testing.B) {
 	b.ReportAllocs()
 	var done uint64
 	for i := 0; i < b.N; i++ {
-		tb := testbed.NewFatTree(testbed.Options{Seed: 1, StreamStats: true}, cfg)
+		tb := testbed.NewFatTree(testbed.Options{Seed: 1}, cfg)
 		hosts := tb.Fat.NumHosts()
 		tb.TouchHost(0, false)
 		for h := 1; h < hosts; h++ {

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"greenenvy/internal/cca"
 	"greenenvy/internal/netsim"
 	"greenenvy/internal/sim"
 )
@@ -118,7 +117,7 @@ func TestSenderTimeoutEpisodeAllocFree(t *testing.T) {
 		if !h.snd.Done() {
 			t.Fatal("final ACK did not complete the transfer")
 		}
-		cca.Restart(cc)
+		cc.Restart()
 		h.snd.Reset(h.host, 1, 9, total, cc, cfg, nil)
 	}
 	for i := 0; i < 4; i++ {

@@ -257,7 +257,7 @@ func (r *Receiver) process(p *netsim.Packet) {
 			r.OnData(delivered)
 		}
 		r.unacked++
-		if forceAck || r.unacked >= r.cfg.DelAckSegs {
+		if forceAck || r.unacked >= delAckSegs {
 			r.sendAck(now)
 		} else {
 			r.armDelAck(now)
@@ -343,7 +343,7 @@ func (r *Receiver) armDelAck(echo sim.Time) {
 		return
 	}
 	r.delackEcho = echo
-	r.delack.Reset(r.cfg.DelAckTimeout)
+	r.delack.Reset(delAckTimeout)
 }
 
 func (r *Receiver) onDelAck() {

@@ -723,8 +723,8 @@ func (s *Sender) armRTO() {
 		d = s.cfg.MinRTO
 	}
 	d <<= s.rtoBackoff
-	if d > s.cfg.MaxRTO {
-		d = s.cfg.MaxRTO
+	if d > maxRTO {
+		d = maxRTO
 	}
 	s.rtoTimer.Reset(d)
 }

@@ -19,23 +19,26 @@ import (
 // also the wire size of a pure ACK.
 const HeaderBytes = 60
 
+// Fixed stack parameters.
+const (
+	// maxRTO caps the retransmission timeout after backoff.
+	maxRTO = 2 * sim.Second
+	// delAckSegs is the number of full segments the receiver accumulates
+	// before ACKing (2, per RFC 5681).
+	delAckSegs = 2
+	// delAckTimeout bounds how long an ACK may be delayed.
+	delAckTimeout = 500 * sim.Microsecond
+)
+
 // Config carries per-connection tunables. The zero value is not valid; use
 // DefaultConfig.
 type Config struct {
 	// MTU is the wire size of a full data segment; MSS = MTU −
 	// HeaderBytes. The paper sweeps 1500/3000/6000/9000 (§4.4).
 	MTU int
-	// InitialCwndSegs is the initial window in segments (RFC 6928's 10).
-	InitialCwndSegs int
-	// MinRTO / MaxRTO clamp the retransmission timeout. Datacenter
-	// deployments tune the floor well below RFC 6298's 1 s.
+	// MinRTO is the retransmission timeout's floor. Datacenter
+	// deployments tune it well below RFC 6298's 1 s.
 	MinRTO sim.Duration
-	MaxRTO sim.Duration
-	// DelAckSegs is the number of full segments the receiver accumulates
-	// before ACKing (2, per RFC 5681).
-	DelAckSegs int
-	// DelAckTimeout bounds how long an ACK may be delayed.
-	DelAckTimeout sim.Duration
 	// ReorderSegs is the reordering tolerance for SACK loss inference: a
 	// segment is declared lost once data this many segments above it has
 	// been SACKed (the DupThresh analogue).
@@ -68,18 +71,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the testbed defaults: MTU 9000 (the paper's default,
-// §3), IW10, a 10 ms RTO floor, and delayed ACKs of 2.
+// §3) and a 10 ms RTO floor.
 func DefaultConfig() Config {
 	return Config{
-		MTU:             9000,
-		InitialCwndSegs: 10,
-		MinRTO:          10 * sim.Millisecond,
-		MaxRTO:          2 * sim.Second,
-		DelAckSegs:      2,
-		DelAckTimeout:   500 * sim.Microsecond,
-		ReorderSegs:     3,
-		RxPathCost:      1600 * sim.Nanosecond, // ~625 kpps receive capacity
-		RxRingPackets:   512,
+		MTU:           9000,
+		MinRTO:        10 * sim.Millisecond,
+		ReorderSegs:   3,
+		RxPathCost:    1600 * sim.Nanosecond, // ~625 kpps receive capacity
+		RxRingPackets: 512,
 	}
 }
 

@@ -88,7 +88,7 @@ func streamAllocs(t *testing.T, n int) (int64, StreamResult) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.Mallocs
-	tb := New(Options{Seed: 1, StreamStats: true})
+	tb := New(Options{Seed: 1})
 	res, err := tb.RunStream(arithStream(n, 20*sim.Microsecond, 15_000, 1), "cubic", EnvyAdmission{MaxActive: 1}, 10*sim.Second)
 	if err != nil {
 		t.Fatal(err)

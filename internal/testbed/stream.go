@@ -201,17 +201,11 @@ type streamRun struct {
 // exactly as Run does. All flows use the named congestion-control
 // algorithm; adm decides start-now vs defer per flow. The run fails if the
 // stream has not drained by the deadline.
-//
-// Requires Options.StreamStats (the caller's explicit opt-in to per-flow
-// retention being skipped).
 func (tb *Testbed) RunStream(stream FlowStream, ccaName string, adm Admission, deadline sim.Duration) (StreamResult, error) {
 	if tb.ran {
 		return StreamResult{}, fmt.Errorf("testbed: RunStream called twice; build a fresh testbed per run")
 	}
 	tb.ran = true
-	if !tb.opts.StreamStats {
-		return StreamResult{}, fmt.Errorf("testbed: RunStream requires Options.StreamStats")
-	}
 	if adm == nil {
 		adm = FairAdmission{}
 	}
@@ -228,9 +222,9 @@ func (tb *Testbed) RunStream(stream FlowStream, ccaName string, adm Admission, d
 
 	// Bracket the measurement exactly as Run does, pulling the first
 	// arrival to arm the clock. Meters a fat-tree stream first touches
-	// mid-run begin integrating at first use (they were idle before);
-	// callers wanting full-window bracketing for every host should
-	// TouchHost them first.
+	// mid-run are bracketed from first use (their hosts were idle
+	// before); callers wanting full-window bracketing for every host
+	// should TouchHost them first.
 	tb.measure(deadline, sr.advance, func() bool { return sr.finished })
 
 	if sr.err != nil {
@@ -243,15 +237,11 @@ func (tb *Testbed) RunStream(stream FlowStream, ccaName string, adm Admission, d
 	return sr.res, nil
 }
 
-// TouchHost pre-registers a fat-tree host's energy meter (as sender or
-// receiver) so RunStream's measurement brackets it from run start rather
-// than from its first flow. No-op on the dumbbell, whose meters are all
-// built up front.
-func (tb *Testbed) TouchHost(host netsim.NodeID, sender bool) {
-	if tb.Fat != nil {
-		tb.meterFor(host, sender)
-	}
-}
+// TouchHost registers a host's energy meter (as sender or receiver) before
+// the run, so RunStream's measurement brackets it from run start rather
+// than from its first flow. The dumbbell registers every host's meter
+// when it is built.
+func (tb *Testbed) TouchHost(host netsim.NodeID, sender bool) { tb.meterFor(host, sender) }
 
 // advance pulls the next arrival from the stream and arms the arrival
 // timer for it; on exhaustion it checks for run completion.
@@ -313,23 +303,6 @@ func (sr *streamRun) drainPending() {
 	}
 }
 
-// hostsFor resolves an arrival's endpoints and their meter indices.
-func (sr *streamRun) hostsFor(a FlowArrival) (src, dst *netsim.Host, srcMeter, dstMeter int, err error) {
-	tb := sr.tb
-	if tb.Net != nil {
-		if a.Src < 0 || a.Src >= len(tb.Net.Senders) {
-			return nil, nil, 0, 0, fmt.Errorf("testbed: stream sender %d out of range", a.Src)
-		}
-		return tb.Net.Senders[a.Src], tb.Net.Receiver, a.Src, len(tb.Meters) - 1, nil
-	}
-	n := tb.Fat.NumHosts()
-	if a.Src < 0 || a.Src >= n || a.Dst < 0 || a.Dst >= n || a.Src == a.Dst {
-		return nil, nil, 0, 0, fmt.Errorf("testbed: stream endpoints %d -> %d invalid for %d hosts", a.Src, a.Dst, n)
-	}
-	srcID, dstID := netsim.NodeID(a.Src), netsim.NodeID(a.Dst)
-	return tb.Fat.Hosts[srcID], tb.Fat.Hosts[dstID], tb.meterFor(srcID, true), tb.meterFor(dstID, false), nil
-}
-
 // acct returns the cached per-meter energy account (one per meter for the
 // whole stream — every flow uses the same algorithm).
 func (sr *streamRun) acct(meter int) *energy.Account {
@@ -343,30 +316,23 @@ func (sr *streamRun) acct(meter int) *energy.Account {
 }
 
 // launch starts one flow now: a recycled client from the free list when
-// available, a fresh one otherwise. Start jitter draws from the testbed
-// RNG at launch, mirroring AddFlow's draw-per-flow order.
+// available, a fresh one otherwise. The testbed's setup draws its start
+// jitter at launch, as AddFlowBetween draws one per added flow.
 func (sr *streamRun) launch(a FlowArrival) {
 	if sr.err != nil {
 		return
 	}
 	tb := sr.tb
-	src, dst, srcM, dstM, err := sr.hostsFor(a)
+	src, dst := netsim.NodeID(a.Src), netsim.NodeID(a.Dst)
+	if tb.Net != nil {
+		// Src is a dumbbell sender; its one receiver is the destination.
+		dst = tb.Net.Receiver.ID
+	}
+	spec := iperf.Spec{Flow: sr.nextFlow, Bytes: a.Bytes, CCA: sr.ccaName}
+	srcM, dstM, err := tb.setup(src, dst, &spec)
 	if err != nil {
 		sr.fail(err)
 		return
-	}
-
-	spec := iperf.Spec{
-		Flow:    sr.nextFlow,
-		Bytes:   a.Bytes,
-		CCA:     sr.ccaName,
-		StartAt: tb.rng.Jitter(tb.opts.StartJitter),
-	}
-	spec.Config.TxPathCost = tb.Model.Costs.TxPathCost
-	if tb.Net != nil {
-		spec.Config.NICRateBps = 20_000_000_000
-	} else {
-		spec.Config.NICRateBps = tb.Fat.Config.HostBps
 	}
 	sr.nextFlow++
 
@@ -389,13 +355,13 @@ func (sr *streamRun) launch(a FlowArrival) {
 		}
 	}
 	if e != nil {
-		if err := e.c.Reset(spec, src, dst, sr.acct(srcM), sr.acct(dstM)); err != nil {
+		if err := e.c.Reset(spec, tb.hosts[src], tb.hosts[dst], sr.acct(srcM), sr.acct(dstM)); err != nil {
 			sr.fail(err)
 			return
 		}
 		sr.res.PoolReuses++
 	} else {
-		c, err := iperf.NewClient(tb.Engine, spec, src, dst, sr.acct(srcM), sr.acct(dstM))
+		c, err := iperf.NewClient(tb.Engine, spec, tb.hosts[src], tb.hosts[dst], sr.acct(srcM), sr.acct(dstM))
 		if err != nil {
 			sr.fail(err)
 			return

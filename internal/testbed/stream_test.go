@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"greenenvy/internal/energy"
-	"greenenvy/internal/iperf"
 	"greenenvy/internal/netsim"
 	"greenenvy/internal/sim"
 )
@@ -31,7 +30,7 @@ func arithStream(n int, gap sim.Duration, payload uint64, senders int) FlowStrea
 func TestRunStreamChurnReusesPool(t *testing.T) {
 	const flows = 10_000
 	const payload = 20_000
-	tb := New(Options{Senders: 2, Seed: 11, StreamStats: true})
+	tb := New(Options{Senders: 2, Seed: 11})
 	res, err := tb.RunStream(arithStream(flows, 400*sim.Microsecond, payload, 2), "cubic", FairAdmission{}, 30*sim.Second)
 	if err != nil {
 		t.Fatalf("RunStream: %v", err)
@@ -69,7 +68,7 @@ func TestRunStreamChurnReusesPool(t *testing.T) {
 func TestRunStreamPooledMatchesUnpooled(t *testing.T) {
 	run := func(noPool bool) StreamResult {
 		t.Helper()
-		tb := New(Options{Senders: 2, Seed: 23, StreamStats: true})
+		tb := New(Options{Senders: 2, Seed: 23})
 		tb.noPool = noPool
 		res, err := tb.RunStream(arithStream(300, 300*sim.Microsecond, 15_000, 2), "reno", FairAdmission{}, 5*sim.Second)
 		if err != nil {
@@ -101,7 +100,7 @@ func TestRunStreamPooledMatchesUnpooled(t *testing.T) {
 func TestRunStreamEnvyAdmission(t *testing.T) {
 	run := func(adm Admission) StreamResult {
 		t.Helper()
-		tb := New(Options{Senders: 4, Seed: 5, StreamStats: true, MeasureNoise: 1e-12})
+		tb := New(Options{Senders: 4, Seed: 5, MeasureNoise: 1e-12})
 		i := 0
 		burst := FlowStreamFunc(func() (FlowArrival, bool) {
 			if i >= 200 {
@@ -174,7 +173,7 @@ func TestNewEnvyAdmissionWidth(t *testing.T) {
 // lazily-created meters, pre-touching the hosts so the energy bracket
 // covers the full window.
 func TestRunStreamFatTree(t *testing.T) {
-	tb := NewFatTree(Options{Seed: 3, StreamStats: true}, netsim.DefaultFatTree(4))
+	tb := NewFatTree(Options{Seed: 3}, netsim.DefaultFatTree(4))
 	hosts := tb.Fat.NumHosts()
 	tb.TouchHost(0, false)
 	for h := 1; h < hosts; h++ {
@@ -205,16 +204,55 @@ func TestRunStreamFatTree(t *testing.T) {
 	}
 }
 
+// TestRunStreamFatTreeUntouchedHosts: a fat-tree stream whose hosts were
+// never touched registers each one's meter at its first flow, mid-run, and
+// brackets it from there. The run is the touched run's, packet for packet
+// and noise draw for noise draw; only the idle time before each sender's
+// first flow leaves the senders' total (senders 2 and 3 start 0.5 and
+// 1 ms in).
+func TestRunStreamFatTreeUntouchedHosts(t *testing.T) {
+	run := func(touch bool) StreamResult {
+		t.Helper()
+		tb := NewFatTree(Options{Seed: 3}, netsim.DefaultFatTree(4))
+		if touch {
+			for h := 0; h <= 3; h++ {
+				tb.TouchHost(netsim.NodeID(h), h > 0)
+			}
+		}
+		i := 0
+		st := FlowStreamFunc(func() (FlowArrival, bool) {
+			if i >= 6 {
+				return FlowArrival{}, false
+			}
+			f := FlowArrival{At: sim.Time(i) * 500 * sim.Microsecond, Bytes: 50_000, Src: 1 + i%3, Dst: 0}
+			i++
+			return f, true
+		})
+		res, err := tb.RunStream(st, "cubic", FairAdmission{}, 10*sim.Second)
+		if err != nil {
+			t.Fatalf("RunStream(touch=%v): %v", touch, err)
+		}
+		if len(tb.Meters) != 4 || len(tb.senderIdx) != 3 {
+			t.Fatalf("touch=%v: %d meters, %d senders; want 4 and 3", touch, len(tb.Meters), len(tb.senderIdx))
+		}
+		return res
+	}
+	touched, untouched := run(true), run(false)
+	if untouched.Flows != 6 || untouched.Duration != touched.Duration || untouched.EventsFired != touched.EventsFired {
+		t.Fatalf("untouched run diverged: %+v vs %+v", untouched, touched)
+	}
+	idle := energy.DefaultModel().Curve.PowerAt(0) * (1.5 * float64(sim.Millisecond) / float64(sim.Second))
+	if gap := touched.TotalSenderJ - untouched.TotalSenderJ; math.Abs(gap-idle) > 0.05*idle {
+		t.Fatalf("touched senders drew %v J more than untouched ones, want the %v J of idle time before their first flows",
+			gap, idle)
+	}
+}
+
 // TestRunStreamGuards covers the driver's refusal cases.
 func TestRunStreamGuards(t *testing.T) {
 	st := func() FlowStream { return arithStream(1, 0, 1000, 1) }
 
 	tb := New(Options{Senders: 1, Seed: 1})
-	if _, err := tb.RunStream(st(), "cubic", nil, sim.Second); err == nil {
-		t.Fatal("RunStream without StreamStats succeeded")
-	}
-
-	tb = New(Options{Senders: 1, Seed: 1, StreamStats: true})
 	if _, err := tb.RunStream(st(), "cubic", nil, sim.Second); err != nil {
 		t.Fatalf("first RunStream: %v", err)
 	}
@@ -223,49 +261,19 @@ func TestRunStreamGuards(t *testing.T) {
 	}
 
 	// Out-of-range endpoint fails the run.
-	bad := New(Options{Senders: 1, Seed: 1, StreamStats: true})
+	bad := New(Options{Senders: 1, Seed: 1})
 	oob := FlowStreamFunc(func() (FlowArrival, bool) { return FlowArrival{Bytes: 1000, Src: 5}, true })
 	if _, err := bad.RunStream(oob, "cubic", nil, sim.Second); err == nil {
 		t.Fatal("RunStream with an out-of-range sender succeeded")
 	}
 
 	// An empty stream finishes immediately with empty aggregates.
-	empty := New(Options{Senders: 1, Seed: 1, StreamStats: true})
+	empty := New(Options{Senders: 1, Seed: 1})
 	res, err := empty.RunStream(FlowStreamFunc(func() (FlowArrival, bool) { return FlowArrival{}, false }), "cubic", nil, sim.Second)
 	if err != nil {
 		t.Fatalf("empty stream: %v", err)
 	}
 	if res.Flows != 0 || !math.IsNaN(res.MeanFCT) {
 		t.Fatalf("empty stream produced %+v", res)
-	}
-}
-
-// TestRunStreamStatsSkipsReports: the StreamStats opt-in drops per-flow
-// Report retention from the batch path while keeping the aggregates.
-func TestRunStreamStatsSkipsReports(t *testing.T) {
-	build := func(stream bool) RunResult {
-		t.Helper()
-		tb := New(Options{Senders: 2, Seed: 9, StreamStats: stream})
-		for i := 0; i < 2; i++ {
-			if _, err := tb.AddFlow(i, iperf.Spec{Bytes: 100_000, CCA: "cubic"}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := tb.Run(sim.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	full := build(false)
-	lean := build(true)
-	if len(full.Reports) != 2 {
-		t.Fatalf("retained run kept %d reports, want 2", len(full.Reports))
-	}
-	if lean.Reports != nil {
-		t.Fatalf("StreamStats run retained %d reports", len(lean.Reports))
-	}
-	if lean.TotalSenderJ != full.TotalSenderJ || lean.Duration != full.Duration || lean.Retransmits != full.Retransmits {
-		t.Fatalf("StreamStats changed measured results: %+v vs %+v", lean, full)
 	}
 }

@@ -28,11 +28,6 @@ type Options struct {
 	// the Theorem 1 experiments; the paper's arithmetic in §4.1 treats
 	// each flow as its own sender).
 	Senders int
-	// Model is the host energy model; zero value uses the calibrated
-	// defaults.
-	Model energy.Model
-	// BufferBytes is the bottleneck buffer (default 1 MiB).
-	BufferBytes int
 	// MarkBytes enables DCTCP-style CE marking at the bottleneck.
 	MarkBytes int
 	// UseDRR replaces the bottleneck FIFO with a weighted-fair DRR
@@ -40,18 +35,12 @@ type Options struct {
 	UseDRR bool
 	// Seed drives all run randomness (start jitter, measurement noise).
 	Seed uint64
-	// StartJitter is the maximum random offset added to each client's
-	// start (default 10 µs; models process scheduling skew).
-	StartJitter sim.Duration
 	// MeasureNoise is the relative σ of RAPL measurement noise (default
 	// 0.4%, matching the run-to-run spread of package-energy readings).
 	MeasureNoise float64
-	// SyncEvery is the energy integration granularity (default 1 ms).
-	SyncEvery sim.Duration
-	// StreamStats opts into streaming aggregation: per-flow Reports are
-	// not retained (Run leaves RunResult.Reports nil; aggregate fields are
-	// still populated) and RunStream becomes available. The explicit flag
-	// keeps "results got smaller" a caller decision, never a surprise.
+	// Deprecated: ignored; Run always keeps per-flow Reports and RunStream
+	// never does. benchmark/ still sets it, and the cleanup that deletes
+	// Shards removes it.
 	StreamStats bool
 	// Deprecated: ignored; every testbed runs on one engine. benchmark/
 	// still sets it, and the benchmark PR that retires sim.shard_slowdown
@@ -59,33 +48,34 @@ type Options struct {
 	Shards int
 }
 
+// The measurement constants every experiment shares.
+const (
+	// startJitter is the maximum random offset added to each flow's
+	// start; it models process scheduling skew.
+	startJitter = 10 * sim.Microsecond
+	// syncEvery is the energy integration granularity.
+	syncEvery = sim.Millisecond
+	// dumbbellHostBps is a dumbbell host's line rate: each sender bonds
+	// two 10 Gb/s uplinks (§3).
+	dumbbellHostBps = 20_000_000_000
+)
+
 func (o Options) withDefaults() Options {
 	if o.Senders == 0 {
 		o.Senders = 1
 	}
-	if o.Model.Costs.Cores == 0 {
-		o.Model = energy.DefaultModel()
-	}
-	if o.BufferBytes == 0 {
-		o.BufferBytes = 1 << 20
-	}
-	if o.StartJitter == 0 {
-		o.StartJitter = 10 * sim.Microsecond
-	}
 	if o.MeasureNoise == 0 {
 		o.MeasureNoise = 0.004
-	}
-	if o.SyncEvery == 0 {
-		o.SyncEvery = sim.Millisecond
 	}
 	return o
 }
 
 // Testbed is one assembled experiment environment. It drives either the
-// paper's dumbbell (New) or a k-ary fat-tree fabric (NewFatTree); the
-// measurement loop — meters, RAPL bracketing — is shared, and the meter
-// noise-draw order is identical between the two so the dumbbell's golden
-// digests are untouched by the generalization.
+// paper's dumbbell (New) or a k-ary fat-tree fabric (NewFatTree) through
+// one host table and one meter registry: every flow, on either topology,
+// is set up by the same code, and the meter noise-draw order is the
+// dumbbell's historical one, so its golden digests are untouched by the
+// generalization.
 type Testbed struct {
 	// Engine is the one engine that drives the topology, its flows and
 	// its meters.
@@ -93,12 +83,24 @@ type Testbed struct {
 	// Net is the dumbbell topology (nil for fat-tree testbeds).
 	Net *netsim.Dumbbell
 	// Fat is the fat-tree topology (nil for dumbbell testbeds).
-	Fat      *netsim.FatTree
-	Model    energy.Model
-	Meters   []*energy.Meter // dumbbell: index i = sender i; last = receiver
-	Sensors  []*rapl.Sensor
-	opts     Options
-	rng      *sim.RNG
+	Fat *netsim.FatTree
+	// Meters holds one meter per registered host (every dumbbell host; a
+	// fat-tree host at its first flow or TouchHost), in registration
+	// order: on the dumbbell, sender i's is Meters[i] and the receiver's
+	// is last.
+	Meters       []*energy.Meter
+	Sensors      []*rapl.Sensor
+	model        energy.Model
+	measureNoise float64
+	rng          *sim.RNG
+	// hosts is the host table, indexed by NodeID: the dumbbell's senders
+	// and then its receiver, or every fat-tree host. hostBps is their line
+	// rate, every flow's default NIC rate.
+	hosts   []*netsim.Host
+	hostBps int64
+	// meterOf maps a host's NodeID to its index in Meters, -1 before the
+	// host's first flow.
+	meterOf  []int
 	clients  []*iperf.Client
 	measures []rapl.Measurement
 	ran      bool
@@ -107,8 +109,6 @@ type Testbed struct {
 	// dumbbell's historical order, preserved exactly.
 	senderIdx []int
 	recvIdx   []int
-	// meterOf lazily maps fat-tree hosts to their meters.
-	meterOf map[netsim.NodeID]int
 	// watch is the link whose queue stats Run reports as BottleneckStats.
 	watch *netsim.Link
 	// switches are polled for no-route drop counters after the run.
@@ -124,15 +124,14 @@ type Testbed struct {
 }
 
 // New builds a dumbbell testbed with the default §3 topology, applying the
-// buffer/marking/DRR options. It is NewDumbbell with the config the paper's
+// marking/DRR options. It is NewDumbbell with the config the paper's
 // experiments use.
 func New(opts Options) *Testbed {
 	opts = opts.withDefaults()
 	dcfg := netsim.DefaultDumbbell(opts.Senders)
-	dcfg.BufferBytes = opts.BufferBytes
 	dcfg.MarkBytes = opts.MarkBytes
 	if opts.UseDRR {
-		dcfg.BottleneckQueue = netsim.NewDRR(opts.BufferBytes, opts.MarkBytes)
+		dcfg.BottleneckQueue = netsim.NewDRR(dcfg.BufferBytes, opts.MarkBytes)
 	}
 	return NewDumbbell(opts, dcfg)
 }
@@ -141,30 +140,18 @@ func New(opts Options) *Testbed {
 // the entry point for callers (the scenario compiler) that pick their own
 // queue disciplines, rates, or per-sender access delays. Measurement
 // machinery (meters, sensors, noise-draw order) is identical to New's, so
-// a config equal to New's produces byte-identical runs.
+// a config equal to New's produces byte-identical runs. Every host's meter
+// is registered up front: the senders', then the receiver's.
 func NewDumbbell(opts Options, dcfg netsim.DumbbellConfig) *Testbed {
-	opts = opts.withDefaults()
 	engine := sim.NewEngine()
 	d := netsim.NewDumbbell(engine, dcfg)
-
-	tb := &Testbed{
-		Engine: engine,
-		Net:    d,
-		Model:  opts.Model,
-		opts:   opts,
-		rng:    sim.NewRNG(opts.Seed),
+	hosts := make([]*netsim.Host, 0, len(d.Senders)+1)
+	hosts = append(append(hosts, d.Senders...), d.Receiver)
+	tb := newTestbed(opts, engine, hosts, dumbbellHostBps)
+	tb.Net = d
+	for _, h := range hosts {
+		tb.meterFor(h.ID, h != d.Receiver)
 	}
-	for i := range d.Senders {
-		m := energy.NewMeter(engine, opts.Model.Curve, opts.Model.Costs)
-		tb.Meters = append(tb.Meters, m)
-		tb.Sensors = append(tb.Sensors, rapl.NewSensor(m))
-		tb.senderIdx = append(tb.senderIdx, i)
-	}
-	recvMeter := energy.NewMeter(engine, opts.Model.Curve, opts.Model.Costs)
-	tb.Meters = append(tb.Meters, recvMeter)
-	tb.Sensors = append(tb.Sensors, rapl.NewSensor(recvMeter))
-	tb.recvIdx = append(tb.recvIdx, len(tb.Meters)-1)
-
 	tb.watch = d.Bottleneck
 	tb.switches = []*netsim.Switch{d.Switch}
 	if q := d.BottleneckDRR(); q != nil {
@@ -175,31 +162,46 @@ func NewDumbbell(opts Options, dcfg netsim.DumbbellConfig) *Testbed {
 
 // NewFatTree builds a testbed over a k-ary fat-tree fabric. Topology knobs
 // come from cfg (rates per tier, queue disciplines, ECMP seed); opts
-// contributes the measurement machinery (energy model, seed-driven jitter
-// and noise). Any *netsim.DRR created through cfg.NewQueue is tracked for
-// flow teardown automatically. Flows are added with AddFlowBetween; meters
-// are created lazily, one per participating host, in first-use order.
+// contributes the measurement machinery (seed-driven jitter and noise).
+// Any *netsim.DRR created through cfg.NewQueue is tracked for flow
+// teardown automatically. Meters are registered lazily, one per
+// participating host, in first-use order.
 func NewFatTree(opts Options, cfg netsim.FatTreeConfig) *Testbed {
-	opts = opts.withDefaults()
-
-	tb := &Testbed{
-		Engine:  sim.NewEngine(),
-		Model:   opts.Model,
-		opts:    opts,
-		rng:     sim.NewRNG(opts.Seed),
-		meterOf: make(map[netsim.NodeID]int),
-	}
+	var drrs []*netsim.DRR
 	if userQueue := cfg.NewQueue; userQueue != nil {
 		cfg.NewQueue = func(p netsim.FatTreePort) netsim.Queue {
 			q := userQueue(p)
 			if drr, ok := q.(*netsim.DRR); ok {
-				tb.drrs = append(tb.drrs, drr)
+				drrs = append(drrs, drr)
 			}
 			return q
 		}
 	}
-	tb.Fat = netsim.NewFatTree(tb.Engine, cfg)
-	tb.switches = tb.Fat.Switches()
+	engine := sim.NewEngine()
+	ft := netsim.NewFatTree(engine, cfg)
+	tb := newTestbed(opts, engine, ft.Hosts, ft.Config.HostBps)
+	tb.Fat, tb.switches, tb.drrs = ft, ft.Switches(), drrs
+	return tb
+}
+
+// newTestbed is the constructor both topologies share: the host table, an
+// empty meter registry sized for every host, and the run's RNG.
+func newTestbed(opts Options, engine *sim.Engine, hosts []*netsim.Host, hostBps int64) *Testbed {
+	opts = opts.withDefaults()
+	tb := &Testbed{
+		Engine:       engine,
+		Meters:       make([]*energy.Meter, 0, len(hosts)),
+		Sensors:      make([]*rapl.Sensor, 0, len(hosts)),
+		model:        energy.DefaultModel(),
+		measureNoise: opts.MeasureNoise,
+		rng:          sim.NewRNG(opts.Seed),
+		hosts:        hosts,
+		hostBps:      hostBps,
+		meterOf:      make([]int, len(hosts)),
+	}
+	for i := range tb.meterOf {
+		tb.meterOf[i] = -1
+	}
 	return tb
 }
 
@@ -207,20 +209,27 @@ func NewFatTree(opts Options, cfg netsim.FatTreeConfig) *Testbed {
 // BottleneckStats (the dumbbell wires its bottleneck automatically).
 func (tb *Testbed) WatchBottleneck(l *netsim.Link) { tb.watch = l }
 
-// meterFor returns (creating on first use) the meter index for a fat-tree
-// host. Hosts enter the sender or receiver measurement group according to
-// their first role; a receiver that later originates a flow is promoted to
-// the sender group, keeping TotalSenderJ the sum the theorems compare.
+// meterFor returns (registering on first use) a host's meter index. Hosts
+// enter the sender or receiver measurement group according to their first
+// role; a receiver that later originates a flow is promoted to the sender
+// group, keeping TotalSenderJ the sum the theorems compare. A host first
+// used after the run began is bracketed from that instant (it was idle
+// before).
 func (tb *Testbed) meterFor(host netsim.NodeID, sender bool) int {
-	if i, ok := tb.meterOf[host]; ok {
+	if i := tb.meterOf[host]; i >= 0 {
 		if sender {
 			tb.promoteToSender(i)
 		}
 		return i
 	}
-	m := energy.NewMeter(tb.Engine, tb.Model.Curve, tb.Model.Costs)
+	m := energy.NewMeter(tb.Engine, tb.model.Curve, tb.model.Costs)
+	s := rapl.NewSensor(m)
 	tb.Meters = append(tb.Meters, m)
-	tb.Sensors = append(tb.Sensors, rapl.NewSensor(m))
+	tb.Sensors = append(tb.Sensors, s)
+	if tb.ran {
+		// Run and RunStream open the measurement window as they set ran.
+		tb.measures = append(tb.measures, s.Begin())
+	}
 	i := len(tb.Meters) - 1
 	tb.meterOf[host] = i
 	if sender {
@@ -252,32 +261,30 @@ func (tb *Testbed) SenderMeter(i int) *energy.Meter { return tb.Meters[i] }
 // ReceiverMeter returns the receiver host's meter.
 func (tb *Testbed) ReceiverMeter() *energy.Meter { return tb.Meters[len(tb.Meters)-1] }
 
-// AddFlow installs an iperf client on sender host `sender` targeting the
-// receiver. The flow's TxPathCost is taken from the energy cost model
-// unless the spec overrides it. Start jitter is applied on top of
-// spec.StartAt.
+// AddFlow installs an iperf client on dumbbell sender host `sender`
+// targeting the receiver: AddFlowBetween with the receiver as destination.
 func (tb *Testbed) AddFlow(sender int, spec iperf.Spec) (*iperf.Client, error) {
 	if tb.Net == nil {
 		return nil, fmt.Errorf("testbed: AddFlow targets the dumbbell; use AddFlowBetween on a fat-tree testbed")
 	}
-	if sender < 0 || sender >= len(tb.Net.Senders) {
-		return nil, fmt.Errorf("testbed: sender %d out of range", sender)
-	}
+	return tb.AddFlowBetween(netsim.NodeID(sender), tb.Net.Receiver.ID, spec)
+}
+
+// AddFlowBetween installs an iperf client between two hosts of either
+// topology. The flow's TxPathCost is taken from the energy cost model and
+// its NIC rate from the topology's host line rate unless the spec
+// overrides them; start jitter is applied on top of spec.StartAt.
+func (tb *Testbed) AddFlowBetween(src, dst netsim.NodeID, spec iperf.Spec) (*iperf.Client, error) {
 	if spec.Flow == 0 {
 		spec.Flow = netsim.FlowID(len(tb.clients) + 1)
 	}
-	if spec.Config.TxPathCost == 0 {
-		spec.Config.TxPathCost = tb.Model.Costs.TxPathCost
+	srcMeter, dstMeter, err := tb.setup(src, dst, &spec)
+	if err != nil {
+		return nil, err
 	}
-	if spec.Config.NICRateBps == 0 {
-		// Match the topology: each sender has 2×10 Gb/s bonded uplinks.
-		spec.Config.NICRateBps = 20_000_000_000
-	}
-	spec.StartAt += tb.rng.Jitter(tb.opts.StartJitter)
-
-	srcAcct := energy.NewAccount(tb.Meters[sender], spec.CCA)
-	dstAcct := energy.NewAccount(tb.ReceiverMeter(), spec.CCA)
-	c, err := iperf.NewClient(tb.Engine, spec, tb.Net.Senders[sender], tb.Net.Receiver, srcAcct, dstAcct)
+	srcAcct := energy.NewAccount(tb.Meters[srcMeter], spec.CCA)
+	dstAcct := energy.NewAccount(tb.Meters[dstMeter], spec.CCA)
+	c, err := iperf.NewClient(tb.Engine, spec, tb.hosts[src], tb.hosts[dst], srcAcct, dstAcct)
 	if err != nil {
 		return nil, err
 	}
@@ -285,36 +292,22 @@ func (tb *Testbed) AddFlow(sender int, spec iperf.Spec) (*iperf.Client, error) {
 	return c, nil
 }
 
-// AddFlowBetween installs an iperf client between two fat-tree hosts. The
-// NIC rate defaults to the topology's host link rate; start jitter is
-// applied on top of spec.StartAt, exactly as on the dumbbell.
-func (tb *Testbed) AddFlowBetween(src, dst netsim.NodeID, spec iperf.Spec) (*iperf.Client, error) {
-	if tb.Fat == nil {
-		return nil, fmt.Errorf("testbed: AddFlowBetween needs a fat-tree testbed; use AddFlow on a dumbbell")
-	}
-	n := netsim.NodeID(tb.Fat.NumHosts())
-	if src < 0 || src >= n || dst < 0 || dst >= n || src == dst {
-		return nil, fmt.Errorf("testbed: flow endpoints %d -> %d invalid for %d hosts", src, dst, n)
-	}
-	if spec.Flow == 0 {
-		spec.Flow = netsim.FlowID(len(tb.clients) + 1)
+// setup is where every flow starts, on either topology: AddFlowBetween's
+// and each of RunStream's launches. It validates the endpoints against the
+// host table, fills the host-dependent TCP defaults the spec leaves zero,
+// draws the flow's start jitter, and returns both hosts' meter indices.
+func (tb *Testbed) setup(src, dst netsim.NodeID, spec *iperf.Spec) (srcMeter, dstMeter int, err error) {
+	if n := netsim.NodeID(len(tb.hosts)); src < 0 || src >= n || dst < 0 || dst >= n || src == dst {
+		return 0, 0, fmt.Errorf("testbed: flow endpoints %d -> %d invalid for %d hosts", src, dst, n)
 	}
 	if spec.Config.TxPathCost == 0 {
-		spec.Config.TxPathCost = tb.Model.Costs.TxPathCost
+		spec.Config.TxPathCost = tb.model.Costs.TxPathCost
 	}
 	if spec.Config.NICRateBps == 0 {
-		spec.Config.NICRateBps = tb.Fat.Config.HostBps
+		spec.Config.NICRateBps = tb.hostBps
 	}
-	spec.StartAt += tb.rng.Jitter(tb.opts.StartJitter)
-
-	srcAcct := energy.NewAccount(tb.Meters[tb.meterFor(src, true)], spec.CCA)
-	dstAcct := energy.NewAccount(tb.Meters[tb.meterFor(dst, false)], spec.CCA)
-	c, err := iperf.NewClient(tb.Engine, spec, tb.Fat.Hosts[src], tb.Fat.Hosts[dst], srcAcct, dstAcct)
-	if err != nil {
-		return nil, err
-	}
-	tb.register(c)
-	return c, nil
+	spec.StartAt += tb.rng.Jitter(startJitter)
+	return tb.meterFor(src, true), tb.meterFor(dst, false), nil
 }
 
 // register wires the bookkeeping shared by both topologies: scheduler-state
@@ -396,7 +389,7 @@ type RunResult struct {
 	EventsFired uint64
 }
 
-// Run starts all flows, samples energy every SyncEvery until every flow
+// Run starts all flows, samples energy every millisecond until every flow
 // completes (or the deadline passes), and returns the bracketed
 // measurements. It errors if any flow failed to finish before the
 // deadline.
@@ -412,7 +405,7 @@ func (tb *Testbed) Run(deadline sim.Duration) (RunResult, error) {
 	var res RunResult
 	finished := false
 	// Collect at the exact completion instant: the sampler alone would
-	// quantize the measurement window to SyncEvery. Every client shares
+	// quantize the measurement window to syncEvery. Every client shares
 	// one callback that counts flows down.
 	remaining := len(tb.clients)
 	flowDone := func(*iperf.Client) {
@@ -435,9 +428,7 @@ func (tb *Testbed) Run(deadline sim.Duration) (RunResult, error) {
 	}
 
 	for _, c := range tb.clients {
-		if !tb.opts.StreamStats {
-			res.Reports = append(res.Reports, c.Report())
-		}
+		res.Reports = append(res.Reports, c.Report())
 		res.Retransmits += c.Sender().Retransmits
 	}
 	if tb.watch != nil {
@@ -453,7 +444,7 @@ func (tb *Testbed) Run(deadline sim.Duration) (RunResult, error) {
 // measure is the measurement protocol Run and RunStream share. It brackets
 // the run the way the paper's scripts bracket each iperf3 transfer: it
 // reads every host's energy counter before the experiment, lets start
-// launch the traffic, then integrates every meter each SyncEvery until done
+// launch the traffic, then integrates every meter each syncEvery until done
 // reports true or the deadline passes, and runs the engine to the
 // deadline. The caller closes the window with collect.
 func (tb *Testbed) measure(deadline sim.Duration, start func(), done func() bool) {
@@ -470,10 +461,10 @@ func (tb *Testbed) measure(deadline sim.Duration, start func(), done func() bool
 			m.Sync()
 		}
 		if tb.Engine.Now() < sim.Time(deadline) {
-			tb.Engine.After(tb.opts.SyncEvery, sample)
+			tb.Engine.After(syncEvery, sample)
 		}
 	}
-	tb.Engine.After(tb.opts.SyncEvery, sample)
+	tb.Engine.After(syncEvery, sample)
 	tb.Engine.RunUntil(sim.Time(deadline))
 }
 
@@ -503,4 +494,4 @@ func (tb *Testbed) collect() RunResult {
 }
 
 // noise draws one RAPL reading's relative measurement error.
-func (tb *Testbed) noise() float64 { return 1 + tb.rng.Normal(0, tb.opts.MeasureNoise) }
+func (tb *Testbed) noise() float64 { return 1 + tb.rng.Normal(0, tb.measureNoise) }

@@ -1,6 +1,8 @@
 package testbed
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -305,9 +307,88 @@ func TestFatTreeTestbedValidation(t *testing.T) {
 	if _, err := tb.AddFlowBetween(0, 99, iperf.Spec{Bytes: 1, CCA: "cubic"}); err == nil {
 		t.Fatal("out-of-range dst did not error")
 	}
+	// On the dumbbell, AddFlow(i) is AddFlowBetween(i, receiver): the same
+	// flow through the same setup, so the runs are gob-identical.
+	run := func(between bool) []byte {
+		t.Helper()
+		tb := New(Options{Senders: 2, Seed: 1})
+		for i := 0; i < 2; i++ {
+			spec := iperf.Spec{Bytes: 2_000_000, CCA: "cubic"}
+			var err error
+			if between {
+				_, err = tb.AddFlowBetween(netsim.NodeID(i), tb.Net.Receiver.ID, spec)
+			} else {
+				_, err = tb.AddFlow(i, spec)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := tb.Run(10 * sim.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if a, b := run(false), run(true); !bytes.Equal(a, b) {
+		t.Fatal("AddFlowBetween(i, receiver) and AddFlow(i) runs differ")
+	}
 	dumb := New(Options{Seed: 1})
-	if _, err := dumb.AddFlowBetween(0, 1, iperf.Spec{Bytes: 1, CCA: "cubic"}); err == nil {
-		t.Fatal("AddFlowBetween on a dumbbell testbed did not error")
+	if _, err := dumb.AddFlowBetween(1, 1, iperf.Spec{Bytes: 1, CCA: "cubic"}); err == nil {
+		t.Fatal("dumbbell flow from the receiver to itself did not error")
+	}
+	if _, err := dumb.AddFlow(1, iperf.Spec{Bytes: 1, CCA: "cubic"}); err == nil {
+		t.Fatal("dumbbell AddFlow from the receiver did not error")
+	}
+}
+
+// TestTestbedBuildAllocs pins what building a testbed and adding its flows
+// allocates: a dumbbell with one flow per sender, and a fat-tree incast of
+// n flows into host 0 as fattree-incast's serial cells build it. The
+// counts stay within the limits because the host table reuses the
+// topology's host slices and the meter registry is sized for every host up
+// front; a table built with AllHosts and meter slices grown by append
+// exceed them.
+func TestTestbedBuildAllocs(t *testing.T) {
+	for _, c := range []struct {
+		senders int
+		limit   float64
+	}{{1, 50}, {2, 70}, {16, 316}} {
+		got := testing.AllocsPerRun(10, func() {
+			tb := New(Options{Senders: c.senders, Seed: 1})
+			for i := 0; i < c.senders; i++ {
+				if _, err := tb.AddFlow(i, iperf.Spec{Bytes: 1 << 20, CCA: "cubic"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		t.Logf("dumbbell, %d senders: %.0f allocations", c.senders, got)
+		if got > c.limit {
+			t.Errorf("dumbbell with %d senders: %.0f allocations, want at most %.0f", c.senders, got, c.limit)
+		}
+	}
+	for _, c := range []struct {
+		n     int
+		limit float64
+	}{{16, 278}, {256, 3056}} {
+		k := netsim.FatTreeArityFor(c.n)
+		senders := netsim.IncastHosts(k, c.n)
+		got := testing.AllocsPerRun(5, func() {
+			tb := NewFatTree(Options{Seed: 1}, netsim.DefaultFatTree(k))
+			for _, src := range senders {
+				if _, err := tb.AddFlowBetween(src, 0, iperf.Spec{Bytes: 1 << 20, CCA: "cubic"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		t.Logf("fat-tree k=%d, %d-flow incast: %.0f allocations", k, c.n, got)
+		if got > c.limit {
+			t.Errorf("fat-tree k=%d incast of %d: %.0f allocations, want at most %.0f", k, c.n, got, c.limit)
+		}
 	}
 }
 

@@ -151,7 +151,7 @@ func streamCell(id string, cfg netsim.FatTreeConfig, dist workload.SizeDist, loa
 	return registry.Cell[testbed.StreamResult]{
 		Key: []any{"stream", id},
 		Run: func(seed uint64) (testbed.StreamResult, error) {
-			tb := testbed.NewFatTree(testbed.Options{Seed: seed, StreamStats: true}, cfg)
+			tb := testbed.NewFatTree(testbed.Options{Seed: seed}, cfg)
 			hosts := tb.Fat.NumHosts()
 			// Pre-touch every host so the energy bracket spans the whole
 			// run for all of them, not from first flow.
