@@ -262,3 +262,26 @@ func TestNewSACKAllocatesByChunk(t *testing.T) {
 		t.Fatalf("%d NewSACK(%d) calls on a fresh host allocate %.0f objects, want at most %d", calls, blocks, got, limit)
 	}
 }
+
+// TestFatTreeFirstPacketPerQueueAllocs: a fabric's default drop-tails carve
+// their first rings from chunks of ringChunk, so the first packet into
+// each of a k=8 tree's 128 host downlinks costs 2 allocations in all, not
+// one per queue.
+func TestFatTreeFirstPacketPerQueueAllocs(t *testing.T) {
+	const limit = 3
+	ft := NewFatTree(sim.NewEngine(), DefaultFatTree(8))
+	p := &Packet{WireSize: 1500}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for h := range ft.Hosts {
+		ft.HostDownlink(NodeID(h)).Queue().Enqueue(p)
+	}
+	runtime.ReadMemStats(&ms)
+	got := ms.Mallocs - before
+	t.Logf("first packet into each of %d host downlinks: %d allocations", len(ft.Hosts), got)
+	if got > limit {
+		t.Fatalf("the first packet into each of %d host downlinks allocates %d objects, want at most %d",
+			len(ft.Hosts), got, limit)
+	}
+}

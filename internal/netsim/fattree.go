@@ -133,6 +133,8 @@ type FatTree struct {
 
 	// hostDown[h] is the edge→host link delivering to host h.
 	hostDown []*Link
+	// rings supplies the first packet ring of every default drop-tail.
+	rings ringStore[*Packet]
 }
 
 // switchPlace locates a fat-tree switch, so that its name is rendered only
@@ -225,6 +227,7 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 		} else {
 			*q = DropTail{CapBytes: cfg.BufferBytes, MarkBytes: cfg.MarkBytes}
 		}
+		q.pkts.store = &ft.rings
 		return q
 	}
 	// Every link shares one propagation stage and every switch one

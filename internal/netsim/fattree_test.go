@@ -184,3 +184,30 @@ func TestFatTreeCustomQueue(t *testing.T) {
 		t.Fatal("default port unexpectedly got the custom queue")
 	}
 }
+
+// TestFatTreeQueuesShareRingStoreInOrder: default drop-tails take their
+// first rings from one store, so two of them filled alternately lie side
+// by side in one chunk until they outgrow it. Each must still drain in its
+// own FIFO order.
+func TestFatTreeQueuesShareRingStoreInOrder(t *testing.T) {
+	ft := NewFatTree(sim.NewEngine(), DefaultFatTree(4))
+	qs := []Queue{ft.HostDownlink(0).Queue(), ft.HostDownlink(1).Queue()}
+	const n = 3*ringFirst + 5
+	for i := 0; i < n; i++ {
+		for j, q := range qs {
+			if !q.Enqueue(&Packet{Flow: FlowID(j), Seq: uint64(i), WireSize: 100}) {
+				t.Fatalf("queue %d dropped packet %d", j, i)
+			}
+		}
+	}
+	for j, q := range qs {
+		for i := 0; i < n; i++ {
+			if p := q.Dequeue(); p == nil || p.Flow != FlowID(j) || p.Seq != uint64(i) {
+				t.Fatalf("queue %d, dequeue %d: got %v", j, i, p)
+			}
+		}
+		if p := q.Dequeue(); p != nil {
+			t.Fatalf("queue %d: drained queue returned %v", j, p)
+		}
+	}
+}

@@ -11,6 +11,32 @@ type ring[T comparable] struct {
 	buf  []T // power-of-two length, so indexing is a mask
 	head int
 	n    int
+	// store, if set, supplies the first backing array.
+	store *ringStore[T]
+}
+
+// ringFirst is the length of a ring's first backing array.
+const ringFirst = 16
+
+// ringChunk is the number of first arrays a ringStore allocates at once.
+const ringChunk = 64
+
+// ringStore carves the first backing arrays of many rings from shared
+// chunks: a fabric's queues mostly never hold more than ringFirst packets,
+// so each would otherwise pay an allocation for its first packet. A ring
+// that outgrows its carved array copies out into one of its own, as from
+// any other. Carving is lazy, so a ring that never queues costs nothing.
+type ringStore[T comparable] struct {
+	chunk []T
+}
+
+func (s *ringStore[T]) carve() []T {
+	if len(s.chunk) == 0 {
+		s.chunk = make([]T, ringFirst*ringChunk)
+	}
+	buf := s.chunk[:ringFirst:ringFirst]
+	s.chunk = s.chunk[ringFirst:]
+	return buf
 }
 
 // Len reports the number of buffered elements.
@@ -71,13 +97,22 @@ func (r *ring[T]) Remove(v T) {
 }
 
 func (r *ring[T]) grow() {
+	if len(r.buf) == 0 && r.store != nil {
+		r.buf = r.store.carve()
+		return
+	}
 	newCap := 2 * len(r.buf)
 	if newCap == 0 {
-		newCap = 16
+		newCap = ringFirst
 	}
 	next := make([]T, newCap) // doubles up to the peak queue depth
 	for i := 0; i < r.n; i++ {
 		next[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	}
+	if r.store != nil {
+		// A carved array stays reachable through its chunk: drop its
+		// references for the GC.
+		clear(r.buf)
 	}
 	r.buf = next
 	r.head = 0

@@ -131,3 +131,81 @@ func TestLossyGoodputDegradesGracefully(t *testing.T) {
 		t.Fatalf("1%% loss cost %vx FCT; recovery is pathological", float64(lossy.FCT())/float64(clean.FCT()))
 	}
 }
+
+// retxLens wraps drop in a filter that records the DataLen of each data
+// segment's first send, by Seq, and fails t when a retransmission carries
+// another.
+func retxLens(t *testing.T, drop func(p *netsim.Packet) bool) func(p *netsim.Packet, nth int) bool {
+	first := map[uint64]int{}
+	return func(p *netsim.Packet, _ int) bool {
+		if n, ok := first[p.Seq]; !ok {
+			first[p.Seq] = p.DataLen
+		} else if p.Retransmit && p.DataLen != n {
+			t.Errorf("retransmission of seq %d carries %d bytes, first send %d", p.Seq, p.DataLen, n)
+		}
+		return drop(p)
+	}
+}
+
+func TestSurvivesShortFinalSegmentLoss(t *testing.T) {
+	// The sender derives a segment's length from its index; the one short
+	// segment must go out again with its own sequence number and length.
+	const k = 40
+	total := uint64(k*(9000-HeaderBytes) + 17)
+	dropped, retransmitted := false, false
+	runLossy(t, "cubic", total, retxLens(t, func(p *netsim.Packet) bool {
+		if p.Seq != total-17 {
+			return false
+		}
+		if p.DataLen != 17 {
+			t.Errorf("final segment at seq %d carries %d bytes, want 17", p.Seq, p.DataLen)
+		}
+		if !dropped {
+			dropped = true
+			return true
+		}
+		retransmitted = retransmitted || p.Retransmit
+		return false
+	}))
+	if !dropped || !retransmitted {
+		t.Fatalf("short final segment dropped %v, retransmitted %v", dropped, retransmitted)
+	}
+}
+
+func TestFinishedSenderRecoversLostTail(t *testing.T) {
+	// Finish trims the transfer to what is in flight, mid-window; the new
+	// last segment is then lost once and must be repaired at full length.
+	e := sim.NewEngine()
+	var tail uint64 // sndNxt at Finish
+	dropped := false
+	d, _ := lossyDumbbell(e, retxLens(t, func(p *netsim.Packet) bool {
+		if tail == 0 || dropped || p.Retransmit || p.Seq+uint64(p.DataLen) != tail {
+			return false
+		}
+		dropped = true
+		return true
+	}))
+	cfg := DefaultConfig()
+	cfg.TxPathCost = 1500 * sim.Nanosecond
+	cc := cca.MustNew("cubic")
+	r := NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable(), nil)
+	s := NewSender(e, d.Senders[0], 1, d.Receiver.ID, 100<<20, cc, cfg, nil)
+	s.Start()
+	e.At(2*sim.Millisecond, func() {
+		if s.sndNxt-s.sndUna < 4*uint64(s.mss) {
+			t.Errorf("only %d bytes in flight at Finish", s.sndNxt-s.sndUna)
+		}
+		tail = s.sndNxt
+		s.Finish()
+	})
+	e.RunUntil(sim.Second)
+	if !dropped || s.Retransmits == 0 {
+		t.Fatalf("trimmed tail dropped %v, %d retransmissions", dropped, s.Retransmits)
+	}
+	if !s.Done() {
+		t.Fatalf("transfer incomplete (una=%d/%d retx=%d rto=%d)", s.sndUna, tail, s.Retransmits, s.Timeouts)
+	}
+	if r.TotalReceived != tail {
+		t.Fatalf("delivered %d bytes, want the %d sent before Finish", r.TotalReceived, tail)
+	}
+}

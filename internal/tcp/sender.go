@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"math"
 
 	"greenenvy/internal/cca"
 	"greenenvy/internal/energy"
@@ -15,25 +16,27 @@ type retxWatchEntry struct {
 	at  sim.Time
 }
 
-// segment tracks one transmitted data segment in the sender's window.
+// segment tracks one transmitted data segment in the sender's window. It
+// keeps only what the segment's index in segs cannot give: segs[i] starts
+// at seqAt(i) and carries lenAt(i) bytes, so the record is 32 bytes.
 type segment struct {
-	seq    uint64
-	length int
+	sentAt sim.Time
+	// Delivery-rate estimator snapshot at (re)transmit time.
+	deliveredAtSend     uint64
+	deliveredTimeAtSend sim.Time
+	// jump accelerates SACK processing: for a sacked segment it is the
+	// distance from the segment's start to (at least) the end of the
+	// known-sacked run it begins, never less than its own length, so
+	// re-reported blocks skip over already-processed data. Measured from
+	// the segment's own start, it survives compaction, and it fits 32 bits
+	// because sendOne keeps the window below 4 GiB.
+	jump   uint32
 	sacked bool
 	lost   bool
 	// counted reports whether this segment currently contributes to the
 	// pipe (in-flight) estimate.
-	counted bool
-	// jumpSeq accelerates SACK processing: for a sacked segment it points
-	// at (at least) the end of the known-sacked run it begins, so
-	// re-reported blocks skip over already-processed data.
-	jumpSeq uint64
-	retx    int
-	sentAt  sim.Time
-	// Delivery-rate estimator snapshot at (re)transmit time.
-	deliveredAtSend     uint64
-	deliveredTimeAtSend sim.Time
-	appLimited          bool
+	counted       bool
+	retransmitted bool
 }
 
 // Sender is a TCP bulk-data sender transferring a fixed number of bytes to
@@ -54,9 +57,10 @@ type Sender struct {
 	wantsINT   bool
 
 	// Window segments between sndUna and sndNxt. segs[0] starts at
-	// segBase; all segments are mss bytes except possibly the last.
-	// segs is always a sub-slice of segStore's allocation: popping the
-	// front advances it, an emptied window rewinds it to segStore[:0], and
+	// segBase; all segments are mss bytes except possibly the last, so
+	// seqAt and lenAt derive a segment's range from its index. segs is
+	// always a sub-slice of segStore's allocation: popping the front
+	// advances it, an emptied window rewinds it to segStore[:0], and
 	// sendOne compacts live segments back to the front before an append
 	// would otherwise reallocate — so one backing array serves the whole
 	// transfer, and pooled reuse (Reset) carries it to the next flow.
@@ -268,8 +272,37 @@ func (s *Sender) segIndex(seq uint64) int {
 	return int((seq - s.segBase) / uint64(s.mss))
 }
 
-func (s *Sender) seg(seq uint64) *segment {
-	return &s.segs[s.segIndex(seq)]
+// seqAt returns the first sequence number of segs[i].
+func (s *Sender) seqAt(i int) uint64 {
+	return s.segBase + uint64(i)*uint64(s.mss)
+}
+
+// lenAt returns the payload bytes of segs[i]. Only the segment ending at
+// sndNxt can be short: a short segment carries the transfer's last bytes,
+// and Finish trims the transfer to sndNxt, never inside a segment.
+func (s *Sender) lenAt(i int) int {
+	if rest := s.sndNxt - s.seqAt(i); rest < uint64(s.mss) {
+		return int(rest)
+	}
+	return s.mss
+}
+
+// uncount takes segs[i] out of the pipe estimate if it is in it.
+func (s *Sender) uncount(i int) {
+	if sg := &s.segs[i]; sg.counted {
+		s.pipe -= s.lenAt(i)
+		sg.counted = false
+	}
+}
+
+// markLost marks segs[i] lost, queues it for retransmission and returns
+// its sequence number.
+func (s *Sender) markLost(i int) uint64 {
+	s.segs[i].lost = true
+	s.uncount(i)
+	seq := s.seqAt(i)
+	s.retxQueue.push(seq)
+	return seq
 }
 
 // --- receive path ---
@@ -300,19 +333,17 @@ func (s *Sender) onAck(p *netsim.Packet) {
 	// Cumulative acknowledgment.
 	if p.Ack > s.sndUna {
 		for len(s.segs) > 0 {
-			sg := &s.segs[0]
-			end := sg.seq + uint64(sg.length)
+			length := s.lenAt(0)
+			end := s.segBase + uint64(length)
 			if end > p.Ack {
 				break
 			}
-			if sg.counted {
-				s.pipe -= sg.length
-				sg.counted = false
-			}
+			s.uncount(0)
+			sg := &s.segs[0]
 			if !sg.sacked {
-				s.delivered += uint64(sg.length)
+				s.delivered += uint64(length)
 				s.deliveredTime = now
-				if sg.retx == 0 {
+				if !sg.retransmitted {
 					s.rtt.sample(now - sg.sentAt)
 				}
 			}
@@ -358,8 +389,8 @@ func (s *Sender) onAck(p *netsim.Packet) {
 		if interval > 0 {
 			info.DeliveryRate = float64(s.delivered-newest.deliveredAtSend) / interval.Seconds()
 		}
-		info.AppLimited = newest.appLimited
-		if newest.retx == 0 {
+		info.AppLimited = s.cfg.RateLimitBps > 0
+		if !newest.retransmitted {
 			info.RTT = now - newest.sentAt
 		}
 	}
@@ -408,26 +439,20 @@ func (s *Sender) markSacked(start, end uint64, now sim.Time, newest *segment) bo
 		}
 		if sg.sacked {
 			// Skip the known-sacked run.
-			next := sg.seq + uint64(sg.length)
-			if sg.jumpSeq > next {
-				next = sg.jumpSeq
-			}
-			seq = next
+			seq = s.seqAt(idx) + uint64(sg.jump)
 			continue
 		}
+		length := s.lenAt(idx)
+		s.uncount(idx)
 		sg.sacked = true
-		sg.jumpSeq = sg.seq + uint64(sg.length)
-		if sg.counted {
-			s.pipe -= sg.length
-			sg.counted = false
-		}
-		s.delivered += uint64(sg.length)
+		sg.jump = uint32(length)
+		s.delivered += uint64(length)
 		s.deliveredTime = now
-		if sg.seq+uint64(sg.length) > s.highSacked {
-			s.highSacked = sg.seq + uint64(sg.length)
+		seq = s.seqAt(idx) + uint64(length)
+		if seq > s.highSacked {
+			s.highSacked = seq
 		}
 		*newest, found = *sg, true
-		seq = sg.jumpSeq
 	}
 	// Path-compress: the block's first segment points at the furthest
 	// sacked position we reached, so re-reports of this block are O(1).
@@ -436,8 +461,8 @@ func (s *Sender) markSacked(start, end uint64, now sim.Time, newest *segment) bo
 		if limit > s.sndNxt {
 			limit = s.sndNxt
 		}
-		if limit > s.segs[firstIdx].jumpSeq {
-			s.segs[firstIdx].jumpSeq = limit
+		if jump := uint32(limit - s.seqAt(firstIdx)); jump > s.segs[firstIdx].jump {
+			s.segs[firstIdx].jump = jump
 		}
 	}
 	return found
@@ -455,20 +480,13 @@ func (s *Sender) inferLoss() {
 	}
 	limit := s.highSacked - threshold
 	for ; s.lossScan < len(s.segs); s.lossScan++ {
-		sg := &s.segs[s.lossScan]
-		if sg.seq >= limit {
+		if s.seqAt(s.lossScan) >= limit {
 			break
 		}
-		if sg.sacked || sg.lost {
+		if sg := &s.segs[s.lossScan]; sg.sacked || sg.lost {
 			continue
 		}
-		sg.lost = true
-		if sg.counted {
-			s.pipe -= sg.length
-			sg.counted = false
-		}
-		s.retxQueue.push(sg.seq)
-		s.noteCongestion(sg.seq)
+		s.noteCongestion(s.markLost(s.lossScan))
 	}
 }
 
@@ -500,20 +518,15 @@ func (s *Sender) expireRetransmissions(now sim.Time) {
 		if w.seq < s.segBase {
 			continue // already cumulatively acked
 		}
-		sg := s.seg(w.seq)
-		if sg.sacked || sg.lost || sg.retx == 0 {
+		i := s.segIndex(w.seq)
+		sg := &s.segs[i]
+		if sg.sacked || sg.lost || !sg.retransmitted {
 			continue
 		}
 		if now-sg.sentAt <= reo {
 			continue // retransmitted again more recently
 		}
-		sg.lost = true
-		if sg.counted {
-			s.pipe -= sg.length
-			sg.counted = false
-		}
-		s.retxQueue.push(sg.seq)
-		s.noteCongestion(sg.seq)
+		s.noteCongestion(s.markLost(i))
 	}
 }
 
@@ -547,19 +560,20 @@ func (s *Sender) sendOne(now sim.Time) bool {
 			s.retxQueue.pop()
 			continue
 		}
-		sg := s.seg(seq)
+		i := s.segIndex(seq)
+		sg := &s.segs[i]
 		if sg.sacked || !sg.lost {
 			s.retxQueue.pop()
 			continue
 		}
-		if s.pipe+sg.length > cwnd && !s.fastRetxPending {
+		if s.pipe+s.lenAt(i) > cwnd && !s.fastRetxPending {
 			return false
 		}
 		s.fastRetxPending = false
 		s.retxQueue.pop()
 		sg.lost = false
-		sg.retx++
-		s.transmit(sg, now, true)
+		sg.retransmitted = true
+		s.transmit(i, now, true)
 		return true
 	}
 
@@ -578,6 +592,10 @@ func (s *Sender) sendOne(now sim.Time) bool {
 		s.segBase = s.sndNxt
 		s.lossScan = 0
 	}
+	if s.sndNxt+uint64(length)-s.segBase > math.MaxUint32 {
+		// segment.jump would overflow.
+		panic(fmt.Sprintf("tcp: flow %d: send window would reach 4 GiB", s.flow))
+	}
 	if len(s.segs) == cap(s.segs) && cap(s.segs) < cap(s.segStore) {
 		// The window has slid into the tail of the backing array; compact
 		// the live segments back to its front (copy handles the overlap)
@@ -586,32 +604,32 @@ func (s *Sender) sendOne(now sim.Time) bool {
 		n := copy(s.segStore[:cap(s.segStore)], s.segs)
 		s.segs = s.segStore[:n]
 	}
-	s.segs = append(s.segs, segment{seq: s.sndNxt, length: length})
+	s.segs = append(s.segs, segment{})
 	if cap(s.segs) > cap(s.segStore) {
 		// append reallocated: adopt the larger array as the new backing.
 		s.segStore = s.segs[:0]
 	}
-	sg := &s.segs[len(s.segs)-1]
 	s.sndNxt += uint64(length)
-	s.transmit(sg, now, false)
+	s.transmit(len(s.segs)-1, now, false)
 	return true
 }
 
-// transmit puts one segment on the wire and advances the send clock.
-func (s *Sender) transmit(sg *segment, now sim.Time, retx bool) {
+// transmit puts segs[i] on the wire and advances the send clock.
+func (s *Sender) transmit(i int, now sim.Time, retx bool) {
+	sg := &s.segs[i]
 	sg.sentAt = now
 	sg.counted = true
 	sg.deliveredAtSend = s.delivered
 	sg.deliveredTimeAtSend = s.deliveredTime
-	sg.appLimited = s.cfg.RateLimitBps > 0
-	s.pipe += sg.length
+	length := s.lenAt(i)
+	s.pipe += length
 
-	wire := sg.length + HeaderBytes
+	wire := length + HeaderBytes
 	p := s.host.NewPacket()
 	p.Flow = s.flow
 	p.Dst = s.dst
-	p.Seq = sg.seq
-	p.DataLen = sg.length
+	p.Seq = s.seqAt(i)
+	p.DataLen = length
 	p.WireSize = wire
 	p.SentAt = now
 	p.Retransmit = retx
@@ -624,7 +642,7 @@ func (s *Sender) transmit(sg *segment, now sim.Time, retx bool) {
 	s.DataSent++
 	if retx {
 		s.Retransmits++
-		s.retxWatch.push(retxWatchEntry{seq: sg.seq, at: now})
+		s.retxWatch.push(retxWatchEntry{seq: p.Seq, at: now})
 	}
 	s.account.SentData(retx, int(s.sndNxt-s.sndUna))
 	s.host.Send(p)
@@ -701,12 +719,9 @@ func (s *Sender) onTLP() {
 		if sg.sacked || sg.lost {
 			continue
 		}
-		if sg.counted {
-			s.pipe -= sg.length
-			sg.counted = false
-		}
-		sg.retx++
-		s.transmit(sg, s.engine.Now(), true)
+		s.uncount(i)
+		sg.retransmitted = true
+		s.transmit(i, s.engine.Now(), true)
 		break
 	}
 }
@@ -741,16 +756,9 @@ func (s *Sender) onRTO() {
 	s.retxQueue.reset()
 	s.lossScan = 0
 	for i := range s.segs {
-		sg := &s.segs[i]
-		if sg.sacked {
-			continue
+		if !s.segs[i].sacked {
+			s.markLost(i)
 		}
-		sg.lost = true
-		if sg.counted {
-			s.pipe -= sg.length
-			sg.counted = false
-		}
-		s.retxQueue.push(sg.seq)
 	}
 	s.recovery = true
 	s.recoveryPoint = s.sndNxt

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"testing"
+	"unsafe"
 
 	"greenenvy/internal/cca"
 	"greenenvy/internal/netsim"
@@ -294,5 +295,14 @@ func TestSenderPartialAckKeepsRecovery(t *testing.T) {
 	}
 	if !seqs[0] || !seqs[5000] {
 		t.Fatalf("retransmitted %v, want holes 0 and 5000", seqs)
+	}
+}
+
+func TestSegmentRecordIs32Bytes(t *testing.T) {
+	// Every in-window segment carries one record, so its size scales every
+	// flow's window state: sequence number and length derive from the
+	// record's index, and the record keeps only what they cannot give.
+	if n := unsafe.Sizeof(segment{}); n != 32 {
+		t.Fatalf("segment record is %d bytes, want 32", n)
 	}
 }

@@ -13,13 +13,13 @@ import (
 
 // dumbbellTransferAllocs runs one transfer with the named algorithm across
 // the default dumbbell, as BenchDumbbellTransfer does for cubic, and
-// returns the heap allocations of the whole run (setup included) and the
-// packets the switch forwarded.
-func dumbbellTransferAllocs(t *testing.T, ccaName string, bytes uint64) (allocs, pkts int64) {
+// returns the heap allocations of the whole run (setup included), the
+// bytes they took and the packets the switch forwarded.
+func dumbbellTransferAllocs(t *testing.T, ccaName string, bytes uint64) (allocs, allocBytes, pkts int64) {
 	t.Helper()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	before := ms.Mallocs
+	before, beforeBytes := ms.Mallocs, ms.TotalAlloc
 	tb := New(Options{Seed: 1})
 	if _, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: ccaName, Config: tcp.Config{MTU: 1500}}); err != nil {
 		t.Fatal(err)
@@ -28,15 +28,15 @@ func dumbbellTransferAllocs(t *testing.T, ccaName string, bytes uint64) (allocs,
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&ms)
-	return int64(ms.Mallocs - before), int64(tb.Net.Switch.RxPackets)
+	return int64(ms.Mallocs - before), int64(ms.TotalAlloc - beforeBytes), int64(tb.Net.Switch.RxPackets)
 }
 
 // marginalAllocs runs the named algorithm's transfer at two sizes and
 // returns the allocations and forwarded packets the larger run adds.
 func marginalAllocs(t *testing.T, ccaName string, small, large uint64) (allocs, pkts int64) {
 	t.Helper()
-	aSmall, pSmall := dumbbellTransferAllocs(t, ccaName, small)
-	aLarge, pLarge := dumbbellTransferAllocs(t, ccaName, large)
+	aSmall, _, pSmall := dumbbellTransferAllocs(t, ccaName, small)
+	aLarge, _, pLarge := dumbbellTransferAllocs(t, ccaName, large)
 	pkts = pLarge - pSmall
 	if pkts < pSmall/2 {
 		t.Fatalf("%s: %d-byte run forwarded %d packets, %d-byte run %d", ccaName, large, pLarge, small, pSmall)
@@ -59,6 +59,19 @@ func TestDumbbellTransferMarginalAllocsZero(t *testing.T) {
 	if perHundred := 100 * allocs / pkts; perHundred != 0 {
 		t.Fatalf("%d extra allocations for %d extra packets: %.2f per packet, want 0.00",
 			allocs, pkts, float64(allocs)/float64(pkts))
+	}
+}
+
+// TestDumbbellTransferBytes pins what one 25 MB cubic transfer weighs,
+// setup included: 267,576 bytes (271,736 under -race). Most of it is state
+// that grows with the window, so a fatter per-segment record shows here:
+// with 72-byte segment records the run took 411,032 bytes.
+func TestDumbbellTransferBytes(t *testing.T) {
+	const limit = 300_000
+	_, got, _ := dumbbellTransferAllocs(t, "cubic", 25_000_000)
+	t.Logf("25 MB cubic transfer: %d bytes allocated", got)
+	if got > limit {
+		t.Fatalf("a 25 MB cubic transfer allocates %d bytes, want at most %d", got, limit)
 	}
 }
 
@@ -101,8 +114,8 @@ func streamAllocs(t *testing.T, n int) (int64, StreamResult) {
 // arrival, deferral to the wait queue, admission, a recycled client's
 // Reset, completion and the streaming aggregates. Arrivals outpace the one
 // admitted flow, so most flows wait. Doubling the stream from 1,000 to
-// 2,000 flows adds no allocations per flow beyond the wait queue's
-// amortized doublings.
+// 2,000 flows adds no allocations per flow beyond the wait queue's blocks,
+// one per arrivalBlock arrivals of peak backlog.
 func TestRunStreamMarginalAllocsZero(t *testing.T) {
 	a1, r1 := streamAllocs(t, 1000)
 	a2, r2 := streamAllocs(t, 2000)
@@ -153,12 +166,13 @@ func incastAllocs(t *testing.T, n int) int64 {
 // TestIncastMarginalAllocsPerFlow pins what one more fair incast flow
 // costs: its client, its two energy accounts, its sender's meter and
 // sensor, its fair-queue state, and the pools that grow with the flows in
-// flight, 30.88 allocations (31.00 under -race, whose chunk allocations
+// flight, 24.75 allocations (24.88 under -race, whose chunk allocations
 // differ). Registering its completion hooks (the fair-queue release, the
 // run's countdown) costs nothing: the testbed binds the release once and
 // the client keeps its first hooks inline. A release closure per flow and
-// a hook slice grown from nil cost 3 more, and a ring per link and switch
-// for the packets in flight 8 more.
+// a hook slice grown from nil cost 3 more, a ring per link and switch for
+// the packets in flight 8 more, and a first ring per queue its packets
+// reach, rather than one carved from the fabric's store, about 6 more.
 func TestIncastMarginalAllocsPerFlow(t *testing.T) {
 	const n, limit = 16, 31.5
 	a1, a2 := incastAllocs(t, n), incastAllocs(t, 2*n)

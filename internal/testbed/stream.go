@@ -11,11 +11,14 @@ import (
 )
 
 // This file is the streaming churn driver: replaying an open-loop arrival
-// process of 10^5–10^6 flows through one testbed in bounded memory. Three
-// things distinguish it from the batch Run path:
+// process of 10^5–10^6 flows through one testbed. Three things distinguish
+// it from the batch Run path:
 //
-//   - Flows come from a pull-based FlowStream, one at a time; nothing
-//     materializes the arrival schedule.
+//   - Flows come from a pull-based FlowStream, one at a time; RunStream
+//     holds only the arrivals the admission policy defers, in an
+//     arrivalFIFO of 32 bytes per waiting arrival. Fair admission defers
+//     none, so its memory stays bounded; an envy run whose arrivals
+//     outpace its admitted flows can hold most of its schedule there.
 //   - Flow state (TCP sender/receiver, iperf client, congestion
 //     controller) is recycled through a free list at completion; after
 //     warm-up a flow's setup and teardown allocate nothing.
@@ -177,9 +180,8 @@ type streamRun struct {
 	free  []*pooledClient // LIFO free list
 	accts []*energy.Account
 
-	// pending is a FIFO of deferred arrivals (head index + compaction).
-	pending  []FlowArrival
-	pendHead int
+	// pending holds deferred arrivals in arrival order.
+	pending arrivalFIFO
 
 	arrival     sim.Timer[streamRun]
 	nextArrival FlowArrival
@@ -275,20 +277,10 @@ func (sr *streamRun) onArrival() {
 	sr.advance()
 }
 
-func (sr *streamRun) queueLen() int { return len(sr.pending) - sr.pendHead }
+func (sr *streamRun) queueLen() int { return sr.pending.n }
 
 func (sr *streamRun) pushPending(a FlowArrival) {
-	if sr.pendHead > 0 && sr.pendHead == len(sr.pending) {
-		sr.pending = sr.pending[:0]
-		sr.pendHead = 0
-	} else if sr.pendHead > 64 && sr.pendHead*2 >= len(sr.pending) {
-		// Compact the consumed prefix so the queue's footprint tracks its
-		// live length, not its history.
-		n := copy(sr.pending, sr.pending[sr.pendHead:])
-		sr.pending = sr.pending[:n]
-		sr.pendHead = 0
-	}
-	sr.pending = append(sr.pending, a) // grows to the policy's peak backlog
+	sr.pending.push(a)
 	if q := sr.queueLen(); q > sr.res.MaxQueue {
 		sr.res.MaxQueue = q
 	}
@@ -297,10 +289,50 @@ func (sr *streamRun) pushPending(a FlowArrival) {
 // drainPending launches queued flows while the admission policy allows.
 func (sr *streamRun) drainPending() {
 	for sr.queueLen() > 0 && sr.adm.Admit(sr.active) {
-		a := sr.pending[sr.pendHead]
-		sr.pendHead++
-		sr.launch(a)
+		sr.launch(sr.pending.pop())
 	}
+}
+
+// arrivalBlock is the number of arrivals in one block of an arrivalFIFO:
+// 16 KiB, one allocator size class.
+const arrivalBlock = 512
+
+// arrivalFIFO queues arrivals in fixed blocks of arrivalBlock, oldest
+// first. A drained block is kept for the next push that needs one, so the
+// queue's footprint follows its peak backlog in whole blocks, and no
+// arrival is ever copied to grow or compact it.
+type arrivalFIFO struct {
+	blocks [][]FlowArrival // blocks[0] is read from, the last written to
+	head   int             // read index in blocks[0]
+	n      int
+	spare  []FlowArrival
+}
+
+func (q *arrivalFIFO) push(a FlowArrival) {
+	w := q.head + q.n
+	if w == len(q.blocks)*arrivalBlock {
+		b := q.spare
+		q.spare = nil
+		if b == nil {
+			b = make([]FlowArrival, arrivalBlock)
+		}
+		q.blocks = append(q.blocks, b)
+	}
+	q.blocks[w/arrivalBlock][w%arrivalBlock] = a
+	q.n++
+}
+
+// pop removes and returns the oldest arrival; the queue must not be empty.
+func (q *arrivalFIFO) pop() FlowArrival {
+	a := q.blocks[0][q.head]
+	q.head++
+	q.n--
+	if q.head == arrivalBlock {
+		q.spare = q.blocks[0]
+		q.blocks = append(q.blocks[:0], q.blocks[1:]...)
+		q.head = 0
+	}
+	return a
 }
 
 // acct returns the cached per-meter energy account (one per meter for the

@@ -277,3 +277,57 @@ func TestRunStreamGuards(t *testing.T) {
 		t.Fatalf("empty stream produced %+v", res)
 	}
 }
+
+// TestArrivalFIFOOrderAcrossBlocks: the wait queue hands arrivals back in
+// push order across block boundaries, also after a drained head block has
+// been reused for later pushes.
+func TestArrivalFIFOOrderAcrossBlocks(t *testing.T) {
+	var q arrivalFIFO
+	var want []FlowArrival
+	next := 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			a := FlowArrival{At: sim.Time(next), Bytes: uint64(next), Src: next % 7, Dst: next % 11}
+			next++
+			q.push(a)
+			want = append(want, a)
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			if got := q.pop(); got != want[0] {
+				t.Fatalf("got %+v, want %+v", got, want[0])
+			}
+			want = want[1:]
+		}
+		if q.n != len(want) {
+			t.Fatalf("queue holds %d, want %d", q.n, len(want))
+		}
+	}
+	push(1300)
+	pop(700)
+	push(600)
+	pop(len(want))
+	push(3)
+	pop(3)
+}
+
+// TestArrivalFIFOReusesBlocks: once warm, filling the wait queue past one
+// block and draining it again allocates nothing.
+func TestArrivalFIFOReusesBlocks(t *testing.T) {
+	var q arrivalFIFO
+	cycle := func() {
+		for i := 0; i < arrivalBlock+1; i++ {
+			q.push(FlowArrival{Bytes: uint64(i)})
+		}
+		for i := 0; i < arrivalBlock+1; i++ {
+			if a := q.pop(); a.Bytes != uint64(i) {
+				t.Fatalf("pop %d: got bytes %d", i, a.Bytes)
+			}
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(10, cycle); got != 0 {
+		t.Fatalf("a warm fill-and-drain cycle allocates %.0f objects, want 0", got)
+	}
+}

@@ -258,9 +258,6 @@ func (tb *Testbed) promoteToSender(meter int) {
 // SenderMeter returns the energy meter of sender i.
 func (tb *Testbed) SenderMeter(i int) *energy.Meter { return tb.Meters[i] }
 
-// ReceiverMeter returns the receiver host's meter.
-func (tb *Testbed) ReceiverMeter() *energy.Meter { return tb.Meters[len(tb.Meters)-1] }
-
 // AddFlow installs an iperf client on dumbbell sender host `sender`
 // targeting the receiver: AddFlowBetween with the receiver as destination.
 func (tb *Testbed) AddFlow(sender int, spec iperf.Spec) (*iperf.Client, error) {
