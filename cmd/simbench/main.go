@@ -71,6 +71,7 @@ var benchmarks = []struct {
 	{"WorkloadScaleStreaming", perf.BenchWorkloadScaleStreaming},
 	{"FatTreeBuild", perf.BenchFatTreeBuild},
 	{"FatTreeIncast", perf.BenchFatTreeIncast},
+	{"FlowSetup", perf.BenchFlowSetup},
 }
 
 func main() {

@@ -333,8 +333,10 @@ func TestMeterFrequentVsSparseSyncSteadyState(t *testing.T) {
 	}
 }
 
-func TestAccountNilSafe(t *testing.T) {
-	var a *Account
+// TestAccountZeroValueDiscards: an endpoint that reports to no meter holds
+// the zero Account, whose every method is a no-op.
+func TestAccountZeroValueDiscards(t *testing.T) {
+	var a Account
 	a.SentData(false, 0)
 	a.SentAck()
 	a.ReceivedData()

@@ -93,15 +93,17 @@ func (m *Meter) TotalWork() float64 { return m.totalWorkSec }
 
 // Account is the callback surface the transport uses to report work to a
 // meter, pre-binding the cost model so transport code never sees watts.
-// A nil *Account is valid and discards everything, which keeps the hot path
-// free of conditionals at call sites.
+// It is a small value: a transport endpoint keeps its own copy, and the
+// zero Account, bound to no meter, discards everything, which keeps the
+// hot path free of conditionals at call sites.
 type Account struct {
 	meter   *Meter
 	ccaCost float64
 }
 
 // NewAccount binds a meter to a flow using the named congestion-control
-// algorithm (which determines the per-ACK computation cost).
+// algorithm (which determines the per-ACK computation cost). Endpoints copy
+// the account they are given, so the result need not outlive their setup.
 func NewAccount(m *Meter, ccaName string) *Account {
 	return &Account{meter: m, ccaCost: m.Costs.CCACost(ccaName)}
 }
@@ -110,39 +112,37 @@ func NewAccount(m *Meter, ccaName string) *Account {
 // sender's unacknowledged window at transmit time, which scales the
 // memory-pressure component of the cost model.
 func (a *Account) SentData(retransmit bool, outstandingBytes int) {
-	if a == nil {
+	m := a.meter
+	if m == nil {
 		return
 	}
-	w := a.meter.Costs.TxPacket
+	w := m.Costs.TxPacket
 	if retransmit {
-		w += a.meter.Costs.Retransmit
+		w += m.Costs.Retransmit
 	}
 	if outstandingBytes > 0 {
-		w += a.meter.Costs.TxWindowMB * float64(outstandingBytes) / (1 << 20)
+		w += m.Costs.TxWindowMB * float64(outstandingBytes) / (1 << 20)
 	}
-	a.meter.AddWork(w)
+	m.AddWork(w)
 }
 
 // SentAck reports transmission of a pure ACK.
 func (a *Account) SentAck() {
-	if a == nil {
-		return
+	if m := a.meter; m != nil {
+		m.AddWork(m.Costs.TxAck)
 	}
-	a.meter.AddWork(a.meter.Costs.TxAck)
 }
 
 // ReceivedData reports receipt of a data segment.
 func (a *Account) ReceivedData() {
-	if a == nil {
-		return
+	if m := a.meter; m != nil {
+		m.AddWork(m.Costs.RxPacket)
 	}
-	a.meter.AddWork(a.meter.Costs.RxPacket)
 }
 
 // ReceivedAck reports receipt and congestion-control processing of an ACK.
 func (a *Account) ReceivedAck() {
-	if a == nil {
-		return
+	if m := a.meter; m != nil {
+		m.AddWork(m.Costs.RxAck + a.ccaCost)
 	}
-	a.meter.AddWork(a.meter.Costs.RxAck + a.ccaCost)
 }

@@ -65,11 +65,13 @@ func (r Report) String() string {
 		r.Flow, r.Seconds, r.Bytes, r.Bps/1e9, r.Retransmits, r.CCA, r.MTU)
 }
 
-// Client is one sender application instance.
+// Client is one sender application instance. It holds its flow's TCP
+// endpoints by value, so a client, its sender and its receiver, with the
+// first arrays of their scoreboards, are one object.
 type Client struct {
 	spec     Spec
-	sender   *tcp.Sender
-	receiver *tcp.Receiver
+	sender   tcp.Sender
+	receiver tcp.Receiver
 
 	done bool
 	// after is the client this one starts behind (StartAfter). Start
@@ -87,9 +89,9 @@ type Client struct {
 	hooks  [4]func(*Client)
 }
 
-// NewClient wires a client on srcHost sending to dstHost. Energy accounts
-// may be nil. The client does not start until Start (or StartAt elapses
-// after StartAll).
+// NewClient wires a client on srcHost sending to dstHost. The endpoints
+// copy the energy accounts; nil ones report nothing. The client does not
+// start until Start (or StartAt elapses after StartAll).
 func NewClient(engine *sim.Engine, spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dstAccount *energy.Account) (*Client, error) {
 	cfg := fillConfig(spec.Config)
 	cc, err := cca.New(spec.CCA)
@@ -108,11 +110,27 @@ func NewClient(engine *sim.Engine, spec Spec, srcHost, dstHost *netsim.Host, src
 	c.onDone = c.hooks[:0]
 	c.starter.Init(engine, c, (*Client).startNow)
 	c.stopper.Init(engine, c, (*Client).stop)
-	c.receiver = tcp.NewReceiver(engine, dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), dstAccount)
-	c.sender = tcp.NewSender(engine, srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, srcAccount)
-	c.sender.OnComplete = c.finish
+	c.receiver.Init(engine, dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), account(dstAccount))
+	c.sender.Init(engine, srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, account(srcAccount))
+	c.sender.OnComplete = (*completion)(c)
 	return c, nil
 }
+
+// account is the copy of a that an endpoint keeps: the zero account for nil.
+func account(a *energy.Account) energy.Account {
+	if a == nil {
+		return energy.Account{}
+	}
+	return *a
+}
+
+// completion is the client as its sender sees it: the receiver of the
+// transfer's completion. Converting the client's pointer to it allocates
+// nothing, unlike the method value c.finish.
+type completion Client
+
+// TransferComplete implements tcp.Completer.
+func (d *completion) TransferComplete() { (*Client)(d).finish() }
 
 // errResetZeroByte is Reset's zero-byte error, package-level so the
 // hot-path Reset does not format an error string per flow.
@@ -147,8 +165,8 @@ func (c *Client) Reset(spec Spec, srcHost, dstHost *netsim.Host, srcAccount, dst
 	}
 
 	c.spec = spec
-	c.receiver.Reset(dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), dstAccount)
-	c.sender.Reset(srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, srcAccount)
+	c.receiver.Reset(dstHost, spec.Flow, srcHost.ID, cfg, cc.ECNCapable(), account(dstAccount))
+	c.sender.Reset(srcHost, spec.Flow, dstHost.ID, spec.Bytes, cc, cfg, account(srcAccount))
 	c.done = false
 	c.after, c.chain, c.next = nil, nil, nil
 	c.stopper.Stop()
@@ -244,14 +262,14 @@ func (c *Client) finish() {
 func (c *Client) Done() bool { return c.done }
 
 // Sender exposes the underlying TCP sender.
-func (c *Client) Sender() *tcp.Sender { return c.sender }
+func (c *Client) Sender() *tcp.Sender { return &c.sender }
 
 // Receiver exposes the underlying TCP receiver.
-func (c *Client) Receiver() *tcp.Receiver { return c.receiver }
+func (c *Client) Receiver() *tcp.Receiver { return &c.receiver }
 
 // Report builds the summary (valid any time; final once Done).
 func (c *Client) Report() Report {
-	s := c.sender
+	s := &c.sender
 	r := Report{
 		Flow:        c.spec.Flow,
 		CCA:         c.spec.CCA,

@@ -2,6 +2,7 @@ package iperf
 
 import (
 	"testing"
+	"unsafe"
 
 	"greenenvy/internal/netsim"
 	"greenenvy/internal/sim"
@@ -19,14 +20,16 @@ func newResetFixture(t *testing.T) (*Client, *netsim.Dumbbell, *sim.Engine) {
 	return c, d, eng
 }
 
-// TestNewClientAllocs pins what one client costs to build: the client, its
-// TCP sender and receiver, the congestion controller, and the sender's
-// completion callback. The client's and endpoints' timers bind by owner and
-// method expression, and the endpoints attach to their hosts as named
-// pointer types, so none of them adds a closure; binding method values
-// instead cost 15 objects per client.
+// TestNewClientAllocs pins what one client costs to build: the client,
+// which holds its TCP sender and receiver and their energy accounts by
+// value, and the congestion controller. The client's and endpoints' timers
+// bind by owner and method expression, and the endpoints attach to their
+// hosts and the sender to its client as named pointer types, so none of
+// them adds a closure; binding method values instead cost 15 objects per
+// client, and endpoints allocated apart with a closure for the completion
+// callback 5.
 func TestNewClientAllocs(t *testing.T) {
-	const limit = 5
+	const limit = 2
 	eng := sim.NewEngine()
 	d := netsim.NewDumbbell(eng, netsim.DefaultDumbbell(1))
 	spec := Spec{Flow: 1, Bytes: 10_000, CCA: "cubic"}
@@ -35,7 +38,7 @@ func TestNewClientAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	build() // warm: the hosts' demux maps now hold the flow
+	build() // warm: the topology's flow table now holds the flow
 	if got := testing.AllocsPerRun(100, build); got > limit {
 		t.Fatalf("NewClient allocates %.0f objects, want at most %d", got, limit)
 	}
@@ -55,7 +58,7 @@ func TestClientResetNoAllocs(t *testing.T) {
 		}
 		flow++
 	}
-	reset() // warm: first reset may grow the host demux map
+	reset() // warm: the first reset may grow the topology's flow table
 	if n := testing.AllocsPerRun(200, reset); n != 0 {
 		t.Fatalf("Client.Reset allocates %.1f times per flow; pooled setup must be allocation-free", n)
 	}
@@ -141,5 +144,39 @@ func TestClientResetRunsFreshTransfer(t *testing.T) {
 		if r.Flow != netsim.FlowID(rep+1) {
 			t.Fatalf("rep %d: report for flow %d", rep, r.Flow)
 		}
+	}
+}
+
+// TestClientIsAtMost3072Bytes pins the one object a flow's client is: the
+// client, its two endpoints and their inline first arrays (window,
+// retransmission fifos, out-of-order set, SACK recency list, receive ring)
+// must fit the allocator's 3,072-byte size class, the one the inline arrays
+// were sized for. Every byte a client grows is paid by every fresh client,
+// about 1,600 of them in the benchmark's stream workload.
+func TestClientIsAtMost3072Bytes(t *testing.T) {
+	const sizeClass = 3072
+	if n := unsafe.Sizeof(Client{}); n > sizeClass {
+		t.Fatalf("a client is %d bytes, want at most %d", n, sizeClass)
+	}
+}
+
+// TestResetDetachesUnstartedClient: a client reset before it ever started
+// no longer receives its old flow's packets. An ACK for the old flow
+// arriving at the sender's host is a packet for an unknown flow, recycled
+// there, not an ACK the rebound sender counts.
+func TestResetDetachesUnstartedClient(t *testing.T) {
+	c, d, _ := newResetFixture(t)
+	if err := c.Reset(Spec{Flow: 2, Bytes: 10_000, CCA: "cubic"}, d.Senders[0], d.Receiver, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	host := d.Senders[0]
+	ack := host.NewPacket()
+	ack.Flow, ack.Flags, ack.Ack, ack.WireSize = 1, netsim.FlagACK, 1000, 60
+	host.HandlePacket(ack)
+	if n := c.Sender().AcksReceived; n != 0 {
+		t.Fatalf("the rebound sender counted %d ACKs of its old flow", n)
+	}
+	if host.NewPacket() != ack {
+		t.Fatal("the old flow's ACK was not recycled as a packet for an unknown flow")
 	}
 }

@@ -272,14 +272,15 @@ func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
 		ft.Cores[c] = newSwitch(switchPlace{tier: coreTier, idx: int32(c)}, k)
 	}
 
-	// Hosts and the host↔edge tier. Every host shares one packet pool.
-	pool := new(packetPool)
+	// Hosts and the host↔edge tier. Every host shares one flow table and
+	// one packet pool.
+	flows, pool := make(flowTable), new(packetPool)
 	for h := 0; h < numHosts; h++ {
 		p := h / hostsPerPod
 		e := (h % hostsPerPod) / half
 		edge := ft.Edges[p*half+e]
 		host := hosts.one()
-		host.init(NodeID(h), "", pool)
+		host.init(NodeID(h), "", flows, pool)
 		ft.Hosts[h] = host
 
 		up := FatTreePort{Tier: TierHostUp, Pod: p, Switch: e, Host: NodeID(h), Port: h % half}

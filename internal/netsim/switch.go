@@ -233,10 +233,11 @@ type Host struct {
 	name string
 
 	egress Handler
-	flows  map[FlowID]Handler
-	// pool is the packet free list of the host's engine, shared with every
-	// other host the topology builder placed on that engine.
-	pool *packetPool
+	// flows and pool are the flow table and the packet free list of the
+	// host's topology, shared with every other host its builder placed on
+	// that engine.
+	flows flowTable
+	pool  *packetPool
 
 	// OnSend, when non-nil, observes every packet leaving the host (a
 	// tracer's packet counter attaches here).
@@ -249,19 +250,33 @@ type Host struct {
 	TxBytes   uint64
 }
 
-// NewHost creates a host with a packet pool of its own. Attach its egress
-// with SetEgress before sending. The topology builders instead share one
-// pool among all hosts on an engine.
+// NewHost creates a host with a flow table and a packet pool of its own.
+// Attach its egress with SetEgress before sending. The topology builders
+// instead share one table and one pool among all hosts on an engine.
 func NewHost(id NodeID, name string) *Host {
 	h := new(Host)
-	h.init(id, name, new(packetPool))
+	h.init(id, name, make(flowTable), new(packetPool))
 	return h
 }
 
-// init builds the host in place on the given pool, for NewHost and for
-// topology builders that take their hosts from a slab.
-func (h *Host) init(id NodeID, name string, pool *packetPool) {
-	*h = Host{ID: id, name: name, pool: pool}
+// init builds the host in place on the given flow table and pool, for
+// NewHost and for topology builders that take their hosts from a slab.
+func (h *Host) init(id NodeID, name string, flows flowTable, pool *packetPool) {
+	*h = Host{ID: id, name: name, flows: flows, pool: pool}
+}
+
+// flowTable maps each live (host, flow) binding to the handler that
+// receives the flow's packets at that host. A topology builder hands one
+// table to every host it builds, as it hands out one packet pool, so a
+// host's first flow makes no table of its own. The table is keyed by the
+// binding, not indexed by flow ID: a streaming run's IDs grow with every
+// flow it replays, while only the flows in progress hold entries.
+type flowTable map[uint64]Handler
+
+// binding packs a (host, flow) pair into its flow-table key. Both IDs must
+// fit in 32 bits, which Attach checks.
+func binding(host NodeID, flow FlowID) uint64 {
+	return uint64(uint32(host))<<32 | uint64(uint32(flow))
 }
 
 // Name returns the host's name: the one it was built with, or h<ID>,
@@ -277,17 +292,17 @@ func (h *Host) Name() string {
 func (h *Host) SetEgress(e Handler) { h.egress = e }
 
 // Attach registers the handler that receives packets for the given flow at
-// this host. The flow table is made by the first Attach: most hosts of a
-// large fabric never carry a flow.
+// this host, replacing any earlier one. Host and flow IDs must lie in
+// [0, 2^32).
 func (h *Host) Attach(id FlowID, fh Handler) {
-	if h.flows == nil {
-		h.flows = make(map[FlowID]Handler)
+	if uint64(h.ID)>>32 != 0 || uint64(id)>>32 != 0 {
+		panic(fmt.Sprintf("netsim: host %d cannot bind flow %d: IDs must lie in [0, 2^32)", h.ID, id))
 	}
-	h.flows[id] = fh
+	h.flows[binding(h.ID, id)] = fh
 }
 
 // Detach removes a flow handler.
-func (h *Host) Detach(id FlowID) { delete(h.flows, id) }
+func (h *Host) Detach(id FlowID) { delete(h.flows, binding(h.ID, id)) }
 
 // Send transmits a packet from this host into the network.
 func (h *Host) Send(p *Packet) {
@@ -309,7 +324,7 @@ func (h *Host) Send(p *Packet) {
 func (h *Host) HandlePacket(p *Packet) {
 	h.RxPackets++
 	h.RxBytes += uint64(p.WireSize)
-	if fh, ok := h.flows[p.Flow]; ok {
+	if fh, ok := h.flows[binding(h.ID, p.Flow)]; ok {
 		fh.HandlePacket(p)
 		return
 	}

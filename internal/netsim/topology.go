@@ -122,11 +122,11 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	d := &Dumbbell{Senders: make([]*Host, 0, cfg.Senders)}
 	// Senders allocate the data packets the receiver frees, and the
 	// receiver allocates the ACKs the senders free, so every host shares
-	// one pool.
-	pool := new(packetPool)
+	// one pool, and one flow table.
+	flows, pool := make(flowTable), new(packetPool)
 	recvID := NodeID(cfg.Senders)
 	d.Receiver = hosts.one()
-	d.Receiver.init(recvID, "receiver", pool)
+	d.Receiver.init(recvID, "receiver", flows, pool)
 	d.Switch = &Switch{name: "tofino"}
 	d.Switch.init(stg.pipeline(cfg.SwitchDelay))
 	// Every path crosses the single switch exactly once; TTL 2 (diameter
@@ -151,7 +151,7 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	}
 	for i := 0; i < cfg.Senders; i++ {
 		h := hosts.one()
-		h.init(NodeID(i), "sender"+strconv.Itoa(i), pool)
+		h.init(NodeID(i), "sender"+strconv.Itoa(i), flows, pool)
 		delay := cfg.accessDelay(i)
 		// Uplink(s): host -> switch, optionally bonded.
 		if bond > 1 {

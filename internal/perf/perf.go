@@ -271,6 +271,29 @@ func BenchFatTreeIncast(b *testing.B) {
 	b.ReportMetric(float64(pkts)/float64(b.N), "pkts/run")
 }
 
+// BenchFlowSetup measures per-flow setup on its own: with the timer stopped
+// it builds a k=12 fat-tree testbed, then adds 256 cubic flows into host 0
+// with AddFlowBetween over IncastHosts, as fattree-incast's largest cells
+// do, without running them. Its allocs/op and bytes/op are what setting up
+// 256 flows costs: clients, congestion controllers, meters, sensors and
+// flow-table entries.
+func BenchFlowSetup(b *testing.B) {
+	const k, flows = 12, 256
+	senders := netsim.IncastHosts(k, flows)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tb := testbed.NewFatTree(testbed.Options{Seed: 1}, netsim.DefaultFatTree(k))
+		b.StartTimer()
+		for _, src := range senders {
+			if _, err := tb.AddFlowBetween(src, 0, iperf.Spec{Bytes: 1 << 20, CCA: "cubic"}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*flows), "ns/flow")
+}
+
 // BenchWorkloadChurn measures the pooled flow-churn path: 2000 short cubic
 // flows arriving back to back on the dumbbell testbed, recycled through the
 // client free-list with streaming aggregation (no per-flow Reports). The

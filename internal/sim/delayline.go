@@ -11,6 +11,10 @@ import "fmt"
 // ring. Scheduling a delivery is allocation-free once the ring has grown
 // to the line's peak in-flight count.
 //
+// A line's first ring is an array inside it: one whose backlog never passes
+// ringFirst deliveries, such as a mouse flow's receive path, allocates no
+// ring at all.
+//
 // Determinism: each item captures its ordering rank (the engine's
 // scheduling sequence number) at Schedule time, and the standing event is
 // re-armed with that stored rank. Event interleaving is therefore
@@ -30,7 +34,12 @@ type DelayLine[O, T any] struct {
 	n    int
 	// lastAt guards the nondecreasing-due-times contract.
 	lastAt Time
+	// first backs ring until the backlog outgrows it.
+	first [ringFirst]delayItem[T]
 }
+
+// ringFirst is the capacity of a line's inline first ring, a power of two.
+const ringFirst = 16
 
 type delayItem[T any] struct {
 	item T
@@ -104,15 +113,19 @@ func (d *DelayLine[O, T]) popRing() delayItem[T] {
 	return it
 }
 
-// grow doubles the ring (power-of-two capacity keeps indexing a mask).
+// grow takes the inline first ring, then doubles (power-of-two capacity
+// keeps indexing a mask).
 func (d *DelayLine[O, T]) grow() {
-	newCap := 2 * len(d.ring)
-	if newCap == 0 {
-		newCap = 16
+	if d.ring == nil {
+		d.ring = d.first[:]
+		return
 	}
-	next := make([]delayItem[T], newCap) // doubles up to the peak in-flight count
+	next := make([]delayItem[T], 2*len(d.ring)) // doubles up to the peak in-flight count
 	for i := 0; i < d.n; i++ {
 		next[i] = d.ring[(d.head+i)&(len(d.ring)-1)]
+	}
+	if len(d.ring) == ringFirst {
+		clear(d.first[:]) // the one ring of that size is first; its items now live in next
 	}
 	d.ring = next
 	d.head = 0

@@ -158,3 +158,51 @@ func TestDelayLineInitAllocsZero(t *testing.T) {
 		t.Fatalf("Init allocated %.1f objects, want 0", avg)
 	}
 }
+
+// TestDelayLineFirstRingAllocs: a line's first ringFirst slots are inline,
+// so a line whose backlog stays within them allocates nothing, and the
+// first delivery past them moves a wrapped backlog into a grown ring in
+// order.
+func TestDelayLineFirstRingAllocs(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	o := &lineOwner[int]{onItem: func(v int) { got = append(got, v) }}
+	o.line.Init(e, o, (*lineOwner[int]).arrive)
+	// Each run readies the line afresh, so its ring starts empty.
+	fill := func() {
+		got = got[:0]
+		o.line.Init(e, o, (*lineOwner[int]).arrive)
+		for i := 0; i < ringFirst; i++ {
+			o.line.Schedule(i, e.Now()+Time(i))
+		}
+		e.Run()
+	}
+	got = make([]int, 0, 4*ringFirst)
+	if avg := testing.AllocsPerRun(10, fill); avg != 0 {
+		t.Fatalf("a line with at most %d deliveries in flight allocated %.1f objects, want 0", ringFirst, avg)
+	}
+
+	// Wrap the backlog around the inline ring, then outgrow it.
+	got = got[:0]
+	next := 0
+	at := e.Now()
+	schedule := func(n int) {
+		for ; n > 0; n-- {
+			at++
+			o.line.Schedule(next, at)
+			next++
+		}
+	}
+	schedule(ringFirst / 2)
+	e.RunUntil(at - 2) // leaves two in flight, the head mid-ring
+	schedule(ringFirst + 1)
+	e.Run()
+	if len(got) != next {
+		t.Fatalf("delivered %d of %d", len(got), next)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("delivery %d carried %d, want %d: %v", i, v, i, got)
+		}
+	}
+}

@@ -21,8 +21,8 @@ func TestDebugBaseline(t *testing.T) {
 	cfg.TxPathCost = 1500 * sim.Nanosecond
 	cfg.NICRateBps = 20_000_000_000
 	cc := cca.MustNew("baseline")
-	r := NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, false, nil)
-	s := NewSender(e, d.Senders[0], 1, d.Receiver.ID, 200<<20, cc, cfg, nil)
+	r := newReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, false)
+	s := newSender(e, d.Senders[0], 1, d.Receiver.ID, 200<<20, cc, cfg)
 	for i := 1; i <= 40; i++ {
 		e.At(sim.Time(i)*100*sim.Millisecond, func() {
 			t.Logf("t=%v una=%dMB nxt=%dMB pipe=%.1fMB retxQ=%d retx=%d rto=%d rcvd=%dMB dup=%d acksSent=%d oooHW=%d",

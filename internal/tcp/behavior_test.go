@@ -18,8 +18,8 @@ func maxQueueDuring(t *testing.T, name string) int {
 	cfg.TxPathCost = 1500 * sim.Nanosecond
 	cfg.NICRateBps = 20_000_000_000
 	cc := cca.MustNew(name)
-	NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable(), nil)
-	s := NewSender(e, d.Senders[0], 1, d.Receiver.ID, 100<<20, cc, cfg, nil)
+	newReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable())
+	s := newSender(e, d.Senders[0], 1, d.Receiver.ID, 100<<20, cc, cfg)
 	s.Start()
 	e.RunUntil(60 * sim.Second)
 	if !s.Done() {
@@ -63,8 +63,8 @@ func TestFCTOrderingAcrossCCAs(t *testing.T) {
 		cfg.TxPathCost = 1500 * sim.Nanosecond
 		cfg.NICRateBps = 20_000_000_000
 		cc := cca.MustNew(name)
-		NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable(), nil)
-		s := NewSender(e, d.Senders[0], 1, d.Receiver.ID, 200<<20, cc, cfg, nil)
+		newReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable())
+		s := newSender(e, d.Senders[0], 1, d.Receiver.ID, 200<<20, cc, cfg)
 		s.Start()
 		e.RunUntil(120 * sim.Second)
 		if !s.Done() {

@@ -19,8 +19,8 @@ func TestDebugTrace(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TxPathCost = 1500 * sim.Nanosecond
 	cc := cca.MustNew("cubic")
-	NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, false, nil)
-	s := NewSender(e, d.Senders[0], 1, d.Receiver.ID, 20<<20, cc, cfg, nil)
+	newReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, false)
+	s := newSender(e, d.Senders[0], 1, d.Receiver.ID, 20<<20, cc, cfg)
 	for i := 0; i <= 200; i++ {
 		e.At(sim.Time(i)*100*sim.Microsecond, func() {
 			t.Logf("t=%v cwnd=%.0f pipe=%d una=%d nxt=%d retxQ=%d recov=%v rto=%d retx=%d srtt=%v qlen=%d",

@@ -4,11 +4,17 @@ package tcp
 // index instead of reslicing [1:], which would shed the array's front so
 // that the next loss episode reallocates it. An emptied fifo rewinds to the
 // array's start, and a push into a full array compacts the live entries to
-// the front before append would grow it.
+// the front before append would grow it. The first backing array is inline,
+// so a flow whose loss episodes never queue more than fifoFirst entries
+// allocates none; a fifo holding entries must not be copied.
 type fifo[T any] struct {
-	buf  []T
-	head int
+	buf   []T
+	head  int
+	first [fifoFirst]T
 }
+
+// fifoFirst is the capacity of a fifo's inline first array.
+const fifoFirst = 8
 
 func (q *fifo[T]) len() int { return len(q.buf) - q.head }
 
@@ -26,6 +32,9 @@ func (q *fifo[T]) pop() {
 func (q *fifo[T]) reset() { q.buf, q.head = q.buf[:0], 0 }
 
 func (q *fifo[T]) push(v T) {
+	if q.buf == nil {
+		q.buf = q.first[:0]
+	}
 	if len(q.buf) == cap(q.buf) && q.head > 0 {
 		n := copy(q.buf, q.buf[q.head:])
 		q.buf, q.head = q.buf[:n], 0

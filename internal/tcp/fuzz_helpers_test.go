@@ -21,7 +21,7 @@ func newFuzzHarness(t *testing.T) *fuzzHarness {
 	h.host = netsim.NewHost(0, "tx")
 	h.host.SetEgress(netsim.HandlerFunc(func(*netsim.Packet) {}))
 	cfg := plainCfg()
-	h.snd = NewSender(h.engine, h.host, 1, 9, 120_000, cca.MustNew("reno"), cfg, nil)
+	h.snd = newSender(h.engine, h.host, 1, 9, 120_000, cca.MustNew("reno"), cfg)
 	_ = t
 	return h
 }

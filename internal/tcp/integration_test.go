@@ -27,8 +27,8 @@ func TestIncastCollapseRecovers(t *testing.T) {
 	var senders []*Sender
 	for i := 0; i < 16; i++ {
 		flow := netsim.FlowID(i + 1)
-		NewReceiver(e, d.Receiver, flow, d.Senders[i].ID, tcfg, false, nil)
-		s := NewSender(e, d.Senders[i], flow, d.Receiver.ID, 4<<20, cca.MustNew("cubic"), tcfg, nil)
+		newReceiver(e, d.Receiver, flow, d.Senders[i].ID, tcfg, false)
+		s := newSender(e, d.Senders[i], flow, d.Receiver.ID, 4<<20, cca.MustNew("cubic"), tcfg)
 		senders = append(senders, s)
 		s.Start()
 	}
@@ -64,8 +64,8 @@ func TestIncastCollapseRecovers(t *testing.T) {
 	var extreme []*Sender
 	for i := 0; i < 32; i++ {
 		flow := netsim.FlowID(i + 1)
-		NewReceiver(e2, d2.Receiver, flow, d2.Senders[i].ID, jcfg, false, nil)
-		s := NewSender(e2, d2.Senders[i], flow, d2.Receiver.ID, 1<<20, cca.MustNew("cubic"), jcfg, nil)
+		newReceiver(e2, d2.Receiver, flow, d2.Senders[i].ID, jcfg, false)
+		s := newSender(e2, d2.Senders[i], flow, d2.Receiver.ID, 1<<20, cca.MustNew("cubic"), jcfg)
 		extreme = append(extreme, s)
 		s.Start()
 	}
@@ -94,8 +94,8 @@ func TestDCTCPFlowsShareViaECN(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		flow := netsim.FlowID(i + 1)
 		cc := cca.MustNew("dctcp")
-		NewReceiver(e, d.Receiver, flow, d.Senders[i].ID, tcfg, cc.ECNCapable(), nil)
-		s := NewSender(e, d.Senders[i], flow, d.Receiver.ID, bytes, cc, tcfg, nil)
+		newReceiver(e, d.Receiver, flow, d.Senders[i].ID, tcfg, cc.ECNCapable())
+		s := newSender(e, d.Senders[i], flow, d.Receiver.ID, bytes, cc, tcfg)
 		senders = append(senders, s)
 		s.Start()
 	}
@@ -135,8 +135,8 @@ func TestManyParallelCCAsCoexist(t *testing.T) {
 	for i, name := range names {
 		flow := netsim.FlowID(i + 1)
 		cc := cca.MustNew(name)
-		NewReceiver(e, d.Receiver, flow, d.Senders[i].ID, tcfg, cc.ECNCapable(), nil)
-		s := NewSender(e, d.Senders[i], flow, d.Receiver.ID, 20<<20, cc, tcfg, nil)
+		newReceiver(e, d.Receiver, flow, d.Senders[i].ID, tcfg, cc.ECNCapable())
+		s := newSender(e, d.Senders[i], flow, d.Receiver.ID, 20<<20, cc, tcfg)
 		senders = append(senders, s)
 		s.Start()
 	}

@@ -40,8 +40,8 @@ func runLossy(t *testing.T, name string, bytes uint64, drop func(p *netsim.Packe
 	cfg.TxPathCost = 1500 * sim.Nanosecond
 	cfg.NICRateBps = 20_000_000_000
 	cc := cca.MustNew(name)
-	r := NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable(), nil)
-	s := NewSender(e, d.Senders[0], 1, d.Receiver.ID, bytes, cc, cfg, nil)
+	r := newReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable())
+	s := newSender(e, d.Senders[0], 1, d.Receiver.ID, bytes, cc, cfg)
 	s.Start()
 	e.RunUntil(300 * sim.Second)
 	if !s.Done() {
@@ -188,8 +188,8 @@ func TestFinishedSenderRecoversLostTail(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TxPathCost = 1500 * sim.Nanosecond
 	cc := cca.MustNew("cubic")
-	r := NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable(), nil)
-	s := NewSender(e, d.Senders[0], 1, d.Receiver.ID, 100<<20, cc, cfg, nil)
+	r := newReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable())
+	s := newSender(e, d.Senders[0], 1, d.Receiver.ID, 100<<20, cc, cfg)
 	s.Start()
 	e.At(2*sim.Millisecond, func() {
 		if s.sndNxt-s.sndUna < 4*uint64(s.mss) {

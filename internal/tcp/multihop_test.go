@@ -40,8 +40,8 @@ func TestMultiHopTransferAllCCAs(t *testing.T) {
 			cfg.TxPathCost = 1500 * sim.Nanosecond
 			cfg.NICRateBps = 10_000_000_000
 			cc := cca.MustNew(name)
-			NewReceiver(e, rcv, 1, snd.ID, cfg, cc.ECNCapable(), nil)
-			s := NewSender(e, snd, 1, rcv.ID, 50<<20, cc, cfg, nil)
+			newReceiver(e, rcv, 1, snd.ID, cfg, cc.ECNCapable())
+			s := newSender(e, snd, 1, rcv.ID, 50<<20, cc, cfg)
 			s.Start()
 			e.RunUntil(60 * sim.Second)
 			if !s.Done() {
@@ -68,8 +68,8 @@ func TestHPCCFindsFarBottleneck(t *testing.T) {
 	cfg.TxPathCost = 1500 * sim.Nanosecond
 	cfg.NICRateBps = 10_000_000_000
 	cc := cca.MustNew("hpcc")
-	NewReceiver(e, rcv, 1, snd.ID, cfg, cc.ECNCapable(), nil)
-	s := NewSender(e, snd, 1, rcv.ID, 50<<20, cc, cfg, nil)
+	newReceiver(e, rcv, 1, snd.ID, cfg, cc.ECNCapable())
+	s := newSender(e, snd, 1, rcv.ID, 50<<20, cc, cfg)
 	s.Start()
 	e.RunUntil(60 * sim.Second)
 	if !s.Done() {

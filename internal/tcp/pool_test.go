@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"greenenvy/internal/energy"
 	"greenenvy/internal/netsim"
 	"greenenvy/internal/sim"
 )
@@ -118,7 +119,7 @@ func TestSenderTimeoutEpisodeAllocFree(t *testing.T) {
 			t.Fatal("final ACK did not complete the transfer")
 		}
 		cc.Restart()
-		h.snd.Reset(h.host, 1, 9, total, cc, cfg, nil)
+		h.snd.Reset(h.host, 1, 9, total, cc, cfg, energy.Account{})
 	}
 	for i := 0; i < 4; i++ {
 		episode()

@@ -21,8 +21,8 @@ func runProduction(t *testing.T, name string, bytes uint64) (*Sender, *netsim.Du
 	cfg.TxPathCost = 1500 * sim.Nanosecond
 	cfg.NICRateBps = 20_000_000_000
 	cc := cca.MustNew(name)
-	NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable(), nil)
-	s := NewSender(e, d.Senders[0], 1, d.Receiver.ID, bytes, cc, cfg, nil)
+	newReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable())
+	s := newSender(e, d.Senders[0], 1, d.Receiver.ID, bytes, cc, cfg)
 	s.Start()
 	e.RunUntil(120 * sim.Second)
 	if !s.Done() {
@@ -79,8 +79,8 @@ func TestDCQCNCompetingFlowsUseECN(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		flow := netsim.FlowID(i + 1)
 		cc := cca.MustNew("dcqcn")
-		NewReceiver(e, d.Receiver, flow, d.Senders[i].ID, cfg, cc.ECNCapable(), nil)
-		s := NewSender(e, d.Senders[i], flow, d.Receiver.ID, 50<<20, cc, cfg, nil)
+		newReceiver(e, d.Receiver, flow, d.Senders[i].ID, cfg, cc.ECNCapable())
+		s := newSender(e, d.Senders[i], flow, d.Receiver.ID, 50<<20, cc, cfg)
 		ss = append(ss, s)
 		s.Start()
 	}
@@ -123,7 +123,7 @@ func TestINTStampedAndEchoed(t *testing.T) {
 	cfg.TxPathCost = 0
 	var gotAck *netsim.Packet
 	d.Senders[0].Attach(1, netsim.HandlerFunc(func(p *netsim.Packet) { gotAck = p }))
-	NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, false, nil)
+	newReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, false)
 	// Hand-send one INT data packet.
 	d.Senders[0].Send(&netsim.Packet{
 		Flow: 1, Dst: d.Receiver.ID, Seq: 0, DataLen: cfg.MSS(),
@@ -170,8 +170,8 @@ func TestProductionCCAsCompeteFairly(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				flow := netsim.FlowID(i + 1)
 				cc := cca.MustNew(name)
-				NewReceiver(e, d.Receiver, flow, d.Senders[i].ID, cfg, cc.ECNCapable(), nil)
-				s := NewSender(e, d.Senders[i], flow, d.Receiver.ID, 50<<20, cc, cfg, nil)
+				newReceiver(e, d.Receiver, flow, d.Senders[i].ID, cfg, cc.ECNCapable())
+				s := newSender(e, d.Senders[i], flow, d.Receiver.ID, 50<<20, cc, cfg)
 				ss = append(ss, s)
 				s.Start()
 			}

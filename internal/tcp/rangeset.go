@@ -5,10 +5,16 @@ import "sort"
 // rangeSet maintains a sorted set of disjoint half-open byte ranges. The
 // receiver uses it to track out-of-order data above rcvNxt and to generate
 // SACK blocks. Operations use binary search so large loss episodes (many
-// disjoint ranges) stay cheap.
+// disjoint ranges) stay cheap. The first backing array is inline, so a set
+// that never holds more than rangeSetFirst ranges allocates none; a
+// non-empty set must not be copied.
 type rangeSet struct {
 	ranges []byteRange // sorted by Start, disjoint, non-adjacent
+	first  [rangeSetFirst]byteRange
 }
+
+// rangeSetFirst is the capacity of a rangeSet's inline first array.
+const rangeSetFirst = 4
 
 type byteRange struct {
 	Start, End uint64
@@ -35,6 +41,9 @@ func (s *rangeSet) add(start, end uint64) byteRange {
 	merged := byteRange{start, end}
 	if i == j {
 		// No overlap: insert at i.
+		if s.ranges == nil {
+			s.ranges = s.first[:0]
+		}
 		s.ranges = append(s.ranges, byteRange{}) // grows only during loss episodes, bounded by the reordering extent
 		copy(s.ranges[i+1:], s.ranges[i:])
 		s.ranges[i] = merged

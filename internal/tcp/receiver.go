@@ -15,7 +15,7 @@ type Receiver struct {
 	flow    netsim.FlowID
 	src     netsim.NodeID
 	cfg     Config
-	account *energy.Account
+	account energy.Account
 
 	rcvNxt  uint64
 	ooo     rangeSet
@@ -36,6 +36,7 @@ type Receiver struct {
 	// SACK block ordering (the block containing the most recently
 	// received segment must come first, so the sender's scoreboard
 	// converges even when there are more holes than SACK option space).
+	// Its first backing array is firstRecent.
 	recent []uint64
 	// sackBuf is sackBlocks' scratch space: an ACK's blocks are copied
 	// into its packet before the next ACK is assembled.
@@ -68,17 +69,25 @@ type Receiver struct {
 	CEMarksSeen    uint64
 	RxDropped      uint64 // segments dropped by receive-ring overflow
 	OutOfOrderHigh int    // high-water mark of buffered OOO ranges
+
+	// firstRecent is recent's first backing array.
+	firstRecent [recentFirst]uint64
 }
 
-// NewReceiver creates a receiver for flow on host, sending ACKs back to the
-// sender node src. preciseCE selects DCTCP-style ECN feedback; the energy
-// account may be nil.
-func NewReceiver(engine *sim.Engine, host *netsim.Host, flow netsim.FlowID, src netsim.NodeID, cfg Config, preciseCE bool, account *energy.Account) *Receiver {
-	r := &Receiver{engine: engine}
+// recentFirst is the capacity of the receiver's inline first recency list.
+const recentFirst = 4
+
+// Init readies r in place as a receiver for flow on host, sending ACKs
+// back to the sender node src. preciseCE selects DCTCP-style ECN feedback;
+// the zero energy account reports nothing. Reuse an initialized receiver
+// with Reset. Once initialized, r must not be copied: its timer, its
+// receive line and its first arrays point into it.
+func (r *Receiver) Init(engine *sim.Engine, host *netsim.Host, flow netsim.FlowID, src netsim.NodeID, cfg Config, preciseCE bool, account energy.Account) {
+	r.engine = engine
+	r.recent = r.firstRecent[:0]
 	r.delack.Init(engine, r, (*Receiver).onDelAck)
 	r.rxq.Init(engine, r, (*Receiver).process)
 	r.Reset(host, flow, src, cfg, preciseCE, account)
-	return r
 }
 
 // Quiescent reports whether the receiver's serialized receive path has
@@ -90,7 +99,8 @@ func (r *Receiver) Quiescent() bool { return r.rxq.Len() == 0 }
 
 // Detach unbinds the receiver from its host's flow demux. Unpooled runs
 // historically left receivers attached forever; the pooled churn path
-// detaches so host flow tables stay bounded by the live-flow count.
+// detaches so the topology's flow table stays bounded by the live-flow
+// count.
 func (r *Receiver) Detach() {
 	if r.host != nil {
 		r.host.Detach(r.flow)
@@ -101,7 +111,7 @@ func (r *Receiver) Detach() {
 // line, and the out-of-order/SACK bookkeeping backing arrays — the pooled
 // churn path's allocation-free flow setup. The receiver must be Quiescent;
 // any prior host binding is detached first. OnData is left untouched.
-func (r *Receiver) Reset(host *netsim.Host, flow netsim.FlowID, src netsim.NodeID, cfg Config, preciseCE bool, account *energy.Account) {
+func (r *Receiver) Reset(host *netsim.Host, flow netsim.FlowID, src netsim.NodeID, cfg Config, preciseCE bool, account energy.Account) {
 	if r.rxq.Len() != 0 {
 		panic("tcp: resetting a receiver with deferred packets")
 	}

@@ -22,7 +22,7 @@ func newRxHarness(t *testing.T, preciseCE bool) *rxHarness {
 	host.SetEgress(netsim.HandlerFunc(func(p *netsim.Packet) { h.acks = append(h.acks, p) }))
 	cfg := DefaultConfig()
 	cfg.RxPathCost = -1 // synchronous processing for these unit tests
-	h.recv = NewReceiver(h.engine, host, 1, 0, cfg, preciseCE, nil)
+	h.recv = newReceiver(h.engine, host, 1, 0, cfg, preciseCE)
 	return h
 }
 
@@ -34,7 +34,7 @@ func TestReceiverRxRingDelaysAndDrops(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RxPathCost = sim.Microsecond
 	cfg.RxRingPackets = 4
-	r := NewReceiver(e, host, 1, 0, cfg, false, nil)
+	r := newReceiver(e, host, 1, 0, cfg, false)
 
 	// Six back-to-back arrivals into a 4-deep ring: the first is admitted
 	// and starts processing; when the 5th arrives the backlog is 4 (ring

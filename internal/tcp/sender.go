@@ -48,7 +48,7 @@ type Sender struct {
 	dst     netsim.NodeID
 	cfg     Config
 	cc      cca.CongestionControl
-	account *energy.Account
+	account energy.Account
 
 	mss        int
 	totalBytes uint64
@@ -63,7 +63,8 @@ type Sender struct {
 	// advances it, an emptied window rewinds it to segStore[:0], and
 	// sendOne compacts live segments back to the front before an append
 	// would otherwise reallocate — so one backing array serves the whole
-	// transfer, and pooled reuse (Reset) carries it to the next flow.
+	// transfer, and pooled reuse (Reset) carries it to the next flow. The
+	// first backing array is firstSegs.
 	segs     []segment
 	segStore []segment
 	segBase  uint64
@@ -114,29 +115,48 @@ type Sender struct {
 	AcksReceived uint64
 	StartedAt    sim.Time
 	CompletedAt  sim.Time
-	// OnComplete fires once when every byte has been cumulatively
-	// acknowledged.
-	OnComplete func()
+	// OnComplete, when non-nil, is told once when every byte has been
+	// cumulatively acknowledged.
+	OnComplete Completer
+
+	// firstSegs is the window's first backing array, sized for the
+	// initial window: a flow that never has more than windowFirst
+	// segments in flight allocates no window.
+	firstSegs [windowFirst]segment
 }
 
-// NewSender creates a sender for a totalBytes transfer from host to the
-// receiver node dst over the given flow ID. The congestion controller is
-// owned by the sender; the energy account may be nil.
-func NewSender(engine *sim.Engine, host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID, totalBytes uint64, cc cca.CongestionControl, cfg Config, account *energy.Account) *Sender {
-	s := &Sender{engine: engine}
+// windowFirst is the capacity of a sender's inline first window: the
+// 10-segment initial window, rounded up to fill a 512-byte size class.
+const windowFirst = 16
+
+// Completer is told when a sender's transfer completes. An owner that
+// embeds its sender implements it through a named pointer type, as the
+// endpoints implement netsim.Handler, so binding allocates nothing.
+type Completer interface {
+	TransferComplete()
+}
+
+// Init readies s in place as a sender for a totalBytes transfer from host
+// to the receiver node dst over the given flow ID. The congestion
+// controller is owned by the sender; the zero energy account reports
+// nothing. Reuse an initialized sender with Reset. Once initialized, s
+// must not be copied: its timers and its first window point into it.
+func (s *Sender) Init(engine *sim.Engine, host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID, totalBytes uint64, cc cca.CongestionControl, cfg Config, account energy.Account) {
+	s.engine = engine
+	s.segStore = s.firstSegs[:0]
 	s.rtoTimer.Init(engine, s, (*Sender).onRTO)
 	s.tlpTimer.Init(engine, s, (*Sender).onTLP)
 	s.sendTimer.Init(engine, s, (*Sender).trySend)
 	s.Reset(host, flow, dst, totalBytes, cc, cfg, account)
-	return s
 }
 
 // Reset rebinds a sender to a new transfer, reusing its timers and the
 // segment/retransmission backing arrays of previous flows — the
 // pooled-churn path's allocation-free flow setup. The previous transfer
-// must have completed (or never started); OnComplete is left untouched so
-// a pooled client keeps its one bound callback.
-func (s *Sender) Reset(host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID, totalBytes uint64, cc cca.CongestionControl, cfg Config, account *energy.Account) {
+// must have completed (or never started); a sender that never completed
+// is detached from its host first, as a completed one already is.
+// OnComplete is left untouched so a pooled client keeps its one binding.
+func (s *Sender) Reset(host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID, totalBytes uint64, cc cca.CongestionControl, cfg Config, account energy.Account) {
 	if cfg.MTU <= HeaderBytes {
 		panic(fmt.Sprintf("tcp: MTU %d leaves no room for payload", cfg.MTU))
 	}
@@ -145,6 +165,9 @@ func (s *Sender) Reset(host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID,
 	}
 	if s.started && !s.done {
 		panic("tcp: resetting an active sender")
+	}
+	if s.host != nil && !s.done {
+		s.host.Detach(s.flow)
 	}
 	s.rtoTimer.Stop()
 	s.tlpTimer.Stop()
@@ -776,6 +799,6 @@ func (s *Sender) complete(now sim.Time) {
 	s.tlpTimer.Stop()
 	s.host.Detach(s.flow)
 	if s.OnComplete != nil {
-		s.OnComplete()
+		s.OnComplete.TransferComplete()
 	}
 }

@@ -23,7 +23,7 @@ func newSenderHarness(t *testing.T, totalBytes uint64, ccName string, cfg Config
 	h := &senderHarness{engine: sim.NewEngine()}
 	h.host = netsim.NewHost(0, "tx")
 	h.host.SetEgress(netsim.HandlerFunc(func(p *netsim.Packet) { h.out = append(h.out, p) }))
-	h.snd = NewSender(h.engine, h.host, 1, 9, totalBytes, cca.MustNew(ccName), cfg, nil)
+	h.snd = newSender(h.engine, h.host, 1, 9, totalBytes, cca.MustNew(ccName), cfg)
 	return h
 }
 
@@ -77,14 +77,19 @@ func TestSenderAckAdvancesAndSendsMore(t *testing.T) {
 	}
 }
 
+// doneFlag is a Completer that records its call.
+type doneFlag bool
+
+func (d *doneFlag) TransferComplete() { *d = true }
+
 func TestSenderCompletionCallback(t *testing.T) {
 	h := newSenderHarness(t, 3000, "reno", plainCfg())
-	done := false
-	h.snd.OnComplete = func() { done = true }
+	var done doneFlag
+	h.snd.OnComplete = &done
 	h.snd.Start()
 	h.engine.At(50*sim.Microsecond, func() { h.ack(3000) })
 	h.engine.RunUntil(sim.Second)
-	if !done || !h.snd.Done() {
+	if !bool(done) || !h.snd.Done() {
 		t.Fatal("completion not signalled")
 	}
 	if h.snd.FCT() != 50*sim.Microsecond {
@@ -240,8 +245,8 @@ func TestSenderTLPRepairsTailLossEndToEnd(t *testing.T) {
 	d2.Switch.Connect(d2.Receiver.ID, netsim.NewLink(e, "tapped", 10_000_000_000, 5*sim.Microsecond, netsim.NewDropTail(1<<20, 0), tap))
 	inner = d2.Receiver
 
-	NewReceiver(e, d2.Receiver, 1, d2.Senders[0].ID, cfg, false, nil)
-	s := NewSender(e, d2.Senders[0], 1, d2.Receiver.ID, total, cca.MustNew("cubic"), cfg, nil)
+	newReceiver(e, d2.Receiver, 1, d2.Senders[0].ID, cfg, false)
+	s := newSender(e, d2.Senders[0], 1, d2.Receiver.ID, total, cca.MustNew("cubic"), cfg)
 	s.Start()
 	e.RunUntil(sim.Second)
 	if !s.Done() {

@@ -4,9 +4,24 @@ import (
 	"testing"
 
 	"greenenvy/internal/cca"
+	"greenenvy/internal/energy"
 	"greenenvy/internal/netsim"
 	"greenenvy/internal/sim"
 )
+
+// newSender initializes a sender that reports to no energy meter.
+func newSender(e *sim.Engine, host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID, totalBytes uint64, cc cca.CongestionControl, cfg Config) *Sender {
+	s := new(Sender)
+	s.Init(e, host, flow, dst, totalBytes, cc, cfg, energy.Account{})
+	return s
+}
+
+// newReceiver initializes a receiver that reports to no energy meter.
+func newReceiver(e *sim.Engine, host *netsim.Host, flow netsim.FlowID, src netsim.NodeID, cfg Config, preciseCE bool) *Receiver {
+	r := new(Receiver)
+	r.Init(e, host, flow, src, cfg, preciseCE, energy.Account{})
+	return r
+}
 
 // runTransfer drives one bulk transfer over a fresh dumbbell and returns
 // the sender and receiver for inspection.
@@ -25,8 +40,8 @@ func runTransfer(t *testing.T, ccName string, bytes uint64, cfg Config, mutate f
 	if cfg.TxPathCost == 0 {
 		cfg.TxPathCost = 1500 * sim.Nanosecond
 	}
-	recv := NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable(), nil)
-	snd := NewSender(e, d.Senders[0], 1, d.Receiver.ID, bytes, cc, cfg, nil)
+	recv := newReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, cc.ECNCapable())
+	snd := newSender(e, d.Senders[0], 1, d.Receiver.ID, bytes, cc, cfg)
 	snd.Start()
 	e.RunUntil(120 * sim.Second)
 	if !snd.Done() {
@@ -162,7 +177,7 @@ func TestSenderValidation(t *testing.T) {
 				t.Error("tiny MTU did not panic")
 			}
 		}()
-		NewSender(e, d.Senders[0], 1, d.Receiver.ID, 1000, cca.MustNew("reno"), cfg, nil)
+		newSender(e, d.Senders[0], 1, d.Receiver.ID, 1000, cca.MustNew("reno"), cfg)
 	}()
 	func() {
 		defer func() {
@@ -170,15 +185,15 @@ func TestSenderValidation(t *testing.T) {
 				t.Error("zero-byte transfer did not panic")
 			}
 		}()
-		NewSender(e, d.Senders[0], 2, d.Receiver.ID, 0, cca.MustNew("reno"), DefaultConfig(), nil)
+		newSender(e, d.Senders[0], 2, d.Receiver.ID, 0, cca.MustNew("reno"), DefaultConfig())
 	}()
 }
 
 func TestDoubleStartPanics(t *testing.T) {
 	e := sim.NewEngine()
 	d := netsim.NewDumbbell(e, netsim.DefaultDumbbell(1))
-	s := NewSender(e, d.Senders[0], 1, d.Receiver.ID, 1000, cca.MustNew("reno"), DefaultConfig(), nil)
-	NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, DefaultConfig(), false, nil)
+	s := newSender(e, d.Senders[0], 1, d.Receiver.ID, 1000, cca.MustNew("reno"), DefaultConfig())
+	newReceiver(e, d.Receiver, 1, d.Senders[0].ID, DefaultConfig(), false)
 	s.Start()
 	defer func() {
 		if recover() == nil {
@@ -200,8 +215,8 @@ func TestTwoCompetingFlowsShareFairly(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		flow := netsim.FlowID(i + 1)
 		cc := cca.MustNew("cubic")
-		NewReceiver(e, d.Receiver, flow, d.Senders[i].ID, cfg, false, nil)
-		s := NewSender(e, d.Senders[i], flow, d.Receiver.ID, bytes, cc, cfg, nil)
+		newReceiver(e, d.Receiver, flow, d.Senders[i].ID, cfg, false)
+		s := newSender(e, d.Senders[i], flow, d.Receiver.ID, bytes, cc, cfg)
 		snds = append(snds, s)
 		s.Start()
 	}
@@ -229,8 +244,8 @@ func TestPipeNeverNegative(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TxPathCost = 1500 * sim.Nanosecond
 	cc := cca.MustNew("cubic")
-	NewReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, false, nil)
-	s := NewSender(e, d.Senders[0], 1, d.Receiver.ID, 20<<20, cc, cfg, nil)
+	newReceiver(e, d.Receiver, 1, d.Senders[0].ID, cfg, false)
+	s := newSender(e, d.Senders[0], 1, d.Receiver.ID, 20<<20, cc, cfg)
 	// Check the invariant as the run progresses.
 	for i := 1; i <= 100; i++ {
 		e.At(sim.Time(i)*10*sim.Millisecond, func() {

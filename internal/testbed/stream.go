@@ -177,8 +177,7 @@ type streamRun struct {
 	ccaName string
 	adm     Admission
 
-	free  []*pooledClient // LIFO free list
-	accts []*energy.Account
+	free []*pooledClient // LIFO free list
 
 	// pending holds deferred arrivals in arrival order.
 	pending arrivalFIFO
@@ -335,18 +334,6 @@ func (q *arrivalFIFO) pop() FlowArrival {
 	return a
 }
 
-// acct returns the cached per-meter energy account (one per meter for the
-// whole stream — every flow uses the same algorithm).
-func (sr *streamRun) acct(meter int) *energy.Account {
-	for len(sr.accts) < len(sr.tb.Meters) {
-		sr.accts = append(sr.accts, nil)
-	}
-	if sr.accts[meter] == nil {
-		sr.accts[meter] = energy.NewAccount(sr.tb.Meters[meter], sr.ccaName)
-	}
-	return sr.accts[meter]
-}
-
 // launch starts one flow now: a recycled client from the free list when
 // available, a fresh one otherwise. The testbed's setup draws its start
 // jitter at launch, as AddFlowBetween draws one per added flow.
@@ -386,14 +373,16 @@ func (sr *streamRun) launch(a FlowArrival) {
 			break
 		}
 	}
+	// The endpoints copy the accounts, so these make no object per flow.
+	srcAcct, dstAcct := energy.NewAccount(tb.Meters[srcM], sr.ccaName), energy.NewAccount(tb.Meters[dstM], sr.ccaName)
 	if e != nil {
-		if err := e.c.Reset(spec, tb.hosts[src], tb.hosts[dst], sr.acct(srcM), sr.acct(dstM)); err != nil {
+		if err := e.c.Reset(spec, tb.hosts[src], tb.hosts[dst], srcAcct, dstAcct); err != nil {
 			sr.fail(err)
 			return
 		}
 		sr.res.PoolReuses++
 	} else {
-		c, err := iperf.NewClient(tb.Engine, spec, tb.hosts[src], tb.hosts[dst], sr.acct(srcM), sr.acct(dstM))
+		c, err := iperf.NewClient(tb.Engine, spec, tb.hosts[src], tb.hosts[dst], srcAcct, dstAcct)
 		if err != nil {
 			sr.fail(err)
 			return

@@ -100,8 +100,11 @@ type Testbed struct {
 	hostBps int64
 	// meterOf maps a host's NodeID to its index in Meters, -1 before the
 	// host's first flow.
-	meterOf  []int
-	clients  []*iperf.Client
+	meterOf []int
+	clients []*iperf.Client
+	// maxFlow is the largest flow ID of clients: a new flow whose ID is
+	// larger needs no search for an earlier flow with its ID.
+	maxFlow  netsim.FlowID
 	measures []rapl.Measurement
 	ran      bool
 	// senderIdx/recvIdx index Meters by measurement role, in registration
@@ -270,23 +273,41 @@ func (tb *Testbed) AddFlow(sender int, spec iperf.Spec) (*iperf.Client, error) {
 // AddFlowBetween installs an iperf client between two hosts of either
 // topology. The flow's TxPathCost is taken from the energy cost model and
 // its NIC rate from the topology's host line rate unless the spec
-// overrides them; start jitter is applied on top of spec.StartAt.
+// overrides them; start jitter is applied on top of spec.StartAt. A zero
+// spec.Flow is assigned the flow's ordinal; a flow ID an earlier flow of
+// the testbed uses is an error.
 func (tb *Testbed) AddFlowBetween(src, dst netsim.NodeID, spec iperf.Spec) (*iperf.Client, error) {
 	if spec.Flow == 0 {
 		spec.Flow = netsim.FlowID(len(tb.clients) + 1)
+	}
+	if tb.flowTaken(spec.Flow) {
+		return nil, fmt.Errorf("testbed: flow %d is already in use", spec.Flow)
 	}
 	srcMeter, dstMeter, err := tb.setup(src, dst, &spec)
 	if err != nil {
 		return nil, err
 	}
-	srcAcct := energy.NewAccount(tb.Meters[srcMeter], spec.CCA)
-	dstAcct := energy.NewAccount(tb.Meters[dstMeter], spec.CCA)
-	c, err := iperf.NewClient(tb.Engine, spec, tb.hosts[src], tb.hosts[dst], srcAcct, dstAcct)
+	// The endpoints copy the accounts, so these make no object per flow.
+	c, err := iperf.NewClient(tb.Engine, spec, tb.hosts[src], tb.hosts[dst],
+		energy.NewAccount(tb.Meters[srcMeter], spec.CCA), energy.NewAccount(tb.Meters[dstMeter], spec.CCA))
 	if err != nil {
 		return nil, err
 	}
 	tb.register(c)
 	return c, nil
+}
+
+// flowTaken reports whether an earlier flow of the testbed uses flow ID id.
+func (tb *Testbed) flowTaken(id netsim.FlowID) bool {
+	if id > tb.maxFlow {
+		return false
+	}
+	for _, c := range tb.clients {
+		if c.Flow() == id {
+			return true
+		}
+	}
+	return false
 }
 
 // setup is where every flow starts, on either topology: AddFlowBetween's
@@ -322,6 +343,7 @@ func (tb *Testbed) register(c *iperf.Client) {
 	}
 	c.OnDone(tb.release)
 	tb.clients = append(tb.clients, c)
+	tb.maxFlow = max(tb.maxFlow, c.Flow())
 }
 
 // AddLoad runs background load on dumbbell sender host i for the whole run,

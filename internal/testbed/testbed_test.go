@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"strings"
 	"testing"
 
 	"greenenvy/internal/iperf"
@@ -220,6 +221,44 @@ func TestInvalidSenderIndex(t *testing.T) {
 	}
 }
 
+// TestDuplicateFlowIDRejected: a flow ID names one flow of a testbed. A
+// second flow with an ID in use, given explicitly or assigned as the
+// flow's ordinal, is refused with an error that names it, instead of
+// replacing the first flow's endpoints in the hosts' demux until the run
+// fails at its deadline.
+func TestDuplicateFlowIDRejected(t *testing.T) {
+	tb := New(Options{Senders: 2, Seed: 1})
+	spec := iperf.Spec{Flow: 1, Bytes: 1 << 20, CCA: "cubic"}
+	if _, err := tb.AddFlow(0, spec); err != nil {
+		t.Fatal(err)
+	}
+	_, err := tb.AddFlow(1, spec)
+	if err == nil || !strings.Contains(err.Error(), "flow 1 ") {
+		t.Fatalf("second flow 1: got error %v, want one naming flow 1", err)
+	}
+	// The refused flow left nothing behind: the first runs to completion.
+	res, err := tb.Run(2 * sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Reports) != 1 || res.Reports[0].Bytes != 1<<20 {
+		t.Fatalf("reports = %+v", res.Reports)
+	}
+
+	// An explicit ID taken first, then the ordinal a flow is assigned.
+	tb = New(Options{Senders: 2, Seed: 1})
+	if _, err := tb.AddFlow(0, iperf.Spec{Flow: 2, Bytes: 1 << 20, CCA: "cubic"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = tb.AddFlow(1, iperf.Spec{Bytes: 1 << 20, CCA: "cubic"})
+	if err == nil || !strings.Contains(err.Error(), "flow 2 ") {
+		t.Fatalf("assigned flow 2 after an explicit flow 2: got error %v, want one naming flow 2", err)
+	}
+	if _, err := tb.AddFlow(1, iperf.Spec{Flow: 1, Bytes: 1 << 20, CCA: "cubic"}); err != nil {
+		t.Fatalf("a free lower ID: %v", err)
+	}
+}
+
 func TestSetWeightWithoutDRR(t *testing.T) {
 	tb := New(Options{Seed: 10})
 	if err := tb.SetWeight(1, 0.5); err == nil {
@@ -348,16 +387,19 @@ func TestFatTreeTestbedValidation(t *testing.T) {
 
 // TestTestbedBuildAllocs pins what building a testbed and adding its flows
 // allocates: a dumbbell with one flow per sender, and a fat-tree incast of
-// n flows into host 0 as fattree-incast's serial cells build it. The
-// counts stay within the limits because the host table reuses the
-// topology's host slices and the meter registry is sized for every host up
-// front; a table built with AllHosts and meter slices grown by append
-// exceed them.
+// n flows into host 0 as fattree-incast's serial cells build it. They read
+// 43 / 54 / 198 and 152 / 1,236. The counts stay within the limits because
+// the host table reuses the topology's host slices, the meter registry is
+// sized for every host up front, a flow is one client object plus its
+// congestion controller, and the topology's hosts share one flow table; a
+// table built with AllHosts, meter slices grown by append, or endpoints,
+// accounts and demux maps allocated per flow exceed them (the last read
+// 50 / 68 / 308 and 262 / 3,026).
 func TestTestbedBuildAllocs(t *testing.T) {
 	for _, c := range []struct {
 		senders int
 		limit   float64
-	}{{1, 50}, {2, 70}, {16, 316}} {
+	}{{1, 44}, {2, 56}, {16, 206}} {
 		got := testing.AllocsPerRun(10, func() {
 			tb := New(Options{Senders: c.senders, Seed: 1})
 			for i := 0; i < c.senders; i++ {
@@ -374,7 +416,7 @@ func TestTestbedBuildAllocs(t *testing.T) {
 	for _, c := range []struct {
 		n     int
 		limit float64
-	}{{16, 278}, {256, 3056}} {
+	}{{16, 160}, {256, 1250}} {
 		k := netsim.FatTreeArityFor(c.n)
 		senders := netsim.IncastHosts(k, c.n)
 		got := testing.AllocsPerRun(5, func() {
